@@ -6,7 +6,7 @@ guarantee assertion or report re-validation fails (CI contract), 1 on errors.
 
 Reports are JSON with sorted keys and deterministic float repr, so a fixed
 --seed reproduces byte-identical files. Wall-clock timings never enter
-reports. SEQSUB_THREADS caps worker threads for rounding-trial loops.
+reports.
 """
 
 from __future__ import annotations
@@ -95,16 +95,18 @@ def _emit(report: dict, args, summary: str) -> None:
         sys.stdout.write(_render(report, args.format))
 
 
-def _order_out(order) -> list[int]:
-    return core.order_to_external(order)
-
-
-def _maybe_opt(inst: core.Instance) -> dict:
-    """Oracle comparison fields, included only at sizes where it is cheap."""
+def _maybe_opt(inst: core.Instance, f_val: float) -> dict:
+    """Oracle comparison fields for engagement f_val, at sizes where it is cheap."""
     if inst.n > _ORACLE_COMPARE_N:
         return {}
     opt = oracle.brute_force_engagement_opt(inst)
-    return {"opt_engagement": opt.best_value, "opt_permutation": _order_out(opt.best_witness)}
+    out = {
+        "opt_engagement": opt.best_value,
+        "opt_permutation": core.order_to_external(opt.best_witness),
+    }
+    if opt.best_value > 0:
+        out["engagement_ratio"] = f_val / opt.best_value
+    return out
 
 
 def _cmd_gen(args) -> int:
@@ -130,13 +132,11 @@ def _run_greedy(args) -> tuple[dict, str, int]:
         "algo": "greedy",
         "instance": args.instance,
         "n": inst.n,
-        "permutation": _order_out(order),
+        "permutation": core.order_to_external(order),
         "engagement": f_val,
         "revenue": g_val,
     }
-    report.update(_maybe_opt(inst))
-    if "opt_engagement" in report and report["opt_engagement"] > 0:
-        report["engagement_ratio"] = f_val / report["opt_engagement"]
+    report.update(_maybe_opt(inst, f_val))
     summary = f"greedy: permutation {report['permutation']} engagement {f_val:.6f}"
     if "engagement_ratio" in report:
         summary += f" (ratio {report['engagement_ratio']:.4f} of optimum)"
@@ -153,7 +153,7 @@ def _run_cg(args) -> tuple[dict, str, int]:
         "seed": args.seed,
         "steps": args.steps,
         "samples": args.samples,
-        "permutation": _order_out(res.order),
+        "permutation": core.order_to_external(res.order),
         "engagement": res.engagement,
         "revenue": core.revenue(inst, res.order),
         "lifted_value": res.lifted_value,
@@ -161,9 +161,7 @@ def _run_cg(args) -> tuple[dict, str, int]:
         "fractional_stderr": res.fractional_stderr,
         "rounded_size": res.rounded_size,
     }
-    report.update(_maybe_opt(inst))
-    if "opt_engagement" in report and report["opt_engagement"] > 0:
-        report["engagement_ratio"] = res.engagement / report["opt_engagement"]
+    report.update(_maybe_opt(inst, res.engagement))
     summary = (
         f"cg: permutation {report['permutation']} engagement {res.engagement:.6f}"
         f" (rounded lifted value {res.lifted_value:.6f})"
@@ -180,7 +178,7 @@ def _run_oracle(args) -> tuple[dict, str, int]:
         "n": inst.n,
         "engagement_opt": {
             "value": eng.best_value,
-            "permutation": _order_out(eng.best_witness),
+            "permutation": core.order_to_external(eng.best_witness),
             "enumerated": eng.enumerated_count,
         },
     }
@@ -188,7 +186,7 @@ def _run_oracle(args) -> tuple[dict, str, int]:
         rev = oracle.brute_force_revenue_opt(inst)
         report["revenue_opt"] = {
             "value": rev.best_value,
-            "permutation": _order_out(rev.best_witness),
+            "permutation": core.order_to_external(rev.best_witness),
             "enumerated": rev.enumerated_count,
         }
         summary = (
@@ -231,13 +229,13 @@ def _run_revenue(args) -> tuple[dict, str, int]:
         "revenue_ok": rep.revenue_ok,
         "engagement_ok": rep.engagement_ok,
         "best": {
-            "permutation": _order_out(rep.best.order),
+            "permutation": core.order_to_external(rep.best.order),
             "engagement": rep.best.engagement,
             "revenue": rep.best.revenue,
         },
         "per_seed": [
             {
-                "permutation": _order_out(t.order),
+                "permutation": core.order_to_external(t.order),
                 "engagement": t.engagement,
                 "revenue": t.revenue,
             }
@@ -263,7 +261,7 @@ def _run_coverage(args) -> tuple[dict, str, int]:
         "seed": args.seed,
         "trials": args.trials,
         "lp_value": best.lp_value,
-        "permutation": _order_out(best.order),
+        "permutation": core.order_to_external(best.order),
         "clicks": best.clicks,
     }
     summary = (
@@ -421,11 +419,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # raised by our error() override and --version
         return int(exc.code or 0)
-    except SeqsubError as exc:
+    except (SeqsubError, OSError) as exc:
         print(f"seqsub: error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"seqsub: error: {exc}", file=sys.stderr)
+    except json.JSONDecodeError as exc:
+        print(f"seqsub: error: malformed JSON: {exc}", file=sys.stderr)
         return 1
 
 

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import UnknownSubsetError, ValidationError
-from .util import iter_bits, mask_of, popcount
+from .util import iter_bits, json_field, mask_of
 
 _TOL = 1e-9
 
@@ -192,12 +192,6 @@ class MnlModel:
 ClickModel = Union[ExplicitModel, CoverageModel, MnlModel]
 
 
-def eval_set_function(model: ClickModel, subset) -> float:
-    """Value of the click model on a product subset (bitmask or iterable)."""
-    mask = subset if isinstance(subset, int) else mask_of(subset)
-    return model.value(mask)
-
-
 @dataclass(frozen=True)
 class Instance:
     """A ranking problem: sizes, patience weights, click models, payments."""
@@ -248,15 +242,20 @@ class Instance:
         return replace(self, T=T)
 
 
+def _prefix_value(inst: Instance, levels: Sequence[int]) -> float:
+    """sum_i lam[i] * f_i(T_i), where T_i ORs the product masks levels[0..i]."""
+    total, cum = 0.0, 0
+    for i, level in enumerate(levels):
+        cum |= level
+        if inst.lam[i]:
+            total += inst.lam[i] * inst.models[i].value(cum)
+    return total
+
+
 def engagement(inst: Instance, order: Sequence[int]) -> float:
     """Expected click probability sum_i lam[i] * f_i(first i+1 products)."""
     order = validate_permutation(order, inst.n)
-    total, mask = 0.0, 0
-    for i, p in enumerate(order):
-        mask |= 1 << p
-        if inst.lam[i]:
-            total += inst.lam[i] * inst.models[i].value(mask)
-    return total
+    return _prefix_value(inst, [1 << p for p in order])
 
 
 def revenue(inst: Instance, order: Sequence[int]) -> float:
@@ -288,6 +287,10 @@ def _table_from_json(data: Mapping[str, float], n: int) -> ExplicitModel:
     return ExplicitModel(n, {int(k, 16): float(v) for k, v in data.items()})
 
 
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
 def _model_to_json(models: tuple[ClickModel, ...]) -> dict:
     first = models[0]
     shared = all(m is first or m == first for m in models)
@@ -314,22 +317,26 @@ def _models_from_json(data: Mapping, n: int) -> tuple[ClickModel, ...]:
     kind = data.get("type")
     if kind == "explicit":
         if "per_patience" in data:
-            tables = data["per_patience"]
+            tables = json_field(
+                data, "per_patience", lambda ts: [_table_from_json(t, n) for t in ts], "core"
+            )
             if len(tables) != n:
                 raise ValidationError("core: per_patience needs one table per level")
-            return tuple(_table_from_json(t, n) for t in tables)
-        shared = _table_from_json(data["table"], n)
+            return tuple(tables)
+        shared = json_field(data, "table", lambda t: _table_from_json(t, n), "core")
         return (shared,) * n
     if kind == "coverage":
         shared = CoverageModel(
             n,
-            tuple(data["weights"]),
-            tuple(tuple(c) for c in data["covers"]),
+            json_field(data, "weights", _floats, "core"),
+            json_field(data, "covers", lambda cs: tuple(tuple(map(int, c)) for c in cs), "core"),
             bool(data.get("normalize", False)),
         )
         return (shared,) * n
     if kind == "mnl":
-        shared = MnlModel(n, tuple(data["weights"]), float(data["w0"]))
+        shared = MnlModel(
+            n, json_field(data, "weights", _floats, "core"), json_field(data, "w0", float, "core")
+        )
         return (shared,) * n
     raise ValidationError(f"core: unknown click model type {kind!r}")
 
@@ -346,14 +353,14 @@ def instance_to_json(inst: Instance) -> dict:
 
 
 def instance_from_json(data: Mapping) -> Instance:
-    n = int(data["n"])
+    n = json_field(data, "n", int, "core")
     return Instance(
         n=n,
-        lam=tuple(data["lambda"]),
-        models=_models_from_json(data["click_model"], n),
-        r=tuple(tuple(row) for row in data["r"]),
-        K=float(data.get("K", 0.0)),
-        T=float(data.get("T", 0.0)),
+        lam=json_field(data, "lambda", _floats, "core"),
+        models=_models_from_json(json_field(data, "click_model", dict, "core"), n),
+        r=json_field(data, "r", lambda rows: tuple(_floats(row) for row in rows), "core"),
+        K=json_field(data, "K", float, "core") if "K" in data else 0.0,
+        T=json_field(data, "T", float, "core") if "T" in data else 0.0,
     )
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .core import CoverageModel, Instance, Permutation, validate_permutation
 from .errors import TooLargeError, ValidationError
 from .numerics import LpProblem, simplex_solve
-from .util import split_seeds
+from .util import json_field, split_seeds
 
 MAX_LP3_N = 50
 
@@ -52,15 +52,20 @@ class CoverageInstance:
         object.__setattr__(self, "interest_sets", sets)
 
 
+def _hits(ci: CoverageInstance, order: Sequence[int]) -> np.ndarray:
+    """hits[k] = 1 iff type k's interest set meets the first k+1 entries of order."""
+    hits = np.zeros(ci.n, dtype=np.int64)
+    seen: set[int] = set()
+    for k in range(ci.n):
+        seen.add(int(order[k]))
+        if ci.interest_sets[k] & seen:
+            hits[k] = 1
+    return hits
+
+
 def clicks(ci: CoverageInstance, order: Sequence[int]) -> int:
     """Number of user types whose interest set meets their inspected prefix."""
-    order = validate_permutation(order, ci.n)
-    total, seen = 0, set()
-    for k in range(ci.n):
-        seen.add(order[k])
-        if ci.interest_sets[k] & seen:
-            total += 1
-    return total
+    return int(_hits(ci, validate_permutation(order, ci.n)).sum())
 
 
 def as_instance(ci: CoverageInstance) -> Instance:
@@ -148,12 +153,7 @@ def round_assignment(
         cum = np.cumsum(row / total)
         chosen[i] = int(np.searchsorted(cum, rng.random(), side="right").clip(0, n - 1))
 
-    y_hat = np.zeros(n, dtype=np.int64)
-    seen: set[int] = set()
-    for k in range(n):
-        seen.add(int(chosen[k]))
-        if ci.interest_sets[k] & seen:
-            y_hat[k] = 1
+    y_hat = _hits(ci, chosen)
 
     first: dict[int, int] = {}
     for i in range(n):
@@ -169,12 +169,7 @@ def round_assignment(
         assign[slot] = j
     order = tuple(assign)
 
-    y_tilde = np.zeros(n, dtype=np.int64)
-    seen = set()
-    for k in range(n):
-        seen.add(order[k])
-        if ci.interest_sets[k] & seen:
-            y_tilde[k] = 1
+    y_tilde = _hits(ci, order)
     x_tilde = np.zeros((n, n))
     for i, j in enumerate(order):
         x_tilde[i, j] = 1.0
@@ -210,8 +205,13 @@ def coverage_to_json(ci: CoverageInstance) -> dict:
 
 
 def coverage_from_json(data) -> CoverageInstance:
-    n = int(data["n"])
-    sets = tuple(frozenset(int(j) - 1 for j in s) for s in data["interest_sets"])
+    n = json_field(data, "n", int, "coverage")
+    sets = json_field(
+        data,
+        "interest_sets",
+        lambda raw: tuple(frozenset(int(j) - 1 for j in s) for s in raw),
+        "coverage",
+    )
     return CoverageInstance(n, sets)
 
 

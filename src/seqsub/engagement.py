@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, Permutation, engagement
+from .core import Instance, Permutation, _prefix_value, engagement
 from .errors import SeqsubError
 from .matroid import (
     LaminarMatroid,
@@ -38,32 +38,15 @@ class LiftedObjective:
     def __init__(self, inst: Instance):
         self.inst = inst
         self.n = inst.n
-        self._lam = np.asarray(inst.lam)
         self._active = [i for i in range(inst.n) if inst.lam[i] > 0.0]
 
     def value(self, R: LiftedSet) -> float:
         levels = [0] * self.n
         for i, j in R:
             levels[i] |= 1 << j
-        total, cum = 0.0, 0
-        for i in range(self.n):
-            cum |= levels[i]
-            if self.inst.lam[i]:
-                total += self.inst.lam[i] * self.inst.models[i].value(cum)
-        return total
+        return _prefix_value(self.inst, levels)
 
     __call__ = value
-
-    def prefix_masks(self, R: LiftedSet) -> list[int]:
-        """T_i as bitmasks: products first appearing at position <= i."""
-        levels = [0] * self.n
-        for i, j in R:
-            levels[i] |= 1 << j
-        out, cum = [], 0
-        for i in range(self.n):
-            cum |= levels[i]
-            out.append(cum)
-        return out
 
     def batch_value(self, incl: np.ndarray) -> np.ndarray:
         cum = np.logical_or.accumulate(incl, axis=1)
@@ -107,11 +90,6 @@ class LiftedObjective:
         fo = np.where(p_grid == m1[:, None, :], m2[:, None, :], m1[:, None, :])
         fo = np.maximum(fo, p_grid)  # empty level range contributes 0
         return np.take_along_axis(C, fo, axis=1) - C[:, :n, :]
-
-
-def lifted_value(obj: LiftedObjective, R: LiftedSet) -> float:
-    """Value of the lifted objective on a set of (position, product) pairs."""
-    return obj.value(R)
 
 
 def greedy_rank(inst: Instance) -> Permutation:

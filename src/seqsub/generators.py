@@ -24,12 +24,8 @@ KINDS = ("explicit", "coverage", "mnl")
 _EXPLICIT_RETRIES = 20
 
 
-def _rng(seed):
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
 def random_coverage_model(n: int, seed=None, normalize: bool = True) -> CoverageModel:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     universe = int(rng.integers(n, 2 * n + 1))
     weights = tuple(rng.uniform(0.2, 1.0, size=universe))
     covers = []
@@ -41,7 +37,7 @@ def random_coverage_model(n: int, seed=None, normalize: bool = True) -> Coverage
 
 
 def random_mnl_model(n: int, seed=None) -> MnlModel:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     return MnlModel(n, tuple(rng.uniform(0.05, 1.5, size=n)), float(rng.uniform(0.5, 2.0)))
 
 
@@ -60,7 +56,7 @@ def _concave_cardinality_table(n: int, rng) -> dict[int, float]:
 
 def random_explicit_model(n: int, seed=None) -> ExplicitModel:
     """Tabulated mixture of submodular families, normalized to peak at <= 1."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     for _ in range(_EXPLICIT_RETRIES):
         parts = [_budget_additive_table(n, rng), _concave_cardinality_table(n, rng)]
         cov = random_coverage_model(n, rng, normalize=True)
@@ -83,7 +79,7 @@ def random_explicit_model(n: int, seed=None) -> ExplicitModel:
 def random_models(kind: str, n: int, seed=None):
     """One click model per patience level; explicit tables vary per level
     half the time, coverage/mnl are shared."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     if kind == "mnl":
         return (random_mnl_model(n, rng),) * n
     if kind == "coverage":
@@ -96,7 +92,7 @@ def random_models(kind: str, n: int, seed=None):
 
 
 def random_lambda(n: int, seed=None, full_mass: bool | None = None) -> tuple[float, ...]:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     u = rng.uniform(0.05, 1.0, size=n)
     if full_mass is None:
         full_mass = bool(rng.random() < 0.5)
@@ -107,7 +103,7 @@ def random_lambda(n: int, seed=None, full_mass: bool | None = None) -> tuple[flo
 
 def random_payments(n: int, seed=None, scale: float = 1.0):
     """Placement payments, nonincreasing down each column."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     r = np.sort(rng.uniform(0.0, scale, size=(n, n)), axis=0)[::-1]
     return tuple(tuple(float(v) for v in row) for row in r)
 
@@ -122,7 +118,7 @@ def random_instance(
     K: float | None = None,
     T: float = 0.0,
 ) -> Instance:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     models = random_models(kind, n, rng)
     lam = random_lambda(n, rng, full_mass)
     if with_payments:
@@ -136,7 +132,7 @@ def random_instance(
 
 def random_coverage_instance(n: int, seed=None) -> CoverageInstance:
     """Interest sets for the assignment-LP pipeline; never empty."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     sets = []
     for _ in range(n):
         size = int(rng.integers(1, max(2, n // 2) + 1))
@@ -146,7 +142,7 @@ def random_coverage_instance(n: int, seed=None) -> CoverageInstance:
 
 def random_policy_mixture(n: int, components: int, seed=None) -> PolicyVector:
     """Implementable-by-construction mixture of permutation point masses."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     orders = [tuple(int(p) for p in rng.permutation(n)) for _ in range(components)]
     w = rng.dirichlet(np.ones(components))
     return mixture_of_permutations(orders, tuple(float(v) for v in w))
@@ -154,7 +150,7 @@ def random_policy_mixture(n: int, components: int, seed=None) -> PolicyVector:
 
 def random_subset_distribution(n: int, seed=None, max_support: int = 6):
     """Explicit (subset, probability) list over ground set {0..n-1}."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     support = int(rng.integers(1, max_support + 1))
     subsets = []
     for _ in range(support):

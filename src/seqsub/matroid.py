@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -39,16 +39,8 @@ class LaminarMatroid:
         if self.n < 1:
             raise ValidationError("matroid: n must be positive")
 
-    @property
-    def ground_size(self) -> int:
-        return self.n * self.n
-
     def elements(self) -> Iterator[tuple[int, int]]:
         return product(range(self.n), range(self.n))
-
-    def contains(self, e: tuple[int, int]) -> bool:
-        i, j = e
-        return 0 <= i < self.n and 0 <= j < self.n
 
 
 def is_independent(M: LaminarMatroid, R: Iterable[tuple[int, int]]) -> bool:
@@ -56,7 +48,7 @@ def is_independent(M: LaminarMatroid, R: Iterable[tuple[int, int]]) -> bool:
     counts = [0] * M.n
     total = 0
     for i, j in R:
-        if not M.contains((i, j)):
+        if not (0 <= i < M.n and 0 <= j < M.n):
             raise ValidationError(f"matroid: element {(i, j)} outside ground set")
         counts[i] += 1
         total += 1
@@ -108,6 +100,22 @@ def iter_bases(M: LaminarMatroid) -> Iterator[LiftedSet]:
         yield from _sets_for_counts(M.n, counts)
 
 
+def _keep_independent(n: int, elems: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Scan elems in order, keeping each one iff the kept set stays independent.
+
+    Stops at rank n, when every prefix capacity is used up.
+    """
+    slack = np.arange(1, n + 1, dtype=np.int64)  # k - |R restricted to A_k|
+    kept = []
+    for i, j in elems:
+        if slack[i:].min() >= 1:
+            kept.append((i, j))
+            slack[i:] -= 1
+            if len(kept) == n:
+                break
+    return kept
+
+
 def max_weight_base(M: LaminarMatroid, w) -> LiftedSet:
     """Greedy maximum-weight base; ties broken by (position, product).
 
@@ -120,15 +128,7 @@ def max_weight_base(M: LaminarMatroid, w) -> LiftedSet:
     if w.shape != (n, n) or not np.all(np.isfinite(w)):
         raise ValidationError("matroid: weights must be a finite n x n matrix")
     order = sorted(((i, j) for i in range(n) for j in range(n)), key=lambda e: (-w[e], e))
-    slack = np.arange(1, n + 1, dtype=np.int64)  # k - |R restricted to A_k|
-    chosen = []
-    for i, j in order:
-        if slack[i:].min() >= 1:
-            chosen.append((i, j))
-            slack[i:] -= 1
-            if len(chosen) == n:
-                break
-    return frozenset(chosen)
+    return frozenset(_keep_independent(n, order))
 
 
 def in_matroid_polytope(M: LaminarMatroid, x, tol: float = _TOL) -> bool:
@@ -247,35 +247,22 @@ def sample_independent_point(x, seed=None) -> LiftedSet:
     return set_from_matrix(rng.random(x.shape) < x)
 
 
-def pipage_round(
-    M: LaminarMatroid,
-    x,
-    seed=None,
-    *,
-    mode: str = "random",
-    g: Callable[[LiftedSet], float] | None = None,
-    samples: int = 256,
-) -> LiftedSet:
+def pipage_round(M: LaminarMatroid, x, seed=None) -> LiftedSet:
     """Round a polytope point to an independent integral set.
 
     Repeatedly takes the two lexicographically smallest fractional
     coordinates; they always admit movement along +/-(e_a - e_b) within the
     polytope (the chain structure leaves at most one fractional coordinate
     below the second one, so no intermediate prefix constraint can be tight).
-    In "random" mode the direction is drawn with probabilities that preserve
-    the expected point, so E[g(output)] >= E[g(R(x))] for submodular g; in
-    "value" mode the better endpoint is kept using Monte Carlo estimates of
-    g (requires g; `samples` draws per comparison). A final lone fractional
-    coordinate is rounded up with its own probability, which capacity
-    integrality keeps feasible. Integral inputs are returned unchanged.
+    The direction is drawn with probabilities that preserve the expected
+    point, so E[g(output)] >= E[g(R(x))] for submodular g. A final lone
+    fractional coordinate is rounded up with its own probability, which
+    capacity integrality keeps feasible. Integral inputs are returned
+    unchanged.
     """
     x = np.asarray(x, dtype=float)
     if not in_matroid_polytope(M, _check_unit_box(x)):
         raise PolytopeError("matroid: pipage input outside the matroid polytope")
-    if mode not in ("random", "value"):
-        raise ValidationError(f"matroid: unknown pipage mode {mode!r}")
-    if mode == "value" and g is None:
-        raise ValidationError("matroid: value mode needs the objective g")
     x = np.clip(x.copy(), 0.0, 1.0)
     n = M.n
     rng = np.random.default_rng(seed)
@@ -309,17 +296,8 @@ def pipage_round(
         if d_plus <= 0.0:
             # numerically tight capacity from sub-snap dust; forced move
             go_plus = False
-        elif mode == "random":
-            go_plus = rng.random() < d_minus / (d_plus + d_minus)
         else:
-            xp, xm = x.copy(), x.copy()
-            xp[a] += d_plus
-            xp[b] -= d_plus
-            xm[a] -= d_minus
-            xm[b] += d_minus
-            est_p = estimate_multilinear(g, xp, samples, rng.integers(2**63))
-            est_m = estimate_multilinear(g, xm, samples, rng.integers(2**63))
-            go_plus = est_p.mean >= est_m.mean
+            go_plus = rng.random() < d_minus / (d_plus + d_minus)
         if go_plus:
             x[a] += d_plus
             x[b] -= d_plus
@@ -350,14 +328,7 @@ def crs_round(M: LaminarMatroid, x, A: Iterable[tuple[int, int]], seed=None) -> 
     rng = np.random.default_rng(seed)
     elems = sorted(e for e in A if x[e] > 0.0)
     order = rng.permutation(len(elems))
-    slack = np.arange(1, M.n + 1, dtype=np.int64)
-    kept = []
-    for idx in order:
-        i, j = elems[idx]
-        if slack[i:].min() >= 1:
-            kept.append((i, j))
-            slack[i:] -= 1
-    result = frozenset(kept)
+    result = frozenset(_keep_independent(M.n, (elems[idx] for idx in order)))
     if not is_independent(M, result):  # pragma: no cover - structural guarantee
         raise SeqsubError("matroid: contention resolution produced a dependent set")
     return result

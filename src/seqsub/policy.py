@@ -28,7 +28,7 @@ import numpy as np
 from .core import Permutation, validate_permutation
 from .errors import CertMismatchError, ValidationError
 from .numerics import FlowNetwork, max_flow
-from .util import iter_bits, popcount
+from .util import iter_bits, json_field
 
 _TOL = 1e-9
 _PRUNE = 1e-12
@@ -51,7 +51,7 @@ class PolicyVector:
             out = {}
             for mask, p in layer.items():
                 mask, p = int(mask), float(p)
-                if popcount(mask) != k + 1 or mask >= 1 << self.n:
+                if mask.bit_count() != k + 1 or mask >= 1 << self.n:
                     raise ValidationError(
                         f"policy: layer {k + 1} holds mask {mask:#x} of wrong size"
                     )
@@ -69,14 +69,7 @@ class PolicyVector:
 
 
 def point_mass(order: Sequence[int]) -> PolicyVector:
-    order = validate_permutation(order, len(order))
-    n = len(order)
-    layers: list[dict[int, float]] = [{} for _ in range(n)]
-    mask = 0
-    for k, p in enumerate(order):
-        mask |= 1 << p
-        layers[k][mask] = 1.0
-    return PolicyVector(n, tuple(layers))
+    return mixture_of_permutations([order], [1.0])
 
 
 def mixture_of_permutations(
@@ -100,16 +93,13 @@ def mixture_of_permutations(
 def marginals(pv: PolicyVector) -> np.ndarray:
     """Position-product marginals x[i][j]; may go negative for vectors that
     no policy implements (callers check)."""
-    n = pv.n
-    x = np.zeros((n, n))
-    for pos in range(n):
-        for mask, p in pv.layers[pos].items():
+    inside = np.zeros((pv.n, pv.n))  # inside[k][j]: layer-k mass of sets holding j
+    for k, layer in enumerate(pv.layers):
+        for mask, p in layer.items():
             for j in iter_bits(mask):
-                x[pos, j] += p
-        if pos > 0:
-            for mask, p in pv.layers[pos - 1].items():
-                for j in iter_bits(mask):
-                    x[pos, j] -= p
+                inside[k, j] += p
+    x = inside.copy()
+    x[1:] -= inside[:-1]
     return x
 
 
@@ -253,14 +243,10 @@ def complete_layers(pv: PolicyVector, completion: CompletionRule) -> PolicyVecto
 
 def chain_completion(order: Sequence[int]) -> CompletionRule:
     """Completion rule dropping all deficit on the prefix chain of `order`."""
-    prefixes = {}
-    mask = 0
-    for k, p in enumerate(order):
-        mask |= 1 << p
-        prefixes[k + 1] = mask
+    chain = point_mass(order).layers
 
     def rule(layer: int, deficit: float, _current: Mapping[int, float]):
-        return {prefixes[layer]: deficit}
+        return {mask: deficit for mask in chain[layer - 1]}
 
     return rule
 
@@ -273,10 +259,14 @@ def policy_to_json(pv: PolicyVector) -> list:
 
 
 def policy_from_json(data) -> PolicyVector:
-    layers = tuple(
-        {int(entry["set"], 16): float(entry["p"]) for entry in layer} for layer in data
-    )
-    return PolicyVector(len(layers), layers)
+    if not isinstance(data, list) or not all(isinstance(layer, list) for layer in data):
+        raise ValidationError("policy: expected a JSON array of layers, each an array")
+
+    def entry(e) -> tuple[int, float]:
+        mask = json_field(e, "set", lambda s: int(s, 16), "policy")
+        return mask, json_field(e, "p", float, "policy")
+
+    return PolicyVector(len(data), tuple(dict(map(entry, layer)) for layer in data))
 
 
 def save_policy(pv: PolicyVector, path) -> None:

@@ -38,9 +38,10 @@ from .errors import (
     TooLargeError,
 )
 from .matroid import LaminarMatroid, crs_round, in_matroid_polytope, sample_independent_point
-from .engagement import LiftedObjective, extract_permutation
+from .engagement import extract_permutation
 from .numerics import LpProblem, simplex_solve
-from .util import mask_of, pmap, split_seeds
+from .policy import PolicyVector, marginals
+from .util import mask_of, split_seeds
 
 MAX_LP_N = 12
 
@@ -148,17 +149,16 @@ def solve_policy_lp(model: PolicyLp) -> PolicyLpSolution:
     eng_term = sum(
         inst.lam[k] * inst.models[k].value(mask) * p for (k, mask), p in subset.items()
     )
-    marg = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            bit = 1 << j
-            bound = sum(p for (k, mask), p in subset.items() if k == i and mask & bit)
-            bound -= sum(p for (k, mask), p in subset.items() if k == i - 1 and mask & bit)
-            if bound < -1e-9:
-                raise NumericalInstabilityError(
-                    f"revenue: marginal bound {bound} at position {i}, product {j}"
-                )
-            marg[i, j] = min(max(bound, 0.0), 1.0)
+    layers = tuple({} for _ in range(n))
+    for (k, mask), p in subset.items():
+        layers[k][mask] = p
+    marg = marginals(PolicyVector(n, layers))
+    if (marg < -1e-9).any():
+        i, j = np.argwhere(marg < -1e-9)[0]
+        raise NumericalInstabilityError(
+            f"revenue: marginal bound {marg[i, j]} at position {i}, product {j}"
+        )
+    marg = np.clip(marg, 0.0, 1.0)
     prefix = np.cumsum(marg.sum(axis=1))
     caps = np.arange(1, n + 1)
     worst = float((caps / np.maximum(prefix, caps)).min())
@@ -189,16 +189,7 @@ def scale_solution(sol: PolicyLpSolution, factor: float) -> PolicyLpSolution:
     )
 
 
-@dataclass
-class RoundingDiagnostics:
-    sampled_size: int
-    kept_size: int
-    lifted_value: float
-
-
-def round_to_permutation(
-    inst: Instance, sol: PolicyLpSolution, seed=None
-) -> tuple[Permutation, RoundingDiagnostics]:
+def round_to_permutation(inst: Instance, sol: PolicyLpSolution, seed=None) -> Permutation:
     """Sample lifted elements at the LP marginals, resolve contention, extract."""
     M = LaminarMatroid(inst.n)
     if not in_matroid_polytope(M, sol.marginals):
@@ -206,9 +197,7 @@ def round_to_permutation(
     sample_seed, crs_seed = split_seeds(seed, 2)
     sampled = sample_independent_point(sol.marginals, sample_seed)
     kept = crs_round(M, sol.marginals, sampled, crs_seed)
-    order = extract_permutation(kept, inst.n)
-    g_val = LiftedObjective(inst).value(kept)
-    return order, RoundingDiagnostics(len(sampled), len(kept), g_val)
+    return extract_permutation(kept, inst.n)
 
 
 @dataclass
@@ -262,12 +251,8 @@ def run_bicriteria(
         inst = inst.with_threshold(threshold)
     sol = solve_policy_lp(build_policy_lp(inst))
     scaled = scale_solution(sol, factor)
-
-    def one(seed) -> TrialResult:
-        order, _ = round_to_permutation(inst, scaled, seed)
-        return TrialResult(order, engagement(inst, order), revenue(inst, order))
-
-    trials = pmap(one, split_seeds(root_seed, seeds))
+    orders = [round_to_permutation(inst, scaled, s) for s in split_seeds(root_seed, seeds)]
+    trials = [TrialResult(o, engagement(inst, o), revenue(inst, o)) for o in orders]
     f_vals = np.array([t.engagement for t in trials])
     g_vals = np.array([t.revenue for t in trials])
     se_f = float(f_vals.std(ddof=1) / math.sqrt(seeds)) if seeds > 1 else 0.0

@@ -1,18 +1,12 @@
-"""Small shared helpers: bitmask sets, seed splitting, bounded parallelism."""
+"""Small shared helpers: bitmask sets, seed splitting, JSON field access."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-T = TypeVar("T")
-U = TypeVar("U")
-
-#: Environment variable capping worker threads for trial loops.
-THREADS_ENV = "SEQSUB_THREADS"
+from .errors import ValidationError
 
 
 def mask_of(items: Iterable[int]) -> int:
@@ -31,10 +25,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def split_seeds(seed, n: int) -> list[np.random.SeedSequence]:
     """Derive `n` independent child seeds from a root seed (fixed splitting rule)."""
     if isinstance(seed, np.random.SeedSequence):
@@ -42,22 +32,13 @@ def split_seeds(seed, n: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(n)
 
 
-def thread_count() -> int:
-    """Worker cap from SEQSUB_THREADS; defaults to 1 (serial, fully deterministic)."""
-    raw = os.environ.get(THREADS_ENV, "1")
+def json_field(data, key: str, convert: Callable, where: str):
+    """convert(data[key]); a ValidationError naming `key` if it is missing or ill-typed."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where}: expected a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise ValidationError(f"{where}: missing key {key!r}")
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def pmap(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
-    """Order-preserving map, threaded when SEQSUB_THREADS > 1.
-
-    Results are collected by index, so the output is independent of scheduling.
-    """
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return convert(data[key])
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValidationError(f"{where}: ill-typed key {key!r} ({exc})") from None

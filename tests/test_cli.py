@@ -80,12 +80,21 @@ def test_run_cg_quick(appendix_c_path, tmp_path):
     assert core.engagement(inst, order) == pytest.approx(report["engagement"], abs=1e-9)
 
 
-def test_reports_are_byte_identical_for_fixed_seed(appendix_c_path, tmp_path):
+DETERMINISM_FLAGS = {
+    "revenue": ["--trials", "20"],
+    "cg": ["--steps", "5", "--samples", "20"],
+    "coverage": ["--trials", "20"],
+}
+
+
+@pytest.mark.parametrize("algo", sorted(DETERMINISM_FLAGS))
+def test_reports_are_byte_identical_for_fixed_seed(algo, appendix_c_path, tmp_path):
+    path = appendix_c_path
+    if algo == "coverage":  # interest-set instances have their own file format
+        path = str(tmp_path / "cov.json")
+        assert main(["gen", "--kind", "coverage", "--n", "6", "--seed", "4", "--out", path]) == 0
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    args = [
-        "run", "revenue", "--instance", appendix_c_path,
-        "--trials", "20", "--seed", "9",
-    ]
+    args = ["run", algo, "--instance", path, "--seed", "9"] + DETERMINISM_FLAGS[algo]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -133,6 +142,34 @@ def test_report_validation_roundtrip(appendix_c_path, tmp_path, capsys):
 
 def test_missing_file_is_an_error(tmp_path):
     assert main(["run", "greedy", "--instance", str(tmp_path / "nope.json")]) == 1
+
+
+def _malformed_inputs(tmp_path):
+    general = tmp_path / "general.json"
+    interest = tmp_path / "interest.json"
+    truncated = tmp_path / "truncated.json"
+    main(["gen", "--kind", "mnl", "--n", "3", "--seed", "1", "--out", str(general)])
+    main(["gen", "--kind", "coverage", "--n", "3", "--seed", "1", "--out", str(interest)])
+    truncated.write_text(general.read_text()[:40])
+    return {
+        "revenue-on-interest-sets": ["run", "revenue", "--instance", str(interest)],
+        "coverage-on-general": ["run", "coverage", "--instance", str(general)],
+        "certify-on-general": ["certify", "--instance", str(general)],
+        "truncated-json": ["run", "greedy", "--instance", str(truncated)],
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["revenue-on-interest-sets", "coverage-on-general", "certify-on-general", "truncated-json"],
+)
+def test_malformed_input_is_a_one_line_error(case, tmp_path, capsys):
+    argv = _malformed_inputs(tmp_path)[case]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("seqsub: error: ")
+    assert len(err.splitlines()) == 1, err
 
 
 def test_usage_error_exits_one():

@@ -23,20 +23,20 @@ def naive_engagement(inst, order):
 
 def test_mnl_singleton_value():
     model = MnlModel(2, (1.0, 1.0), 1.0)
-    assert core.eval_set_function(model, {0}) == pytest.approx(0.5)
+    assert model.value(mask_of({0})) == pytest.approx(0.5)
     assert model.value(0) == 0.0
 
 
 def test_coverage_on_matching_universe():
     # products 0,2 cover one element; 1,3 the other; unit weights
     model = CoverageModel(4, (1.0, 1.0), ((0,), (1,), (0,), (1,)))
-    assert core.eval_set_function(model, {0, 2}) == pytest.approx(1.0)
-    assert core.eval_set_function(model, {0, 1}) == pytest.approx(2.0)
+    assert model.value(mask_of({0, 2})) == pytest.approx(1.0)
+    assert model.value(mask_of({0, 1})) == pytest.approx(2.0)
     assert model.value(0) == 0.0
 
 
 def test_explicit_full_set_value(appendix_c):
-    assert core.eval_set_function(appendix_c.models[0], {0, 1, 2, 3}) == pytest.approx(0.74)
+    assert appendix_c.models[0].value(mask_of({0, 1, 2, 3})) == pytest.approx(0.74)
 
 
 def test_explicit_unknown_subset_raises():

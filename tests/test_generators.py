@@ -1,4 +1,4 @@
-"""Random generators: validity of what they emit, and threaded determinism."""
+"""Random generators: validity of what they emit."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,6 @@ from seqsub.generators import (
     random_policy_mixture,
     random_subset_distribution,
 )
-from seqsub.revenue import run_bicriteria
-from seqsub.util import THREADS_ENV
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -59,11 +57,3 @@ def test_random_policy_mixture_normalized():
 def test_random_subset_distribution_sums_to_one():
     dist = random_subset_distribution(6, 11)
     assert sum(p for _, p in dist) == pytest.approx(1.0)
-
-
-def test_thread_cap_does_not_change_results(appendix_c, monkeypatch):
-    base = run_bicriteria(appendix_c, seeds=24, root_seed=5)
-    monkeypatch.setenv(THREADS_ENV, "3")
-    threaded = run_bicriteria(appendix_c, seeds=24, root_seed=5)
-    assert [t.order for t in threaded.trials] == [t.order for t in base.trials]
-    assert threaded.mean_revenue == base.mean_revenue

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from seqsub import matroid, oracle
 from seqsub.engagement import LiftedObjective
-from seqsub.errors import PolytopeError, ValidationError
+from seqsub.errors import PolytopeError
 from seqsub.generators import random_instance
 from seqsub.matroid import (
     LaminarMatroid,
@@ -205,16 +205,6 @@ def test_pipage_preserves_expectation_on_two_base_mixture(
     vals = np.asarray(vals)
     stderr = vals.std(ddof=1) / math.sqrt(len(vals))
     assert vals.mean() >= exact - 3.0 * stderr
-
-
-def test_pipage_value_mode_returns_independent_sets(matching_instance, matching_point):
-    g = LiftedObjective(matching_instance)
-    x = np.array(matching_point["x"])
-    R = pipage_round(M4, x, seed=5, mode="value", g=g, samples=64)
-    assert is_independent(M4, R)
-    assert pipage_round(M4, x, seed=5, mode="value", g=g, samples=64) == R
-    with pytest.raises(ValidationError):
-        pipage_round(M4, x, seed=5, mode="value")  # g required
 
 
 def random_polytope_point(n, rng):

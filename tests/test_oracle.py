@@ -1,6 +1,8 @@
 """Brute-force optima, verification, exact multilinear values, correlation gap."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,28 @@ from seqsub.matroid import LaminarMatroid
 from seqsub.util import mask_of
 
 INV_E_GAP = 1.0 - 1.0 / math.e
+
+# What the oracle module may import from the package: the instance type, the
+# error types, and the matroid's enumerators and types. None of the pipelines.
+ORACLE_IMPORTS = {
+    "core": {"Instance"},
+    "errors": {"InfeasibleError", "TooLargeError", "ValidationError"},
+    "matroid": {"LaminarMatroid", "LiftedSet", "iter_bases", "iter_independent_sets"},
+}
+
+
+def test_oracle_imports_nothing_it_audits():
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "seqsub" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                assert node.module.split(".")[0] != "seqsub", node.module
+                continue
+            assert node.level == 1 and node.module in ORACLE_IMPORTS, node.module
+            names = {a.name for a in node.names}
+            assert names <= ORACLE_IMPORTS[node.module], (node.module, names)
 
 
 def test_engagement_opt_on_worked_instance(appendix_c):
