@@ -23,6 +23,8 @@ import numpy as np
 
 from . import __version__, core, coverage, engagement, generators, oracle, policy, revenue
 from .errors import SeqsubError
+from .numerics import TOL
+from .util import json_field, read_json
 
 _ORACLE_COMPARE_N = 7  # brute force is cheap up to here; beyond, omit ratios
 
@@ -313,46 +315,49 @@ def _cmd_run(args) -> int:
     return code
 
 
-def _close(a: float, b: float, tol: float = 1e-9) -> bool:
-    return abs(a - b) <= tol
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= TOL
+
+
+def _field(data, key: str, convert=float):
+    return json_field(data, key, convert, "report")
 
 
 def _cmd_report(args) -> int:
     """Re-validate a written report: permutations must re-evaluate exactly."""
-    with open(args.report, "r", encoding="utf-8") as fh:
-        rep = json.load(fh)
-    algo = rep.get("algo")
+    rep = read_json(args.report)
+    algo = _field(rep, "algo", str)
     failures = []
     if algo in ("greedy", "cg"):
         inst = core.load_instance(args.instance)
-        order = core.order_from_external(rep["permutation"])
-        if not _close(core.engagement(inst, order), rep["engagement"]):
+        order = _field(rep, "permutation", core.order_from_external)
+        if not _close(core.engagement(inst, order), _field(rep, "engagement")):
             failures.append("engagement mismatch")
-        if not _close(core.revenue(inst, order), rep["revenue"]):
+        if not _close(core.revenue(inst, order), _field(rep, "revenue")):
             failures.append("revenue mismatch")
     elif algo == "oracle":
         inst = core.load_instance(args.instance)
-        eng = rep["engagement_opt"]
-        order = core.order_from_external(eng["permutation"])
-        if not _close(core.engagement(inst, order), eng["value"]):
+        eng = _field(rep, "engagement_opt", dict)
+        order = _field(eng, "permutation", core.order_from_external)
+        if not _close(core.engagement(inst, order), _field(eng, "value")):
             failures.append("engagement optimum mismatch")
-        rev = rep.get("revenue_opt", {})
+        rev = _field(rep, "revenue_opt", dict)
         if "permutation" in rev:
-            order = core.order_from_external(rev["permutation"])
-            if not _close(core.revenue(inst, order), rev["value"]):
+            order = _field(rev, "permutation", core.order_from_external)
+            if not _close(core.revenue(inst, order), _field(rev, "value")):
                 failures.append("revenue optimum mismatch")
     elif algo == "revenue":
         inst = core.load_instance(args.instance)
-        for i, trial in enumerate(rep["per_seed"]):
-            order = core.order_from_external(trial["permutation"])
-            if not _close(core.engagement(inst, order), trial["engagement"]) or not _close(
-                core.revenue(inst, order), trial["revenue"]
+        for i, trial in enumerate(_field(rep, "per_seed", list)):
+            order = _field(trial, "permutation", core.order_from_external)
+            if not _close(core.engagement(inst, order), _field(trial, "engagement")) or not _close(
+                core.revenue(inst, order), _field(trial, "revenue")
             ):
                 failures.append(f"trial {i} mismatch")
     elif algo == "coverage":
         ci = coverage.load_coverage(args.instance)
-        order = core.order_from_external(rep["permutation"])
-        if coverage.clicks(ci, order) != rep["clicks"]:
+        order = _field(rep, "permutation", core.order_from_external)
+        if coverage.clicks(ci, order) != _field(rep, "clicks"):
             failures.append("click count mismatch")
     else:
         failures.append(f"unknown report algo {algo!r}")
@@ -421,9 +426,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except (SeqsubError, OSError) as exc:
         print(f"seqsub: error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"seqsub: error: malformed JSON: {exc}", file=sys.stderr)
         return 1
 
 

@@ -29,9 +29,8 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import UnknownSubsetError, ValidationError
-from .util import iter_bits, json_field, mask_of
-
-_TOL = 1e-9
+from .numerics import TOL
+from .util import iter_bits, json_field, mask_of, read_json
 
 #: Explicit tables enumerate all subsets; hard cap on the ground size.
 MAX_EXPLICIT_N = 20
@@ -75,11 +74,11 @@ class ExplicitModel:
         for m, v in tbl.items():
             if not 0 <= m <= full:
                 raise ValidationError(f"core: table mask {m:#x} outside ground set")
-            if v < -_TOL:
+            if v < -TOL:
                 raise ValidationError(f"core: negative table value {v} at mask {m:#x}")
             for j in iter_bits(m):
                 parent = m & ~(1 << j)
-                if parent in tbl and v < tbl[parent] - _TOL:
+                if parent in tbl and v < tbl[parent] - TOL:
                     raise ValidationError(
                         f"core: table not monotone at mask {m:#x} minus product {j}"
                     )
@@ -210,7 +209,7 @@ class Instance:
             raise ValidationError("core: lambda length must equal n")
         if any(x < 0 for x in lam):
             raise ValidationError("core: negative patience probability")
-        if sum(lam) > 1.0 + _TOL:
+        if sum(lam) > 1.0 + TOL:
             raise ValidationError(f"core: patience mass {sum(lam)} exceeds 1")
         if len(self.models) != n:
             raise ValidationError("core: one click model per patience level required")
@@ -224,7 +223,7 @@ class Instance:
             for j in range(n):
                 if r[i][j] < 0:
                     raise ValidationError("core: negative placement payment")
-                if i + 1 < n and r[i][j] < r[i + 1][j] - _TOL:
+                if i + 1 < n and r[i][j] < r[i + 1][j] - TOL:
                     raise ValidationError(
                         f"core: placement payments must be non-increasing in position"
                         f" (column {j}, positions {i},{i + 1})"
@@ -365,8 +364,7 @@ def instance_from_json(data: Mapping) -> Instance:
 
 
 def load_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_json(json.load(fh))
+    return instance_from_json(read_json(path))
 
 
 def save_instance(inst: Instance, path) -> None:

@@ -27,12 +27,10 @@ import numpy as np
 
 from .core import CoverageModel, Instance, Permutation, validate_permutation
 from .errors import TooLargeError, ValidationError
-from .numerics import LpProblem, simplex_solve
-from .util import json_field, split_seeds
+from .numerics import SUM_TOL, LpProblem, simplex_solve
+from .util import json_field, read_json, split_seeds
 
 MAX_LP3_N = 50
-
-_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,7 @@ def round_assignment(
     for i in range(n):
         row = np.maximum(sol.x[i], 0.0)
         total = row.sum()
-        if abs(total - 1.0) > 1e-6:
+        if abs(total - 1.0) > SUM_TOL:
             raise ValidationError(f"coverage: row {i} of x sums to {total}, not 1")
         cum = np.cumsum(row / total)
         chosen[i] = int(np.searchsorted(cum, rng.random(), side="right").clip(0, n - 1))
@@ -222,5 +220,4 @@ def save_coverage(ci: CoverageInstance, path) -> None:
 
 
 def load_coverage(path) -> CoverageInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return coverage_from_json(json.load(fh))
+    return coverage_from_json(read_json(path))

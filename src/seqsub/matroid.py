@@ -7,10 +7,11 @@ iff it never crowds more elements into the top k positions than k. The
 matroid has rank n and its polytope (within the unit box) is exactly the
 family of prefix-sum constraints.
 
-Monte Carlo routines accept any callable g over frozensets of (i, j) pairs;
-objectives that additionally expose `batch_value` / `batch_marginal_weights`
-(boolean membership tensors of shape (B, n, n)) get a vectorized path. Every
-randomized operation takes an explicit seed and is reproducible.
+The Monte Carlo routines take an objective g that evaluates boolean
+membership tensors of shape (B, n, n): `g.batch_value(incl)` gives g of each
+of the B sets, and `g.batch_marginal_weights(incl)` the per-element marginals
+g(R\\e + e) - g(R\\e). Every randomized operation takes an explicit seed and
+is reproducible.
 """
 
 from __future__ import annotations
@@ -18,15 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import PolytopeError, SeqsubError, ValidationError
+from .numerics import TOL
 
 LiftedSet = frozenset  # of (position, product) pairs
-
-_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,8 @@ def max_weight_base(M: LaminarMatroid, w) -> LiftedSet:
     return frozenset(_keep_independent(n, order))
 
 
-def in_matroid_polytope(M: LaminarMatroid, x, tol: float = _TOL) -> bool:
-    """Prefix-sum test: sum over the top k positions <= k + tol for all k.
+def in_matroid_polytope(M: LaminarMatroid, x) -> bool:
+    """Prefix-sum test: sum over the top k positions <= k + TOL for all k.
 
     For this laminar matroid the prefix constraints (with entries already in
     [0, 1]) describe the full independent-set polytope.
@@ -141,7 +141,7 @@ def in_matroid_polytope(M: LaminarMatroid, x, tol: float = _TOL) -> bool:
     if x.shape != (M.n, M.n):
         raise ValidationError("matroid: point must be an n x n matrix")
     prefix = np.cumsum(x.sum(axis=1))
-    return bool(np.all(prefix <= np.arange(1, M.n + 1) + tol))
+    return bool(np.all(prefix <= np.arange(1, M.n + 1) + TOL))
 
 
 def set_from_matrix(members: np.ndarray) -> LiftedSet:
@@ -157,7 +157,7 @@ def matrix_of(R: Iterable[tuple[int, int]], n: int) -> np.ndarray:
 
 
 def _check_unit_box(x: np.ndarray) -> np.ndarray:
-    if np.any(x < -_TOL) or np.any(x > 1.0 + _TOL):
+    if np.any(x < -TOL) or np.any(x > 1.0 + TOL):
         raise ValidationError("matroid: coordinates must lie in [0, 1]")
     return np.clip(x, 0.0, 1.0)
 
@@ -170,7 +170,7 @@ class MultilinearEstimate:
 
 
 def estimate_multilinear(
-    g: Callable[[LiftedSet], float],
+    g,
     x,
     samples: int,
     seed=None,
@@ -181,17 +181,14 @@ def estimate_multilinear(
     x = _check_unit_box(np.asarray(x, dtype=float))
     rng = np.random.default_rng(seed)
     incl = rng.random((samples,) + x.shape) < x
-    if hasattr(g, "batch_value"):
-        vals = np.asarray(g.batch_value(incl), dtype=float)
-    else:
-        vals = np.array([g(set_from_matrix(incl[s])) for s in range(samples)])
+    vals = np.asarray(g.batch_value(incl), dtype=float)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return MultilinearEstimate(mean, stderr, samples)
 
 
 def continuous_greedy(
-    g: Callable[[LiftedSet], float],
+    g,
     M: LaminarMatroid,
     steps: int = 40,
     samples_per_step: int = 200,
@@ -211,24 +208,9 @@ def continuous_greedy(
     n = M.n
     rng = np.random.default_rng(seed)
     y = np.zeros((n, n))
-    batched = hasattr(g, "batch_marginal_weights")
     for _ in range(steps):
         incl = rng.random((samples_per_step, n, n)) < y
-        if batched:
-            w = np.asarray(g.batch_marginal_weights(incl), dtype=float).mean(axis=0)
-        else:
-            w = np.zeros((n, n))
-            for s in range(samples_per_step):
-                R = set_from_matrix(incl[s])
-                base_val = g(R)
-                for i in range(n):
-                    for j in range(n):
-                        e = (i, j)
-                        if e in R:
-                            w[i, j] += base_val - g(R - {e})
-                        else:
-                            w[i, j] += g(R | {e}) - base_val
-            w /= samples_per_step
+        w = np.asarray(g.batch_marginal_weights(incl), dtype=float).mean(axis=0)
         base = max_weight_base(M, w)
         for i, j in base:
             y[i, j] += 1.0 / steps
@@ -266,10 +248,9 @@ def pipage_round(M: LaminarMatroid, x, seed=None) -> LiftedSet:
     x = np.clip(x.copy(), 0.0, 1.0)
     n = M.n
     rng = np.random.default_rng(seed)
-    snap = 1e-9
 
     def fractional():
-        idx = np.argwhere((x > snap) & (x < 1.0 - snap))
+        idx = np.argwhere((x > TOL) & (x < 1.0 - TOL))
         return [(int(i), int(j)) for i, j in idx]
 
     rounds = 0
@@ -294,7 +275,7 @@ def pipage_round(M: LaminarMatroid, x, seed=None) -> LiftedSet:
         d_minus = min(x[a], 1.0 - x[b])
         d_plus = max(d_plus, 0.0)
         if d_plus <= 0.0:
-            # numerically tight capacity from sub-snap dust; forced move
+            # numerically tight capacity from sub-TOL dust; forced move
             go_plus = False
         else:
             go_plus = rng.random() < d_minus / (d_plus + d_minus)
@@ -304,8 +285,8 @@ def pipage_round(M: LaminarMatroid, x, seed=None) -> LiftedSet:
         else:
             x[a] -= d_minus
             x[b] += d_minus
-        x[x < snap] = 0.0
-        x[x > 1.0 - snap] = 1.0
+        x[x < TOL] = 0.0
+        x[x > 1.0 - TOL] = 1.0
 
     result = set_from_matrix(x > 0.5)
     if not is_independent(M, result):  # pragma: no cover - structural guarantee

@@ -19,8 +19,15 @@ import numpy as np
 
 from .errors import NumericalInstabilityError, SeqsubError, ValidationError
 
-TOL = 1e-9
-_PIVOT_TOL = 1e-10
+# The one tolerance table of every pipeline module; all absolute. The oracle
+# keeps its own, as the independent auditor. SIGN_TOL admits basic values that
+# revenue's marginal check (-TOL) then rejects, a known gap.
+TOL = 1e-9  # feasibility and equality
+PIVOT_TOL = 1e-10  # the smallest pivot the simplex divides by
+SIGN_TOL = 1e-7  # phase-1 infeasibility and basic-solution sign checks
+SUM_TOL = 1e-6  # row and flow sums after rounding; marginal prefix overshoot
+MASS_TOL = 1e-12  # negligible mass: residual capacity, flow, policy prefixes
+
 _MAX_ITERS = 200_000
 
 LESS, GREATER, EQUAL = "<=", ">=", "="
@@ -68,7 +75,7 @@ class LpSolution:
 
 def _pivot(T: np.ndarray, rhs: np.ndarray, basis: list[int], row: int, col: int) -> None:
     piv = T[row, col]
-    if abs(piv) < _PIVOT_TOL:
+    if abs(piv) < PIVOT_TOL:
         raise NumericalInstabilityError(f"numerics: pivot {piv:.3e} below tolerance")
     T[row] /= piv
     rhs[row] /= piv
@@ -177,7 +184,7 @@ def simplex_solve(p: LpProblem) -> LpSolution:
         status, iters = _bland_iterate(T, rhs, basis, cost1, allowed, iters)
         if status != "optimal":  # pragma: no cover - phase 1 is always bounded
             raise NumericalInstabilityError("numerics: phase 1 did not converge")
-        if cost1[basis] @ rhs < -1e-7:
+        if cost1[basis] @ rhs < -SIGN_TOL:
             return LpSolution("infeasible", None, None, None, iters)
         # drive remaining artificial variables out of the basis
         drop_rows = []
@@ -185,7 +192,7 @@ def simplex_solve(p: LpProblem) -> LpSolution:
             if basis[i] in art_set:
                 piv_col = -1
                 for j in range(N):
-                    if j not in art_set and abs(T[i, j]) > 1e-9:
+                    if j not in art_set and abs(T[i, j]) > TOL:
                         piv_col = j
                         break
                 if piv_col >= 0:
@@ -212,7 +219,7 @@ def simplex_solve(p: LpProblem) -> LpSolution:
     if status == "unbounded":
         return LpSolution("unbounded", None, None, None, iters)
 
-    if np.any(rhs < -1e-7):
+    if np.any(rhs < -SIGN_TOL):
         raise NumericalInstabilityError("numerics: basic solution lost feasibility")
 
     x = np.zeros(N)
@@ -259,8 +266,6 @@ class FlowResult:
     cut_capacity: float
 
 
-_SAT_TOL = 1e-12
-
 
 def max_flow(net: FlowNetwork) -> FlowResult:
     """Exact max flow by shortest augmenting paths; min cut returned as witness.
@@ -297,7 +302,7 @@ def max_flow(net: FlowNetwork) -> FlowResult:
         while queue and net.sink not in parent:
             u = queue.popleft()
             for v in adj[u]:
-                if v not in parent and cap[(u, v)] - flow[(u, v)] > _SAT_TOL:
+                if v not in parent and cap[(u, v)] - flow[(u, v)] > MASS_TOL:
                     parent[v] = u
                     queue.append(v)
         if net.sink not in parent:
@@ -321,7 +326,7 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     for (u, v), c in cap.items():
         if c > 0.0 and u in reachable and v not in reachable:
             cut_capacity += c
-    if abs(value - cut_capacity) > 1e-9 * max(1.0, abs(value)):
+    if abs(value - cut_capacity) > TOL * max(1.0, abs(value)):
         raise SeqsubError(
             f"numerics: max-flow/min-cut mismatch ({value} vs {cut_capacity})"
         )
@@ -329,8 +334,8 @@ def max_flow(net: FlowNetwork) -> FlowResult:
         if node in (net.source, net.sink):
             continue
         net_out = sum(flow[(node, v)] for v in adj[node])
-        if abs(net_out) > 1e-9:
+        if abs(net_out) > TOL:
             raise SeqsubError(f"numerics: flow conservation violated at {node!r}")
 
-    edge_flows = {e: f for e, f in flow.items() if f > _SAT_TOL and cap[e] > 0.0}
+    edge_flows = {e: f for e, f in flow.items() if f > MASS_TOL and cap[e] > 0.0}
     return FlowResult(value, edge_flows, reachable, cut_capacity)

@@ -128,7 +128,7 @@ class SubmodularityCheck:
     y: int | None = None
 
 
-def verify_monotone_submodular(fn, n: int, tol: float = _TOL) -> SubmodularityCheck:
+def verify_monotone_submodular(fn, n: int) -> SubmodularityCheck:
     """Exhaustively check monotonicity and submodularity over all 2^n subsets.
 
     `fn` is a click model or a callable taking a bitmask. Submodularity uses
@@ -143,7 +143,7 @@ def verify_monotone_submodular(fn, n: int, tol: float = _TOL) -> SubmodularityCh
     vals = [value(m) for m in range(1 << n)]
     for m in range(1 << n):
         for j in range(n):
-            if not m & (1 << j) and vals[m | (1 << j)] < vals[m] - tol:
+            if not m & (1 << j) and vals[m | (1 << j)] < vals[m] - _TOL:
                 return SubmodularityCheck(False, "monotone", m, j)
     for m in range(1 << n):
         out = [j for j in range(n) if not m & (1 << j)]
@@ -152,7 +152,7 @@ def verify_monotone_submodular(fn, n: int, tol: float = _TOL) -> SubmodularityCh
             for y in out[a + 1 :]:
                 lhs = vals[m | (1 << x)] + vals[m | (1 << y)]
                 rhs = vals[m | (1 << x) | (1 << y)] + vals[m]
-                if lhs < rhs - tol:
+                if lhs < rhs - _TOL:
                     return SubmodularityCheck(False, "submodular", m, x, y)
     return SubmodularityCheck(True)
 

@@ -11,10 +11,10 @@ T -> sink with capacity x_{k+1,T}. The per-edge flows certify the policy:
 from prefix S the next product p is drawn with probability
 flow(S, S+{p}) / x_{k,S}.
 
-Layers are sparse maps keyed by subset bitmask; nodes below 1e-12 mass are
-pruned from the flow networks. LP-style vectors whose layers sum to less
-than 1 are reported as condition failures, never silently rescaled
-(complete_layers tops them up under a caller-supplied rule).
+Layers are sparse maps keyed by subset bitmask; nodes of negligible mass
+(numerics.MASS_TOL) are pruned from the flow networks. LP-style vectors
+whose layers sum to less than 1 are reported as condition failures, never
+silently rescaled (complete_layers tops them up under a caller-supplied rule).
 """
 
 from __future__ import annotations
@@ -27,11 +27,8 @@ import numpy as np
 
 from .core import Permutation, validate_permutation
 from .errors import CertMismatchError, ValidationError
-from .numerics import FlowNetwork, max_flow
-from .util import iter_bits, json_field
-
-_TOL = 1e-9
-_PRUNE = 1e-12
+from .numerics import MASS_TOL, SUM_TOL, TOL, FlowNetwork, max_flow
+from .util import iter_bits, json_field, read_json
 
 MAX_CERTIFY_N = 12
 
@@ -55,7 +52,7 @@ class PolicyVector:
                     raise ValidationError(
                         f"policy: layer {k + 1} holds mask {mask:#x} of wrong size"
                     )
-                if p < -_TOL or not np.isfinite(p):
+                if p < -TOL or not np.isfinite(p):
                     raise ValidationError(f"policy: bad probability {p} in layer {k + 1}")
                 out[mask] = max(p, 0.0)
             clean.append(out)
@@ -64,8 +61,8 @@ class PolicyVector:
     def layer_sums(self) -> list[float]:
         return [sum(layer.values()) for layer in self.layers]
 
-    def normalized(self, tol: float = _TOL) -> bool:
-        return all(abs(s - 1.0) <= tol for s in self.layer_sums())
+    def normalized(self) -> bool:
+        return all(abs(s - 1.0) <= TOL for s in self.layer_sums())
 
 
 def point_mass(order: Sequence[int]) -> PolicyVector:
@@ -77,7 +74,7 @@ def mixture_of_permutations(
 ) -> PolicyVector:
     if len(orders) != len(weights) or not orders:
         raise ValidationError("policy: need matching non-empty orders and weights")
-    if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > _TOL:
+    if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > TOL:
         raise ValidationError("policy: mixture weights must be nonnegative, sum 1")
     n = len(orders[0])
     layers: list[dict[int, float]] = [{} for _ in range(n)]
@@ -145,7 +142,7 @@ def check_implementable(pv: PolicyVector) -> ImplementabilityReport:
     if pv.n > MAX_CERTIFY_N:
         raise ValidationError(f"policy: certification capped at n = {MAX_CERTIFY_N}")
     for k, s in enumerate(pv.layer_sums()):
-        if abs(s - 1.0) > _TOL:
+        if abs(s - 1.0) > TOL:
             return ImplementabilityReport(
                 False, [], failing_layer=k + 1, reason="unnormalized"
             )
@@ -153,10 +150,10 @@ def check_implementable(pv: PolicyVector) -> ImplementabilityReport:
     failing, cut = None, None
     for t in range(1, pv.n + 1):
         prev = {0: 1.0} if t == 1 else pv.layers[t - 2]
-        prev = {S: p for S, p in prev.items() if p > _PRUNE}
-        curr = {T: p for T, p in pv.layers[t - 1].items() if p > _PRUNE}
+        prev = {S: p for S, p in prev.items() if p > MASS_TOL}
+        curr = {T: p for T, p in pv.layers[t - 1].items() if p > MASS_TOL}
         result = max_flow(_layer_network(prev, curr, pv.n))
-        ok = result.value >= 1.0 - _TOL
+        ok = result.value >= 1.0 - TOL
         edge_flows = {
             (u[1], v[1]): f
             for (u, v), f in result.edge_flows.items()
@@ -190,7 +187,7 @@ def sample_policy(pv: PolicyVector, certs: Sequence[LayerFlowCert], seed=None) -
     mask = 0
     for t in range(1, n + 1):
         prev_mass = 1.0 if t == 1 else pv.layers[t - 2].get(mask, 0.0)
-        if prev_mass <= _PRUNE:
+        if prev_mass <= MASS_TOL:
             raise CertMismatchError(f"policy: reached zero-mass prefix {mask:#x}")
         moves = sorted(
             ((T ^ S).bit_length() - 1, f / prev_mass)
@@ -198,7 +195,7 @@ def sample_policy(pv: PolicyVector, certs: Sequence[LayerFlowCert], seed=None) -
             if S == mask and f > 0.0
         )
         total = sum(q for _, q in moves)
-        if abs(total - 1.0) > 1e-6:
+        if abs(total - 1.0) > SUM_TOL:
             raise CertMismatchError(
                 f"policy: flows out of prefix {mask:#x} sum to {total}, not 1"
             )
@@ -226,9 +223,9 @@ def complete_layers(pv: PolicyVector, completion: CompletionRule) -> PolicyVecto
     layers = []
     for k, layer in enumerate(pv.layers):
         deficit = 1.0 - sum(layer.values())
-        if deficit > _TOL:
+        if deficit > TOL:
             extra = completion(k + 1, deficit, dict(layer))
-            if abs(sum(extra.values()) - deficit) > 1e-9:
+            if abs(sum(extra.values()) - deficit) > TOL:
                 raise ValidationError("policy: completion rule must add exactly the deficit")
             merged = dict(layer)
             for mask, p in extra.items():
@@ -276,5 +273,4 @@ def save_policy(pv: PolicyVector, path) -> None:
 
 
 def load_policy(path) -> PolicyVector:
-    with open(path, "r", encoding="utf-8") as fh:
-        return policy_from_json(json.load(fh))
+    return policy_from_json(read_json(path))

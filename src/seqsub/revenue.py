@@ -39,7 +39,7 @@ from .errors import (
 )
 from .matroid import LaminarMatroid, crs_round, in_matroid_polytope, sample_independent_point
 from .engagement import extract_permutation
-from .numerics import LpProblem, simplex_solve
+from .numerics import SUM_TOL, TOL, LpProblem, simplex_solve
 from .policy import PolicyVector, marginals
 from .util import mask_of, split_seeds
 
@@ -130,7 +130,7 @@ def solve_policy_lp(model: PolicyLp) -> PolicyLpSolution:
 
     The objective rewards marginals, so the simplex already pushes them to
     their bounds; they are recomputed from the subset masses defensively,
-    clipped at -1e-9 (anything lower is an error), and the whole marginal
+    clipped at -TOL (anything lower is an error), and the whole marginal
     matrix is nudged by one multiplicative factor if simplex noise pushed a
     prefix sum past its capacity.
     """
@@ -153,8 +153,8 @@ def solve_policy_lp(model: PolicyLp) -> PolicyLpSolution:
     for (k, mask), p in subset.items():
         layers[k][mask] = p
     marg = marginals(PolicyVector(n, layers))
-    if (marg < -1e-9).any():
-        i, j = np.argwhere(marg < -1e-9)[0]
+    if (marg < -TOL).any():
+        i, j = np.argwhere(marg < -TOL)[0]
         raise NumericalInstabilityError(
             f"revenue: marginal bound {marg[i, j]} at position {i}, product {j}"
         )
@@ -162,7 +162,7 @@ def solve_policy_lp(model: PolicyLp) -> PolicyLpSolution:
     prefix = np.cumsum(marg.sum(axis=1))
     caps = np.arange(1, n + 1)
     worst = float((caps / np.maximum(prefix, caps)).min())
-    if worst < 1.0 - 1e-6:
+    if worst < 1.0 - SUM_TOL:
         raise NumericalInstabilityError("revenue: marginals far outside the polytope")
     marg *= worst
     return PolicyLpSolution(float(res.value), subset, marg, float(eng_term))

@@ -1,7 +1,8 @@
-"""Small shared helpers: bitmask sets, seed splitting, JSON field access."""
+"""Small shared helpers: bitmask sets, seed splitting, JSON file and field access."""
 
 from __future__ import annotations
 
+import json
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -42,3 +43,12 @@ def json_field(data, key: str, convert: Callable, where: str):
         return convert(data[key])
     except (TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"{where}: ill-typed key {key!r} ({exc})") from None
+
+
+def read_json(path):
+    """Parse the JSON file at `path`; a ValidationError naming the file if malformed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ValidationError(f"malformed JSON in {path}: {exc}") from None

@@ -151,17 +151,34 @@ def _malformed_inputs(tmp_path):
     main(["gen", "--kind", "mnl", "--n", "3", "--seed", "1", "--out", str(general)])
     main(["gen", "--kind", "coverage", "--n", "3", "--seed", "1", "--out", str(interest)])
     truncated.write_text(general.read_text()[:40])
+    no_permutation = tmp_path / "no_permutation.json"
+    no_permutation.write_text(json.dumps({"algo": "greedy"}))
+    array_report = tmp_path / "array_report.json"
+    array_report.write_text(json.dumps([{"algo": "greedy"}]))
     return {
         "revenue-on-interest-sets": ["run", "revenue", "--instance", str(interest)],
         "coverage-on-general": ["run", "coverage", "--instance", str(general)],
         "certify-on-general": ["certify", "--instance", str(general)],
         "truncated-json": ["run", "greedy", "--instance", str(truncated)],
+        "report-without-permutation": [
+            "report", "--report", str(no_permutation), "--instance", str(general)
+        ],
+        "report-not-an-object": [
+            "report", "--report", str(array_report), "--instance", str(general)
+        ],
     }
 
 
 @pytest.mark.parametrize(
     "case",
-    ["revenue-on-interest-sets", "coverage-on-general", "certify-on-general", "truncated-json"],
+    [
+        "revenue-on-interest-sets",
+        "coverage-on-general",
+        "certify-on-general",
+        "truncated-json",
+        "report-without-permutation",
+        "report-not-an-object",
+    ],
 )
 def test_malformed_input_is_a_one_line_error(case, tmp_path, capsys):
     argv = _malformed_inputs(tmp_path)[case]
@@ -170,6 +187,8 @@ def test_malformed_input_is_a_one_line_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("seqsub: error: ")
     assert len(err.splitlines()) == 1, err
+    if case == "truncated-json":
+        assert f"malformed JSON in {argv[-1]}: " in err, err
 
 
 def test_usage_error_exits_one():

@@ -51,6 +51,15 @@ def test_explicit_batch_matches_scalar(appendix_c):
         [[False] * 4, [True, False, False, True], [True] * 4], dtype=bool
     )
     np.testing.assert_allclose(model.batch_value(members), [0.0, 0.40, 0.74])
+    # every click model's batch kernel agrees with value() on every mask
+    n = 5
+    every_mask = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
+    rng = np.random.default_rng(47)
+    for kind in ("mnl", "coverage", "explicit"):
+        model = random_instance(kind, n, rng).models[0]
+        batch = model.batch_value(every_mask)
+        for mask in range(1 << n):
+            assert batch[mask] == pytest.approx(model.value(mask), abs=1e-12), (kind, mask)
 
 
 def test_engagement_on_worked_instance(appendix_c):

@@ -16,7 +16,12 @@ from seqsub.engagement import (
     rank_cg,
 )
 from seqsub.generators import random_instance
-from seqsub.matroid import LaminarMatroid, is_independent, iter_independent_sets
+from seqsub.matroid import (
+    LaminarMatroid,
+    is_independent,
+    iter_independent_sets,
+    set_from_matrix,
+)
 from seqsub.util import iter_bits, mask_of
 
 ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
@@ -65,6 +70,25 @@ def test_lifted_value_of_empty_set():
     inst = Instance(2, (0.5, 0.25), (model,) * 2, ((0.0, 0.0), (0.0, 0.0)))
     obj = LiftedObjective(inst)
     assert obj.value(frozenset()) == pytest.approx(0.75 * 0.1)
+
+
+@pytest.mark.parametrize("kind", ["mnl", "coverage", "explicit"])
+def test_batch_kernels_match_value_definition(kind):
+    """The batched kernels the matroid layer calls, against g set by set:
+    batch_value gives g(R) and batch_marginal_weights g(R\\e + e) - g(R\\e)."""
+    rng = np.random.default_rng(43)
+    n, B = 4, 12
+    obj = LiftedObjective(random_instance(kind, n, rng, full_mass=False))
+    incl = rng.random((B, n, n)) < rng.random((B, 1, 1))  # sparse to dense sets
+    values = obj.batch_value(incl)
+    weights = obj.batch_marginal_weights(incl)
+    for b in range(B):
+        R = set_from_matrix(incl[b])
+        assert values[b] == pytest.approx(obj.value(R), abs=1e-12)
+        for e in np.ndindex(n, n):
+            rest = R - {e}
+            gain = obj.value(rest | {e}) - obj.value(rest)
+            assert weights[b][e] == pytest.approx(gain, abs=1e-12), (b, e)
 
 
 def independent_prefix_products(R, n):

@@ -1,12 +1,29 @@
 """Simplex and max-flow against independent enumeration oracles."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from seqsub import numerics
 from seqsub.errors import ValidationError
 from seqsub.numerics import FlowNetwork, LpProblem, max_flow, simplex_solve
+
+
+def test_tolerances_live_only_in_the_numerics_table():
+    """No module but numerics (the table) and oracle (the independent auditor)
+    writes a tolerance-sized float literal."""
+    found = []
+    for path in sorted(Path(numerics.__file__).parent.glob("*.py")):
+        if path.name in ("numerics.py", "oracle.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and type(node.value) is float:
+                if 0.0 < abs(node.value) < 1e-5:
+                    found.append(f"{path.name}:{node.lineno} {node.value!r}")
+    assert not found, found
 
 
 def lp_vertex_oracle(p: LpProblem):
