@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, core, coverage, engagement, generators, oracle, policy, revenue
-from .errors import SeqsubError
+from .errors import SeqsubError, ValidationError
 from .numerics import TOL
 from .util import json_field, read_json
 
@@ -112,6 +112,8 @@ def _maybe_opt(inst: core.Instance, f_val: float) -> dict:
 
 
 def _cmd_gen(args) -> int:
+    if args.n < 1 or args.seed < 0:
+        raise ValidationError(f"gen: need --n >= 1 and --seed >= 0, got {args.n} and {args.seed}")
     if args.kind == "coverage":
         ci = generators.random_coverage_instance(args.n, args.seed)
         coverage.save_coverage(ci, args.out)
@@ -324,7 +326,8 @@ def _field(data, key: str, convert=float):
 
 
 def _cmd_report(args) -> int:
-    """Re-validate a written report: permutations must re-evaluate exactly."""
+    """Re-validate a written report: permutations must re-evaluate exactly,
+    and a certify report must match a fresh certification of its policy."""
     rep = read_json(args.report)
     algo = _field(rep, "algo", str)
     failures = []
@@ -359,6 +362,16 @@ def _cmd_report(args) -> int:
         order = _field(rep, "permutation", core.order_from_external)
         if coverage.clicks(ci, order) != _field(rep, "clicks"):
             failures.append("click count mismatch")
+    elif algo == "certify":
+        res = policy.check_implementable(policy.load_policy(args.instance))
+        claimed = [_field(rep, k, lambda v: v) for k in ("feasible", "failing_layer", "reason")]
+        if claimed != [res.feasible, res.failing_layer, res.reason]:
+            failures.append("certificate mismatch")
+        flows = [_field(c, "flow") for c in _field(rep, "layer_flows", list)]
+        if len(flows) != len(res.certs) or not all(
+            _close(c.flow_value, f) for c, f in zip(res.certs, flows)
+        ):
+            failures.append("layer flow mismatch")
     else:
         failures.append(f"unknown report algo {algo!r}")
     if failures:

@@ -204,6 +204,8 @@ class Instance:
 
     def __post_init__(self):
         n = self.n
+        if n < 1:
+            raise ValidationError(f"core: n must be at least 1, got {n}")
         lam = tuple(float(x) for x in self.lam)
         if len(lam) != n:
             raise ValidationError("core: lambda length must equal n")

@@ -9,6 +9,10 @@ clipped click indicator y per type:
     s.t. sum_{i <= k} sum_{j in P_k} x[i][j] >= y_k
          row and column sums of x equal 1,  0 <= y <= 1,  x >= 0
 
+solve_assignment_lp builds the constraint matrix with np.block: a prefix x
+interest incidence block for the click rows and Kronecker products for the
+row- and column-sum rows.
+
 Rounding draws one product per position from that position's row of x
 (independently across positions, possibly duplicating products), then
 repairs: every product keeps only its first occurrence, and unplaced
@@ -41,6 +45,8 @@ class CoverageInstance:
     interest_sets: tuple[frozenset, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValidationError(f"coverage: n must be at least 1, got {self.n}")
         if len(self.interest_sets) != self.n:
             raise ValidationError("coverage: one interest set per user type required")
         sets = tuple(frozenset(int(j) for j in s) for s in self.interest_sets)
@@ -88,38 +94,20 @@ def solve_assignment_lp(ci: CoverageInstance) -> AssignmentLpSolution:
     n = ci.n
     if n > MAX_LP3_N:
         raise TooLargeError(f"coverage: LP capped at n = {MAX_LP3_N}")
-    nvar = n * n + n  # x row-major, then y
-    c = np.zeros(nvar)
-    c[n * n :] = 1.0
-    rows, b, senses = [], [], []
-    for k in range(n):
-        row = np.zeros(nvar)
-        for i in range(k + 1):
-            for j in ci.interest_sets[k]:
-                row[i * n + j] = 1.0
-        row[n * n + k] = -1.0
-        rows.append(row)
-        b.append(0.0)
-        senses.append(">=")
-    for i in range(n):
-        row = np.zeros(nvar)
-        row[i * n : (i + 1) * n] = 1.0
-        rows.append(row)
-        b.append(1.0)
-        senses.append("=")
-    for j in range(n):
-        row = np.zeros(nvar)
-        row[j : n * n : n] = 1.0
-        rows.append(row)
-        b.append(1.0)
-        senses.append("=")
-    for k in range(n):
-        row = np.zeros(nvar)
-        row[n * n + k] = 1.0
-        rows.append(row)
-        b.append(1.0)
-        senses.append("<=")
-    res = simplex_solve(LpProblem(c, np.array(rows), np.array(b), tuple(senses)))
+    # variables: x row-major, then y; rows: clicks, row sums, column sums, y <= 1
+    interest = np.array([[j in s for j in range(n)] for s in ci.interest_sets], dtype=float)
+    prefix = np.tri(n)  # prefix[k, i] = 1 iff position i <= k
+    eye, ones, zeros = np.eye(n), np.ones(n), np.zeros((n, n))
+    A = np.block([
+        [(prefix[:, :, None] * interest[:, None, :]).reshape(n, n * n), np.diag(-ones)],
+        [np.kron(eye, ones), zeros],
+        [np.kron(ones, eye), zeros],
+        [np.zeros((n, n * n)), eye],
+    ])
+    c = np.concatenate([np.zeros(n * n), ones])
+    b = np.concatenate([np.zeros(n), np.ones(3 * n)])
+    senses = (">=",) * n + ("=",) * (2 * n) + ("<=",) * n
+    res = simplex_solve(LpProblem(c, A, b, senses))
     if res.status != "optimal":  # pragma: no cover - always feasible and bounded
         raise ValidationError(f"coverage: unexpected LP status {res.status}")
     x = np.clip(res.x[: n * n].reshape(n, n), 0.0, 1.0)

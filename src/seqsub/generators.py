@@ -135,7 +135,7 @@ def random_coverage_instance(n: int, seed=None) -> CoverageInstance:
     rng = np.random.default_rng(seed)
     sets = []
     for _ in range(n):
-        size = int(rng.integers(1, max(2, n // 2) + 1))
+        size = min(n, int(rng.integers(1, max(2, n // 2) + 1)))
         sets.append(frozenset(int(j) for j in rng.choice(n, size=size, replace=False)))
     return CoverageInstance(n, tuple(sets))
 

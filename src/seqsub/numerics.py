@@ -2,7 +2,12 @@
 
 The simplex is a two-phase dense-tableau method with Bland's rule, so it
 terminates on degenerate problems and produces identical pivot sequences for
-identical inputs. The max-flow solver augments along shortest paths
+identical inputs. It is whole-array code: the tableau, starting basis,
+phase costs and duals come from row-sense masks, and each pivot is one
+rank-1 update of the rows whose pivot-column entry is nonzero. Only the
+ratio test stays a scan in row order, because its tie rule (a ratio within
+TOL of the best wins on the smaller basic index) depends on the order. The
+max-flow solver augments along shortest paths
 (Edmonds-Karp) over real-valued capacities and returns a min cut as witness;
 flow-vs-cut duality and flow conservation are checked on every call.
 
@@ -73,48 +78,47 @@ class LpSolution:
     iterations: int
 
 
-def _pivot(T: np.ndarray, rhs: np.ndarray, basis: list[int], row: int, col: int) -> None:
+def _pivot(T: np.ndarray, rhs: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """One rank-1 update, applied only to rows with a nonzero pivot-column entry."""
     piv = T[row, col]
     if abs(piv) < PIVOT_TOL:
         raise NumericalInstabilityError(f"numerics: pivot {piv:.3e} below tolerance")
     T[row] /= piv
     rhs[row] /= piv
-    for i in range(T.shape[0]):
-        if i != row and abs(T[i, col]) > 0.0:
-            f = T[i, col]
-            T[i] -= f * T[row]
-            rhs[i] -= f * rhs[row]
+    rows = np.flatnonzero(T[:, col])
+    rows = rows[rows != row]
+    f = T[rows, col]
+    T[rows] -= np.outer(f, T[row])
+    rhs[rows] -= f * rhs[row]
     basis[row] = col
 
 
 def _bland_iterate(
     T: np.ndarray,
     rhs: np.ndarray,
-    basis: list[int],
+    basis: np.ndarray,
     cost: np.ndarray,
     allowed: np.ndarray,
     iters: int,
 ) -> tuple[str, int]:
     """Run Bland pivots until optimal/unbounded. Returns (status, iterations)."""
-    m = T.shape[0]
     while True:
         cbar = cost - cost[basis] @ T
         candidates = np.flatnonzero((cbar > TOL) & allowed)
         if candidates.size == 0:
             return "optimal", iters
         enter = int(candidates[0])  # Bland: lowest improving index
-        # ratio test; ties broken by smallest basic-variable index (Bland)
+        # ratio test, scanned in row order: a ratio within TOL of the best so
+        # far wins when its basic variable has the smaller index (Bland)
         best_ratio, leave = None, -1
-        for i in range(m):
-            a = T[i, enter]
-            if a > TOL:
-                ratio = rhs[i] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio - TOL
-                    or (abs(ratio - best_ratio) <= TOL and basis[i] < basis[leave])
-                ):
-                    best_ratio, leave = ratio, i
+        rows = np.flatnonzero(T[:, enter] > TOL)
+        for i, ratio in zip(rows.tolist(), (rhs[rows] / T[rows, enter]).tolist()):
+            if (
+                best_ratio is None
+                or ratio < best_ratio - TOL
+                or (abs(ratio - best_ratio) <= TOL and basis[i] < basis[leave])
+            ):
+                best_ratio, leave = ratio, i
         if leave < 0:
             return "unbounded", iters
         _pivot(T, rhs, basis, leave, enter)
@@ -126,96 +130,56 @@ def _bland_iterate(
 def simplex_solve(p: LpProblem) -> LpSolution:
     """Two-phase simplex with Bland's rule; returns duals for diagnostics.
 
-    Dual prices satisfy duals . b == value at an optimum (rows that phase 1
-    exposes as redundant get price 0). Identical inputs produce identical
-    pivot sequences.
+    Rows with b < 0 are negated first (flipping <= and >=). The tableau is
+    [A | slacks | artificials]: each <= row gets a +1 slack, each >= row a -1
+    surplus and an artificial, each = row an artificial, all numbered in row
+    order and built from the sense masks in one pass. Dual prices satisfy
+    duals . b == value at an optimum (rows that phase 1 exposes as redundant
+    get price 0). Identical inputs produce identical pivot sequences.
     """
     m, n = p.A.shape
-    A = p.A.copy()
-    b = p.b.copy()
-    senses = list(p.senses)
-    flipped = np.zeros(m, dtype=bool)
-    for i in range(m):
-        if b[i] < 0.0:
-            A[i] *= -1.0
-            b[i] *= -1.0
-            flipped[i] = True
-            senses[i] = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[senses[i]]
-
-    n_slack = sum(1 for s in senses if s in (LESS, GREATER))
-    n_art = sum(1 for s in senses if s in (GREATER, EQUAL))
-    N = n + n_slack + n_art
+    senses = np.array(p.senses, dtype=object)
+    flip = p.b < 0.0
+    le = np.where(flip, senses == GREATER, senses == LESS)
+    ge = np.where(flip, senses == LESS, senses == GREATER)
+    has_slack, has_art = le | ge, ~le
+    n_real = n + int(has_slack.sum())  # structural and slack columns
+    N = n_real + int(has_art.sum())
+    slack_col = n + np.cumsum(has_slack) - 1
+    art_col = n_real + np.cumsum(has_art) - 1
+    rows = np.arange(m)
     T = np.zeros((m, N))
-    T[:, :n] = A
-    rhs = b.copy()
-
-    slack_col = [-1] * m
-    art_col = [-1] * m
-    basis: list[int] = []
-    js, ja = n, n + n_slack
-    for i, s in enumerate(senses):
-        if s == LESS:
-            T[i, js] = 1.0
-            slack_col[i] = js
-            basis.append(js)
-            js += 1
-        elif s == GREATER:
-            T[i, js] = -1.0
-            slack_col[i] = js
-            T[i, ja] = 1.0
-            art_col[i] = ja
-            basis.append(ja)
-            js += 1
-            ja += 1
-        else:
-            T[i, ja] = 1.0
-            art_col[i] = ja
-            basis.append(ja)
-            ja += 1
-
-    art_set = frozenset(c for c in art_col if c >= 0)
+    T[:, :n] = np.where(flip[:, None], -p.A, p.A)
+    T[rows[has_slack], slack_col[has_slack]] = np.where(le, 1.0, -1.0)[has_slack]
+    T[rows[has_art], art_col[has_art]] = 1.0
+    rhs = np.where(flip, -p.b, p.b)
+    basis = np.where(le, slack_col, art_col)
+    keep = rows
     iters = 0
 
-    if art_set:
+    if N > n_real:
         cost1 = np.zeros(N)
-        for c in art_set:
-            cost1[c] = -1.0
-        allowed = np.ones(N, dtype=bool)
-        status, iters = _bland_iterate(T, rhs, basis, cost1, allowed, iters)
+        cost1[n_real:] = -1.0
+        status, iters = _bland_iterate(T, rhs, basis, cost1, np.ones(N, dtype=bool), iters)
         if status != "optimal":  # pragma: no cover - phase 1 is always bounded
             raise NumericalInstabilityError("numerics: phase 1 did not converge")
         if cost1[basis] @ rhs < -SIGN_TOL:
             return LpSolution("infeasible", None, None, None, iters)
-        # drive remaining artificial variables out of the basis
-        drop_rows = []
-        for i in range(m):
-            if basis[i] in art_set:
-                piv_col = -1
-                for j in range(N):
-                    if j not in art_set and abs(T[i, j]) > TOL:
-                        piv_col = j
-                        break
-                if piv_col >= 0:
-                    _pivot(T, rhs, basis, i, piv_col)
-                else:
-                    drop_rows.append(i)  # redundant constraint
-        if drop_rows:
-            keep = [i for i in range(m) if i not in drop_rows]
-            T = T[keep]
-            rhs = rhs[keep]
-            basis = [basis[i] for i in keep]
-            row_origin = keep
-        else:
-            row_origin = list(range(m))
-    else:
-        row_origin = list(range(m))
+        # drive remaining artificial variables out of the basis; a row with no
+        # usable pivot is a redundant constraint and is dropped
+        drop = np.zeros(m, dtype=bool)
+        for i in np.flatnonzero(basis >= n_real):
+            cols = np.flatnonzero(np.abs(T[i, :n_real]) > TOL)
+            if cols.size:
+                _pivot(T, rhs, basis, i, int(cols[0]))
+            else:
+                drop[i] = True
+        keep = rows[~drop]
+        T, rhs, basis = T[keep], rhs[keep], basis[keep]
 
     cost2 = np.zeros(N)
     cost2[:n] = p.c
-    allowed = np.ones(N, dtype=bool)
-    for c in art_set:
-        allowed[c] = False
-    status, iters = _bland_iterate(T, rhs, basis, cost2, allowed, iters)
+    status, iters = _bland_iterate(T, rhs, basis, cost2, np.arange(N) < n_real, iters)
     if status == "unbounded":
         return LpSolution("unbounded", None, None, None, iters)
 
@@ -223,22 +187,16 @@ def simplex_solve(p: LpProblem) -> LpSolution:
         raise NumericalInstabilityError("numerics: basic solution lost feasibility")
 
     x = np.zeros(N)
-    for i, col in enumerate(basis):
-        x[col] = rhs[i]
+    x[basis] = rhs
     xs = x[:n]
     value = float(p.c @ xs)
 
+    # a row's price is its slack's reduced cost (its artificial's on = rows),
+    # negated on <= and = rows after the flip, and again on flipped rows
     cbar = cost2 - cost2[basis] @ T
+    y = cbar[np.where(has_slack, slack_col, art_col)[keep]]
     duals = np.zeros(m)
-    for i_new, i_orig in enumerate(row_origin):
-        s = senses[i_orig]
-        if s == LESS:
-            y = -cbar[slack_col[i_orig]]
-        elif s == GREATER:
-            y = cbar[slack_col[i_orig]]
-        else:
-            y = -cbar[art_col[i_orig]]
-        duals[i_orig] = -y if flipped[i_orig] else y
+    duals[keep] = np.where((ge != flip)[keep], y, -y)
     return LpSolution("optimal", value, xs, duals, iters)
 
 

@@ -19,6 +19,9 @@ emulate that path. Rounding samples each lifted element (i, j) with its
 marginal probability (the marginals always lie in the prefix-matroid
 polytope), prunes to an independent set by contention resolution, and sorts
 products by earliest position.
+
+build_policy_lp stacks these rows as array blocks built from one (layer,
+product, subset) incidence array.
 """
 
 from __future__ import annotations
@@ -70,6 +73,13 @@ class PolicyLpSolution:
 
 
 def build_policy_lp(inst: Instance) -> PolicyLp:
+    """Assemble the relaxation from one (layer, product, subset var) incidence.
+
+    inc[k, j, t] = 1 when subset variable t lies in layer k and contains
+    product j. Marginal row (i, j) is inc[i-1, j] - inc[i, j] followed by the
+    identity on the marginal columns; then come the floor row lam_k * f_k(S)
+    and one row per layer over that layer's subset variables.
+    """
     n = inst.n
     if n > MAX_LP_N:
         raise TooLargeError(f"revenue: relaxation capped at n = {MAX_LP_N}")
@@ -79,50 +89,20 @@ def build_policy_lp(inst: Instance) -> PolicyLp:
         for c in combinations(range(n), k + 1)
     ]
     marginal_vars = [(i, j) for i in range(n) for j in range(n)]
-    index = {("s", v): t for t, v in enumerate(subset_vars)}
-    off = len(subset_vars)
-    index.update({("m", v): off + t for t, v in enumerate(marginal_vars)})
-    nvar = off + len(marginal_vars)
-
-    fvals = {
-        (k, mask): inst.models[k].value(mask) for k, mask in subset_vars
-    }
-    c = np.zeros(nvar)
-    for t, (k, mask) in enumerate(subset_vars):
-        c[t] = inst.K * inst.lam[k] * fvals[(k, mask)]
-    for i, j in marginal_vars:
-        c[index[("m", (i, j))]] = inst.r[i][j]
-
-    rows, b, senses = [], [], []
-    for i, j in marginal_vars:
-        row = np.zeros(nvar)
-        row[index[("m", (i, j))]] = 1.0
-        bit = 1 << j
-        for k, mask in subset_vars:
-            if k == i and mask & bit:
-                row[index[("s", (k, mask))]] -= 1.0
-            elif k == i - 1 and mask & bit:
-                row[index[("s", (k, mask))]] += 1.0
-        rows.append(row)
-        b.append(0.0)
-        senses.append("<=")
-    floor = np.zeros(nvar)
-    for t, (k, mask) in enumerate(subset_vars):
-        floor[t] = inst.lam[k] * fvals[(k, mask)]
-    rows.append(floor)
-    b.append(inst.T)
-    senses.append(">=")
-    for k in range(n):
-        row = np.zeros(nvar)
-        for t, (kk, _) in enumerate(subset_vars):
-            if kk == k:
-                row[t] = 1.0
-        rows.append(row)
-        b.append(1.0)
-        senses.append("<=")
-
-    problem = LpProblem(c, np.array(rows), np.array(b), tuple(senses))
-    return PolicyLp(inst, subset_vars, marginal_vars, problem)
+    layer, mask = np.array(subset_vars).T
+    in_layer = layer == np.arange(n)[:, None]
+    inc = in_layer[:, None, :] * ((mask >> np.arange(n)[:, None]) & 1)
+    lam = np.array(inst.lam)[layer]
+    f = np.array([inst.models[k].value(m) for k, m in subset_vars])
+    A = np.block([
+        [-np.diff(inc, axis=0, prepend=0).reshape(n * n, -1), np.eye(n * n)],
+        [lam * f, np.zeros(n * n)],
+        [in_layer, np.zeros((n, n * n))],
+    ])
+    c = np.concatenate([inst.K * lam * f, np.ravel(inst.r)])
+    b = np.concatenate([np.zeros(n * n), [inst.T], np.ones(n)])
+    senses = ("<=",) * (n * n) + (">=",) + ("<=",) * n
+    return PolicyLp(inst, subset_vars, marginal_vars, LpProblem(c, A, b, senses))
 
 
 def solve_policy_lp(model: PolicyLp) -> PolicyLpSolution:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from seqsub import core, coverage, oracle, policy
+from seqsub import core, coverage, generators, oracle, policy
 from seqsub.cli import main
 from seqsub.fixtures import APPENDIX_C_INSTANCE, EXAMPLE_1_INSTANCE, fixture_path
 
@@ -129,15 +129,29 @@ def test_run_coverage(tmp_path):
     assert report["lp_value"] >= report["clicks"] - 1e-6
 
 
-def test_report_validation_roundtrip(appendix_c_path, tmp_path, capsys):
-    out = tmp_path / "greedy.json"
-    main(["run", "greedy", "--instance", appendix_c_path, "--out", str(out)])
-    assert main(["report", "--report", str(out), "--instance", appendix_c_path]) == 0
-    # tamper with the reported value: re-validation must fail with exit 2
+@pytest.mark.parametrize("algo", ["greedy", "certify"])
+def test_report_validation_roundtrip(algo, appendix_c_path, tmp_path):
+    instance = appendix_c_path
+    if algo == "certify":
+        instance = str(tmp_path / "policy.json")
+        policy.save_policy(generators.random_policy_mixture(6, 5, 1), instance)
+    out = tmp_path / f"{algo}.json"
+    main(["run", algo, "--instance", instance, "--out", str(out)])
+    assert main(["report", "--report", str(out), "--instance", instance]) == 0
+    # tamper with the reported result: re-validation must fail with exit 2
     data = json.loads(out.read_text())
-    data["engagement"] += 0.01
+    if algo == "certify":
+        data["feasible"] = not data["feasible"]
+    else:
+        data["engagement"] += 0.01
     out.write_text(json.dumps(data))
-    assert main(["report", "--report", str(out), "--instance", appendix_c_path]) == 2
+    assert main(["report", "--report", str(out), "--instance", instance]) == 2
+
+
+def test_gen_and_run_coverage_at_n_1(tmp_path):
+    cov = str(tmp_path / "cov1.json")
+    assert main(["gen", "--kind", "coverage", "--n", "1", "--out", cov]) == 0
+    assert main(["run", "coverage", "--instance", cov, "--trials", "5"]) == 0
 
 
 def test_missing_file_is_an_error(tmp_path):
@@ -155,6 +169,11 @@ def _malformed_inputs(tmp_path):
     no_permutation.write_text(json.dumps({"algo": "greedy"}))
     array_report = tmp_path / "array_report.json"
     array_report.write_text(json.dumps([{"algo": "greedy"}]))
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(
+        {"n": 0, "lambda": [], "r": [], "click_model": {"type": "mnl", "weights": [], "w0": 1.0}}
+    ))
+    out = str(tmp_path / "out.json")
     return {
         "revenue-on-interest-sets": ["run", "revenue", "--instance", str(interest)],
         "coverage-on-general": ["run", "coverage", "--instance", str(general)],
@@ -166,6 +185,10 @@ def _malformed_inputs(tmp_path):
         "report-not-an-object": [
             "report", "--report", str(array_report), "--instance", str(general)
         ],
+        "revenue-on-n-zero": ["run", "revenue", "--instance", str(empty)],
+        "gen-n-zero": ["gen", "--kind", "mnl", "--n", "0", "--out", out],
+        "gen-negative-n": ["gen", "--kind", "mnl", "--n", "-2", "--out", out],
+        "gen-negative-seed": ["gen", "--kind", "mnl", "--n", "3", "--seed", "-1", "--out", out],
     }
 
 
@@ -178,6 +201,10 @@ def _malformed_inputs(tmp_path):
         "truncated-json",
         "report-without-permutation",
         "report-not-an-object",
+        "revenue-on-n-zero",
+        "gen-n-zero",
+        "gen-negative-n",
+        "gen-negative-seed",
     ],
 )
 def test_malformed_input_is_a_one_line_error(case, tmp_path, capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from seqsub import core, oracle
+from seqsub import core, coverage, oracle
 from seqsub.coverage import (
     CoverageInstance,
     as_instance,
@@ -55,6 +55,23 @@ def test_lp_solution_is_doubly_stochastic():
     for k in range(7):
         cover = sum(sol.x[i, j] for i in range(k + 1) for j in ci.interest_sets[k])
         assert cover >= sol.y[k] - 1e-9
+
+
+def test_assignment_lp_duals_satisfy_strong_duality(monkeypatch):
+    """Row sums and column sums both total n, so phase 1 drops one equality
+    row of every assignment LP and prices it 0."""
+    solved = []
+    real = coverage.simplex_solve
+
+    def spy(p):
+        solved.append((p, real(p)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(coverage, "simplex_solve", spy)
+    for n in range(2, 16):
+        solve_assignment_lp(random_coverage_instance(n, n))
+    for p, res in solved:
+        assert float(res.duals @ p.b) == pytest.approx(res.value, abs=1e-7)
 
 
 def test_rounding_keeps_permutation_matrices():

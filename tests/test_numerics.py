@@ -1,13 +1,14 @@
 """Simplex and max-flow against independent enumeration oracles."""
 
 import ast
+import hashlib
 import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from seqsub import numerics
+from seqsub import core, coverage, engagement, generators, numerics, revenue
 from seqsub.errors import ValidationError
 from seqsub.numerics import FlowNetwork, LpProblem, max_flow, simplex_solve
 
@@ -151,6 +152,60 @@ def test_simplex_deterministic():
     assert r1.iterations == r2.iterations
     if r1.status == "optimal":
         assert np.array_equal(r1.x, r2.x)
+
+
+def _digest(*arrays) -> str:
+    data = b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _pinned_lp(name, appendix_c, monkeypatch) -> LpProblem:
+    if name == "appendix-c":
+        return revenue.build_policy_lp(appendix_c).problem
+    if name == "mnl5-floor":  # the floor binds (dual -1.89); phase 1 runs
+        inst = generators.random_instance("mnl", 5, 7, full_mass=True, with_payments=True)
+        floor = 0.95 * core.engagement(inst, engagement.greedy_rank(inst))
+        return revenue.build_policy_lp(inst.with_threshold(floor)).problem
+    if name == "mnl6":  # a ratio-test tie: the closed-form rule moves the value 1 ulp
+        inst = generators.random_instance("mnl", 6, 9, full_mass=True, with_payments=True)
+        return revenue.build_policy_lp(inst).problem
+    if name == "coverage10":
+        # a redundant equality row; also updating the rows whose pivot-column
+        # entry is zero would flip the sign of a zero in x
+        built = []
+        real = coverage.simplex_solve
+        monkeypatch.setattr(coverage, "simplex_solve", lambda p: built.append(p) or real(p))
+        coverage.solve_assignment_lp(generators.random_coverage_instance(10, 1))
+        return built[0]
+    # negative right-hand sides on =, <= and >= rows; optimum x = (2, 1, 1)
+    return LpProblem(
+        [1.0, 2.0, -1.0],
+        [[1.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 2.0], [-1.0, -1.0, 0.0], [1.0, 0.0, 0.0]],
+        [4.0, -1.0, -0.5, -3.0, 3.0],
+        ("=", "<=", ">=", "=", "<="),
+    )
+
+
+# name -> (digest of c, A, b; pivots; value.hex(); digest of x and duals).
+# Any change to how an LP is built, to the pivot sequence or to the float
+# order of a pivot shows here. The bits also follow the summation order of
+# numpy's matrix-vector product, so another BLAS build may need a re-record.
+PINNED_PIVOT_RECORDS = {
+    "appendix-c": ("5331a1de319a5b22", 39, "0x1.7efffffffffffp+5", "e8fe6a0a02fa7217"),
+    "mnl5-floor": ("bce8dadea7f9b572", 213, "0x1.8448f4226e8b0p+0", "e6a937c3bbc72b6c"),
+    "mnl6": ("b96cb91b97a7ca87", 3780, "0x1.215d34d1c434ap+2", "085c68f2e9a60dee"),
+    "coverage10": ("4fbf77a703b86ac9", 183, "0x1.4000000000000p+3", "0afd2c7db695069a"),
+    "negative-rhs": ("dab2e780171217f5", 4, "0x1.7ffffffffffffp+1", "11592f093902bb66"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PIVOT_RECORDS))
+def test_simplex_pivot_records_are_pinned(name, appendix_c, monkeypatch):
+    p = _pinned_lp(name, appendix_c, monkeypatch)
+    res = simplex_solve(p)
+    assert res.status == "optimal"
+    record = (_digest(p.c, p.A, p.b), res.iterations, res.value.hex(), _digest(res.x, res.duals))
+    assert record == PINNED_PIVOT_RECORDS[name]
 
 
 def test_simplex_rejects_bad_shapes():
