@@ -23,6 +23,7 @@ All types are immutable after construction and evaluation is pure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence, Union
 
@@ -47,6 +48,15 @@ def validate_permutation(order: Sequence[int], n: int) -> Permutation:
 
 def _pow2(n: int) -> np.ndarray:
     return 1 << np.arange(n, dtype=np.int64)
+
+
+def _finite(values, what: str) -> tuple[float, ...]:
+    """values as floats; a ValidationError if one is NaN or infinite."""
+    out = tuple(float(v) for v in values)
+    for v in out:
+        if not math.isfinite(v):
+            raise ValidationError(f"core: {what} must be finite, got {v}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -74,6 +84,8 @@ class ExplicitModel:
         for m, v in tbl.items():
             if not 0 <= m <= full:
                 raise ValidationError(f"core: table mask {m:#x} outside ground set")
+            if not math.isfinite(v):
+                raise ValidationError(f"core: non-finite table value {v} at mask {m:#x}")
             if v < -TOL:
                 raise ValidationError(f"core: negative table value {v} at mask {m:#x}")
             for j in iter_bits(m):
@@ -119,7 +131,7 @@ class CoverageModel:
     normalize: bool = False
 
     def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
+        w = _finite(self.weights, "universe weight")
         if any(x < 0 for x in w):
             raise ValidationError("core: negative universe weight")
         if len(self.covers) != self.n:
@@ -169,15 +181,16 @@ class MnlModel:
     w0: float
 
     def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
+        w = _finite(self.weights, "mnl weight")
+        (w0,) = _finite((self.w0,), "mnl outside-option weight")
         if len(w) != self.n:
             raise ValidationError("core: mnl needs one weight per product")
         if any(x < 0 for x in w):
             raise ValidationError("core: negative mnl weight")
-        if not self.w0 > 0:
+        if not w0 > 0:
             raise ValidationError("core: mnl outside-option weight must be positive")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "w0", float(self.w0))
+        object.__setattr__(self, "w0", w0)
 
     def value(self, mask: int) -> float:
         ws = sum(self.weights[j] for j in iter_bits(mask))
@@ -206,7 +219,7 @@ class Instance:
         n = self.n
         if n < 1:
             raise ValidationError(f"core: n must be at least 1, got {n}")
-        lam = tuple(float(x) for x in self.lam)
+        lam = _finite(self.lam, "patience probability")
         if len(lam) != n:
             raise ValidationError("core: lambda length must equal n")
         if any(x < 0 for x in lam):
@@ -218,7 +231,7 @@ class Instance:
         for f in self.models:
             if f.n != n:
                 raise ValidationError("core: click model ground size differs from n")
-        r = tuple(tuple(float(v) for v in row) for row in self.r)
+        r = tuple(_finite(row, "placement payment") for row in self.r)
         if len(r) != n or any(len(row) != n for row in r):
             raise ValidationError("core: r must be an n x n matrix (row = position)")
         for i in range(n):
@@ -230,14 +243,16 @@ class Instance:
                         f"core: placement payments must be non-increasing in position"
                         f" (column {j}, positions {i},{i + 1})"
                     )
-        if self.K < 0:
+        (K,) = _finite((self.K,), "per-click payment")
+        (T,) = _finite((self.T,), "engagement floor")
+        if K < 0:
             raise ValidationError("core: negative per-click payment")
-        if self.T < 0:
+        if T < 0:
             raise ValidationError("core: negative engagement floor")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "K", float(self.K))
-        object.__setattr__(self, "T", float(self.T))
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "T", T)
 
     def with_threshold(self, T: float) -> "Instance":
         return replace(self, T=T)

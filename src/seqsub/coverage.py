@@ -118,7 +118,6 @@ def solve_assignment_lp(ci: CoverageInstance) -> AssignmentLpSolution:
 @dataclass
 class RoundedAssignment:
     order: Permutation
-    x_tilde: np.ndarray  # integral permutation matrix after repair
     y_tilde: np.ndarray  # clicks realized by the repaired assignment
     y_hat: np.ndarray  # clicks realized by the raw (possibly duplicated) draw
     clicks: int
@@ -156,10 +155,7 @@ def round_assignment(
     order = tuple(assign)
 
     y_tilde = _hits(ci, order)
-    x_tilde = np.zeros((n, n))
-    for i, j in enumerate(order):
-        x_tilde[i, j] = 1.0
-    return RoundedAssignment(order, x_tilde, y_tilde, y_hat, int(y_tilde.sum()))
+    return RoundedAssignment(order, y_tilde, y_hat, int(y_tilde.sum()))
 
 
 @dataclass
@@ -167,7 +163,6 @@ class BestOfResult:
     order: Permutation
     clicks: int
     lp_value: float
-    trials: int
 
 
 def coverage_best_of(ci: CoverageInstance, trials: int, seed=None) -> BestOfResult:
@@ -180,7 +175,7 @@ def coverage_best_of(ci: CoverageInstance, trials: int, seed=None) -> BestOfResu
         rounded = round_assignment(ci, sol, child)
         if rounded.clicks > best_clicks:
             best_order, best_clicks = rounded.order, rounded.clicks
-    return BestOfResult(best_order, best_clicks, sol.value, trials)
+    return BestOfResult(best_order, best_clicks, sol.value)
 
 
 def coverage_to_json(ci: CoverageInstance) -> dict:

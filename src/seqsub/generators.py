@@ -14,8 +14,8 @@ import numpy as np
 
 from .core import CoverageModel, ExplicitModel, Instance, MnlModel
 from .coverage import CoverageInstance
-from .errors import GenerationError
-from .oracle import verify_monotone_submodular
+from .errors import GenerationError, TooLargeError
+from .oracle import MAX_VERIFY_N, verify_monotone_submodular
 from .policy import PolicyVector, mixture_of_permutations
 from .util import iter_bits
 
@@ -56,6 +56,8 @@ def _concave_cardinality_table(n: int, rng) -> dict[int, float]:
 
 def random_explicit_model(n: int, seed=None) -> ExplicitModel:
     """Tabulated mixture of submodular families, normalized to peak at <= 1."""
+    if n > MAX_VERIFY_N:
+        raise TooLargeError(f"generators: explicit n={n} exceeds verification cap {MAX_VERIFY_N}")
     rng = np.random.default_rng(seed)
     for _ in range(_EXPLICIT_RETRIES):
         parts = [_budget_additive_table(n, rng), _concave_cardinality_table(n, rng)]
@@ -147,14 +149,3 @@ def random_policy_mixture(n: int, components: int, seed=None) -> PolicyVector:
     w = rng.dirichlet(np.ones(components))
     return mixture_of_permutations(orders, tuple(float(v) for v in w))
 
-
-def random_subset_distribution(n: int, seed=None, max_support: int = 6):
-    """Explicit (subset, probability) list over ground set {0..n-1}."""
-    rng = np.random.default_rng(seed)
-    support = int(rng.integers(1, max_support + 1))
-    subsets = []
-    for _ in range(support):
-        mask = rng.random(n) < rng.uniform(0.2, 0.8)
-        subsets.append(frozenset(int(j) for j in np.flatnonzero(mask)))
-    w = rng.dirichlet(np.ones(support))
-    return [(s, float(p)) for s, p in zip(subsets, w)]

@@ -39,9 +39,6 @@ class LaminarMatroid:
         if self.n < 1:
             raise ValidationError("matroid: n must be positive")
 
-    def elements(self) -> Iterator[tuple[int, int]]:
-        return product(range(self.n), range(self.n))
-
 
 def is_independent(M: LaminarMatroid, R: Iterable[tuple[int, int]]) -> bool:
     """True iff every prefix-capacity constraint holds."""
@@ -149,13 +146,6 @@ def set_from_matrix(members: np.ndarray) -> LiftedSet:
     return frozenset((int(i), int(j)) for i, j in idx)
 
 
-def matrix_of(R: Iterable[tuple[int, int]], n: int) -> np.ndarray:
-    x = np.zeros((n, n))
-    for i, j in R:
-        x[i, j] = 1.0
-    return x
-
-
 def _check_unit_box(x: np.ndarray) -> np.ndarray:
     if np.any(x < -TOL) or np.any(x > 1.0 + TOL):
         raise ValidationError("matroid: coordinates must lie in [0, 1]")
@@ -166,7 +156,6 @@ def _check_unit_box(x: np.ndarray) -> np.ndarray:
 class MultilinearEstimate:
     mean: float
     stderr: float
-    samples: int
 
 
 def estimate_multilinear(
@@ -184,7 +173,7 @@ def estimate_multilinear(
     vals = np.asarray(g.batch_value(incl), dtype=float)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return MultilinearEstimate(mean, stderr, samples)
+    return MultilinearEstimate(mean, stderr)
 
 
 def continuous_greedy(

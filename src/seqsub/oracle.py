@@ -14,7 +14,6 @@ queried through their bitmask interface.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -36,59 +35,19 @@ class OracleReport:
     best_value: float
     best_witness: object
     enumerated_count: int
-    elapsed: float
 
 
-def _check_brute_size(n: int) -> None:
-    if n > MAX_BRUTE_N:
-        raise TooLargeError(f"oracle: n={n} exceeds brute-force cap {MAX_BRUTE_N}")
-
-
-def brute_force_engagement_opt(inst: Instance) -> OracleReport:
-    """Maximize engagement over all n! permutations.
+def _best_order(inst: Instance, pay, K: float, floor: float | None) -> OracleReport:
+    """Maximize sum_i pay[i][order[i]] + K * engagement over all n! permutations
+    whose engagement reaches floor (every permutation when floor is None).
 
     Prefix sums are accumulated along a depth-first walk in lexicographic
-    order, so ties resolve to the lexicographically smallest permutation.
+    order, so ties resolve to the lexicographically smallest permutation. The
+    witness is None when no permutation qualifies.
     """
-    _check_brute_size(inst.n)
-    start = time.perf_counter()
+    if inst.n > MAX_BRUTE_N:
+        raise TooLargeError(f"oracle: n={inst.n} exceeds brute-force cap {MAX_BRUTE_N}")
     n, lam, models = inst.n, inst.lam, inst.models
-    best, best_order = -math.inf, None
-    count = 0
-    order = [0] * n
-    used = [False] * n
-
-    def rec(depth: int, mask: int, acc: float) -> None:
-        nonlocal best, best_order, count
-        if depth == n:
-            count += 1
-            if acc > best:
-                best, best_order = acc, tuple(order)
-            return
-        for p in range(n):
-            if used[p]:
-                continue
-            used[p] = True
-            order[depth] = p
-            m2 = mask | (1 << p)
-            term = lam[depth] * models[depth].value(m2) if lam[depth] else 0.0
-            rec(depth + 1, m2, acc + term)
-            used[p] = False
-
-    rec(0, 0, 0.0)
-    return OracleReport(best, best_order, count, time.perf_counter() - start)
-
-
-def brute_force_revenue_opt(inst: Instance) -> OracleReport:
-    """Maximize revenue over permutations with engagement >= T.
-
-    Exact for deterministic policies only: randomized mixtures can strictly
-    beat this value when T > 0, because the floor then binds per-permutation
-    rather than in expectation.
-    """
-    _check_brute_size(inst.n)
-    start = time.perf_counter()
-    n, lam, models, r, K, T = inst.n, inst.lam, inst.models, inst.r, inst.K, inst.T
     best, best_order = -math.inf, None
     count = 0
     order = [0] * n
@@ -98,7 +57,7 @@ def brute_force_revenue_opt(inst: Instance) -> OracleReport:
         nonlocal best, best_order, count
         if depth == n:
             count += 1
-            if eng >= T - _TOL:
+            if floor is None or eng >= floor - _TOL:
                 val = lin + K * eng
                 if val > best:
                     best, best_order = val, tuple(order)
@@ -110,13 +69,29 @@ def brute_force_revenue_opt(inst: Instance) -> OracleReport:
             order[depth] = p
             m2 = mask | (1 << p)
             term = lam[depth] * models[depth].value(m2) if lam[depth] else 0.0
-            rec(depth + 1, m2, eng + term, lin + r[depth][p])
+            rec(depth + 1, m2, eng + term, lin + pay[depth][p])
             used[p] = False
 
     rec(0, 0, 0.0, 0.0)
-    if best_order is None:
-        raise InfeasibleError(f"oracle: no permutation reaches engagement floor {T}")
-    return OracleReport(best, best_order, count, time.perf_counter() - start)
+    return OracleReport(best, best_order, count)
+
+
+def brute_force_engagement_opt(inst: Instance) -> OracleReport:
+    """Maximize engagement over all n! permutations (ties: lexicographically first)."""
+    return _best_order(inst, ((0.0,) * inst.n,) * inst.n, 1.0, None)
+
+
+def brute_force_revenue_opt(inst: Instance) -> OracleReport:
+    """Maximize revenue over permutations with engagement >= T.
+
+    Exact for deterministic policies only: randomized mixtures can strictly
+    beat this value when T > 0, because the floor then binds per-permutation
+    rather than in expectation.
+    """
+    rep = _best_order(inst, inst.r, inst.K, inst.T)
+    if rep.best_witness is None:
+        raise InfeasibleError(f"oracle: no permutation reaches engagement floor {inst.T}")
+    return rep
 
 
 @dataclass
@@ -229,7 +204,6 @@ def max_independent_value(
     g is monotone (every independent set extends to a base without losing
     value) and far cheaper. Ties resolve to the first set in the DFS order.
     """
-    start = time.perf_counter()
     sets = iter_bases(matroid) if bases_only else iter_independent_sets(matroid)
     best, witness, count = -math.inf, None, 0
     for R in sets:
@@ -237,4 +211,4 @@ def max_independent_value(
         v = g(R)
         if v > best:
             best, witness = v, R
-    return OracleReport(best, witness, count, time.perf_counter() - start)
+    return OracleReport(best, witness, count)

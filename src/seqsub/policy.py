@@ -14,14 +14,14 @@ flow(S, S+{p}) / x_{k,S}.
 Layers are sparse maps keyed by subset bitmask; nodes of negligible mass
 (numerics.MASS_TOL) are pruned from the flow networks. LP-style vectors
 whose layers sum to less than 1 are reported as condition failures, never
-silently rescaled (complete_layers tops them up under a caller-supplied rule).
+silently rescaled.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -60,13 +60,6 @@ class PolicyVector:
 
     def layer_sums(self) -> list[float]:
         return [sum(layer.values()) for layer in self.layers]
-
-    def normalized(self) -> bool:
-        return all(abs(s - 1.0) <= TOL for s in self.layer_sums())
-
-
-def point_mass(order: Sequence[int]) -> PolicyVector:
-    return mixture_of_permutations([order], [1.0])
 
 
 def mixture_of_permutations(
@@ -209,43 +202,6 @@ def sample_policy(pv: PolicyVector, certs: Sequence[LayerFlowCert], seed=None) -
         order.append(chosen)
         mask |= 1 << chosen
     return tuple(order)
-
-
-CompletionRule = Callable[[int, float, Mapping[int, float]], Mapping[int, float]]
-
-
-def complete_layers(pv: PolicyVector, completion: CompletionRule) -> PolicyVector:
-    """Top up layers whose mass falls short of 1 using the caller's rule.
-
-    completion(layer, deficit, current) returns extra mass per mask; it must
-    be nonnegative, of the right subset size, and sum to the deficit.
-    """
-    layers = []
-    for k, layer in enumerate(pv.layers):
-        deficit = 1.0 - sum(layer.values())
-        if deficit > TOL:
-            extra = completion(k + 1, deficit, dict(layer))
-            if abs(sum(extra.values()) - deficit) > TOL:
-                raise ValidationError("policy: completion rule must add exactly the deficit")
-            merged = dict(layer)
-            for mask, p in extra.items():
-                if p < 0:
-                    raise ValidationError("policy: completion rule added negative mass")
-                merged[mask] = merged.get(mask, 0.0) + p
-            layers.append(merged)
-        else:
-            layers.append(dict(layer))
-    return PolicyVector(pv.n, tuple(layers))
-
-
-def chain_completion(order: Sequence[int]) -> CompletionRule:
-    """Completion rule dropping all deficit on the prefix chain of `order`."""
-    chain = point_mass(order).layers
-
-    def rule(layer: int, deficit: float, _current: Mapping[int, float]):
-        return {mask: deficit for mask in chain[layer - 1]}
-
-    return rule
 
 
 def policy_to_json(pv: PolicyVector) -> list:

@@ -48,19 +48,15 @@ from .util import mask_of, split_seeds
 
 MAX_LP_N = 12
 
-#: Feasibility-repair factor used when emulating the polynomial-time path.
-ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
-
 _PAPER_RATIO = 0.25  # the proven end-to-end constant, (1 - 1/e)^3 rounded down
 
 
 @dataclass
 class PolicyLp:
-    """Explicit relaxation: variable order is all subset vars, then marginals."""
+    """Explicit relaxation: all subset vars, then the n x n marginals row by row."""
 
     inst: Instance
     subset_vars: list[tuple[int, int]]  # (layer 0-based, subset mask)
-    marginal_vars: list[tuple[int, int]]  # (position, product)
     problem: LpProblem
 
 
@@ -69,7 +65,6 @@ class PolicyLpSolution:
     value: float
     subset: dict[tuple[int, int], float]  # (layer, mask) -> mass
     marginals: np.ndarray  # re-tightened to their constraint bounds
-    engagement_term: float  # sum lam_i * f_i(S) * x[i][S]
 
 
 def build_policy_lp(inst: Instance) -> PolicyLp:
@@ -88,7 +83,6 @@ def build_policy_lp(inst: Instance) -> PolicyLp:
         for k in range(n)
         for c in combinations(range(n), k + 1)
     ]
-    marginal_vars = [(i, j) for i in range(n) for j in range(n)]
     layer, mask = np.array(subset_vars).T
     in_layer = layer == np.arange(n)[:, None]
     inc = in_layer[:, None, :] * ((mask >> np.arange(n)[:, None]) & 1)
@@ -102,7 +96,7 @@ def build_policy_lp(inst: Instance) -> PolicyLp:
     c = np.concatenate([inst.K * lam * f, np.ravel(inst.r)])
     b = np.concatenate([np.zeros(n * n), [inst.T], np.ones(n)])
     senses = ("<=",) * (n * n) + (">=",) + ("<=",) * n
-    return PolicyLp(inst, subset_vars, marginal_vars, LpProblem(c, A, b, senses))
+    return PolicyLp(inst, subset_vars, LpProblem(c, A, b, senses))
 
 
 def solve_policy_lp(model: PolicyLp) -> PolicyLpSolution:
@@ -126,9 +120,6 @@ def solve_policy_lp(model: PolicyLp) -> PolicyLpSolution:
     subset = {
         v: float(res.x[t]) for t, v in enumerate(model.subset_vars) if res.x[t] > 0.0
     }
-    eng_term = sum(
-        inst.lam[k] * inst.models[k].value(mask) * p for (k, mask), p in subset.items()
-    )
     layers = tuple({} for _ in range(n))
     for (k, mask), p in subset.items():
         layers[k][mask] = p
@@ -145,7 +136,7 @@ def solve_policy_lp(model: PolicyLp) -> PolicyLpSolution:
     if worst < 1.0 - SUM_TOL:
         raise NumericalInstabilityError("revenue: marginals far outside the polytope")
     marg *= worst
-    return PolicyLpSolution(float(res.value), subset, marg, float(eng_term))
+    return PolicyLpSolution(float(res.value), subset, marg)
 
 
 def scale_solution(sol: PolicyLpSolution, factor: float) -> PolicyLpSolution:
@@ -165,7 +156,6 @@ def scale_solution(sol: PolicyLpSolution, factor: float) -> PolicyLpSolution:
         value=sol.value * factor,
         subset={v: p * factor for v, p in sol.subset.items()},
         marginals=sol.marginals * factor,
-        engagement_term=sol.engagement_term * factor,
     )
 
 

@@ -1,7 +1,9 @@
-"""Shared fixtures: golden instances and the worked policy vector."""
+"""Shared fixtures (golden instances, the worked policy vector) and the
+test-side helpers that other test modules import from here."""
 
 import json
 
+import numpy as np
 import pytest
 
 from seqsub import core, policy
@@ -58,3 +60,24 @@ def worked_policy_vector() -> policy.PolicyVector:
         {0b1111: 1.0},
     )
     return policy.PolicyVector(4, layers)
+
+
+def matrix_of(R, n: int) -> np.ndarray:
+    """0/1 n x n indicator matrix of a set of (position, product) pairs."""
+    x = np.zeros((n, n))
+    for i, j in R:
+        x[i, j] = 1.0
+    return x
+
+
+def random_subset_distribution(n: int, seed=None, max_support: int = 6):
+    """Explicit (subset, probability) list over ground set {0..n-1}, the input
+    of oracle.correlation_gap_ratio."""
+    rng = np.random.default_rng(seed)
+    support = int(rng.integers(1, max_support + 1))
+    subsets = []
+    for _ in range(support):
+        mask = rng.random(n) < rng.uniform(0.2, 0.8)
+        subsets.append(frozenset(int(j) for j in np.flatnonzero(mask)))
+    w = rng.dirichlet(np.ones(support))
+    return [(s, float(p)) for s, p in zip(subsets, w)]

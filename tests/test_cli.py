@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: gen, run, certify, oracle, report, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -174,6 +175,22 @@ def _malformed_inputs(tmp_path):
         {"n": 0, "lambda": [], "r": [], "click_model": {"type": "mnl", "weights": [], "w0": 1.0}}
     ))
     out = str(tmp_path / "out.json")
+    non_finite = {}
+    for name, keys, value in (
+        ("nan-lambda", ("lambda", 0), math.nan),
+        ("infinite-K", ("K",), math.inf),
+        ("nan-payment", ("r", 0, 0), math.nan),
+        ("nan-mnl-weight", ("click_model", "weights", 0), math.nan),
+    ):
+        data = json.loads(general.read_text())
+        *head, last = keys
+        node = data
+        for key in head:
+            node = node[key]
+        node[last] = value
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))  # writes the NaN / Infinity literals
+        non_finite[name] = str(path)
     return {
         "revenue-on-interest-sets": ["run", "revenue", "--instance", str(interest)],
         "coverage-on-general": ["run", "coverage", "--instance", str(general)],
@@ -189,6 +206,10 @@ def _malformed_inputs(tmp_path):
         "gen-n-zero": ["gen", "--kind", "mnl", "--n", "0", "--out", out],
         "gen-negative-n": ["gen", "--kind", "mnl", "--n", "-2", "--out", out],
         "gen-negative-seed": ["gen", "--kind", "mnl", "--n", "3", "--seed", "-1", "--out", out],
+        "nan-lambda": ["run", "greedy", "--instance", non_finite["nan-lambda"]],
+        "infinite-K": ["oracle", "--instance", non_finite["infinite-K"]],
+        "nan-payment": ["oracle", "--instance", non_finite["nan-payment"]],
+        "nan-mnl-weight": ["oracle", "--instance", non_finite["nan-mnl-weight"]],
     }
 
 
@@ -205,6 +226,10 @@ def _malformed_inputs(tmp_path):
         "gen-n-zero",
         "gen-negative-n",
         "gen-negative-seed",
+        "nan-lambda",
+        "infinite-K",
+        "nan-payment",
+        "nan-mnl-weight",
     ],
 )
 def test_malformed_input_is_a_one_line_error(case, tmp_path, capsys):

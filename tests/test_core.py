@@ -1,6 +1,7 @@
 """Click models, objective evaluation, validation, and the JSON format."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -152,6 +153,25 @@ def test_model_validation_errors():
         CoverageModel(2, (-1.0,), ((0,), (0,)))
     with pytest.raises(ValidationError):
         ExplicitModel(2, {1: 0.5, 3: 0.4})  # not monotone
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_numbers_are_rejected(bad):
+    model = MnlModel(2, (1.0, 1.0), 1.0)
+    zeros = ((0.0, 0.0), (0.0, 0.0))
+    builds = [
+        lambda: ExplicitModel(2, {0: 0.0, 1: bad}),
+        lambda: CoverageModel(2, (bad,), ((0,), (0,))),
+        lambda: MnlModel(2, (1.0, bad), 1.0),
+        lambda: MnlModel(2, (1.0, 1.0), bad),
+        lambda: Instance(2, (bad, 0.5), (model,) * 2, zeros),
+        lambda: Instance(2, (0.5, 0.5), (model,) * 2, ((bad, 0.0), (0.0, 0.0))),
+        lambda: Instance(2, (0.5, 0.5), (model,) * 2, zeros, K=bad),
+        lambda: Instance(2, (0.5, 0.5), (model,) * 2, zeros, T=bad),
+    ]
+    for build in builds:
+        with pytest.raises(ValidationError, match="finite"):
+            build()
 
 
 def test_permutation_validation():

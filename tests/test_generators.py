@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from seqsub import oracle
+from seqsub import generators, oracle
+from seqsub.errors import TooLargeError
 from seqsub.generators import (
     random_coverage_instance,
     random_explicit_model,
@@ -11,8 +12,9 @@ from seqsub.generators import (
     random_lambda,
     random_payments,
     random_policy_mixture,
-    random_subset_distribution,
 )
+
+from conftest import random_subset_distribution
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -21,6 +23,17 @@ def test_random_explicit_models_verify(n):
     for _ in range(3):
         model = random_explicit_model(n, rng)
         assert oracle.verify_monotone_submodular(model, n).ok
+
+
+def test_explicit_size_is_rejected_before_tabulation(monkeypatch):
+    def no_tables(n, rng):
+        raise AssertionError(f"tabulated 2^{n} entries before the size check")
+
+    monkeypatch.setattr(generators, "_budget_additive_table", no_tables)
+    with pytest.raises(TooLargeError):
+        random_explicit_model(oracle.MAX_VERIFY_N + 1, 0)
+    with pytest.raises(TooLargeError):
+        random_instance("explicit", 25, 0)
 
 
 def test_random_lambda_mass():
@@ -51,7 +64,7 @@ def test_random_coverage_instance_nonempty_sets():
 
 def test_random_policy_mixture_normalized():
     pv = random_policy_mixture(5, 4, 9)
-    assert pv.normalized()
+    assert pv.layer_sums() == pytest.approx([1.0] * 5, abs=1e-9)
 
 
 def test_random_subset_distribution_sums_to_one():

@@ -1,7 +1,9 @@
 """Brute-force optima, verification, exact multilinear values, correlation gap."""
 
 import ast
+import itertools
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +13,11 @@ from seqsub import core, oracle
 from seqsub.core import ExplicitModel, Instance, MnlModel
 from seqsub.engagement import LiftedObjective
 from seqsub.errors import InfeasibleError, TooLargeError, ValidationError
-from seqsub.generators import random_instance, random_subset_distribution
+from seqsub.generators import random_explicit_model, random_instance
 from seqsub.matroid import LaminarMatroid
 from seqsub.util import mask_of
+
+from conftest import random_subset_distribution
 
 INV_E_GAP = 1.0 - 1.0 / math.e
 
@@ -87,15 +91,42 @@ def test_revenue_opt_infeasible_floor(appendix_c):
         oracle.brute_force_revenue_opt(hard)
 
 
-def test_revenue_opt_unconstrained_equals_max_revenue():
-    rng = np.random.default_rng(2)
-    inst = random_instance("mnl", 5, rng, with_payments=True)
-    rep = oracle.brute_force_revenue_opt(inst)
-    best = max(
-        core.revenue(inst, order)
-        for order in __import__("itertools").permutations(range(5))
-    )
-    assert rep.best_value == pytest.approx(best, abs=1e-12)
+def _audit_instance(kind: str, n: int) -> Instance:
+    """Payments, a patience deficit, a zero level when n > 1, and for
+    explicit tables one table per level."""
+    rng = np.random.default_rng(100 + n)
+    inst = random_instance(kind, n, rng, full_mass=False, with_payments=True)
+    lam = inst.lam[:-1] + (0.0,) if n > 1 else inst.lam
+    models = inst.models
+    if kind == "explicit":
+        models = tuple(random_explicit_model(n, rng) for _ in range(n))
+    return replace(inst, lam=lam, models=models)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("kind", ["mnl", "coverage", "explicit"])
+@pytest.mark.parametrize(
+    "search, objective",
+    [
+        (oracle.brute_force_revenue_opt, core.revenue),
+        (oracle.brute_force_engagement_opt, core.engagement),
+    ],
+    ids=["revenue", "engagement"],
+)
+def test_revenue_opt_unconstrained_equals_max_revenue(search, objective, kind, n):
+    """Both oracles (T = 0) against itertools.permutations: the same float
+    bits, the first lexicographic maximiser, and n! orders enumerated."""
+    inst = _audit_instance(kind, n)
+    assert sum(inst.lam) < 1.0
+    best, first = -math.inf, None
+    for order in itertools.permutations(range(n)):
+        value = objective(inst, order)
+        if value > best:
+            best, first = value, order
+    rep = search(inst)
+    assert rep.best_value.hex() == best.hex()
+    assert rep.best_witness == first
+    assert rep.enumerated_count == math.factorial(n)
 
 
 def test_verify_worked_table_passes(appendix_c):
@@ -245,4 +276,3 @@ def test_oracle_reports_reevaluate(appendix_c):
     rev = oracle.brute_force_revenue_opt(appendix_c)
     assert core.engagement(appendix_c, eng.best_witness) == pytest.approx(eng.best_value)
     assert core.revenue(appendix_c, rev.best_witness) == pytest.approx(rev.best_value)
-    assert eng.elapsed >= 0.0 and rev.elapsed >= 0.0

@@ -8,13 +8,10 @@ from seqsub.generators import random_policy_mixture
 from seqsub.matroid import LaminarMatroid, in_matroid_polytope
 from seqsub.policy import (
     PolicyVector,
-    chain_completion,
     check_implementable,
-    complete_layers,
     load_policy,
     marginals,
     mixture_of_permutations,
-    point_mass,
     policy_from_json,
     policy_to_json,
     sample_policy,
@@ -23,7 +20,7 @@ from seqsub.policy import (
 
 
 def test_point_mass_marginals():
-    pv = point_mass((1, 0))
+    pv = mixture_of_permutations([(1, 0)], [1.0])
     x = marginals(pv)
     assert x[0, 1] == pytest.approx(1.0)
     assert x[1, 0] == pytest.approx(1.0)
@@ -57,7 +54,7 @@ def test_point_mass_policies_certify():
     rng = np.random.default_rng(2)
     for n in (1, 2, 4, 5):
         order = tuple(int(p) for p in rng.permutation(n))
-        report = check_implementable(point_mass(order))
+        report = check_implementable(mixture_of_permutations([order], [1.0]))
         assert report.feasible
         assert all(abs(c.flow_value - 1.0) <= 1e-9 for c in report.certs)
 
@@ -113,7 +110,7 @@ def test_unnormalized_layer_reported():
 
 
 def test_sample_point_mass_policy():
-    pv = point_mass((2, 0, 1))
+    pv = mixture_of_permutations([(2, 0, 1)], [1.0])
     report = check_implementable(pv)
     for s in range(5):
         assert sample_policy(pv, report.certs, seed=s) == (2, 0, 1)
@@ -156,20 +153,6 @@ def test_sample_policy_rejects_failing_certs(worked_policy_vector):
     report = check_implementable(worked_policy_vector)
     with pytest.raises(CertMismatchError):
         sample_policy(worked_policy_vector, report.certs, seed=0)
-
-
-def test_complete_layers_restores_normalization():
-    pv = PolicyVector(3, ({0b001: 0.4}, {0b011: 0.4}, {0b111: 0.4}))
-    completed = complete_layers(pv, chain_completion((0, 1, 2)))
-    assert completed.normalized()
-    assert completed.layers[0][0b001] == pytest.approx(1.0)
-    assert completed.layers[1][0b011] == pytest.approx(1.0)
-
-
-def test_complete_layers_validates_rule():
-    pv = PolicyVector(2, ({0b01: 0.4}, {0b11: 1.0}))
-    with pytest.raises(ValidationError):
-        complete_layers(pv, lambda layer, deficit, cur: {0b01: deficit / 2})
 
 
 def test_policy_vector_validation():

@@ -12,7 +12,7 @@ from seqsub.errors import InfeasibleError, SeqsubError
 from seqsub.generators import random_instance
 from seqsub.matroid import LaminarMatroid, in_matroid_polytope
 from seqsub.revenue import (
-    ONE_MINUS_INV_E,
+    PolicyLpSolution,
     build_policy_lp,
     round_to_permutation,
     run_bicriteria,
@@ -20,7 +20,19 @@ from seqsub.revenue import (
     solve_policy_lp,
 )
 
+from conftest import matrix_of
+
 ZEROS2 = ((0.0, 0.0), (0.0, 0.0))
+
+#: Feasibility-repair factor of the polynomial-time path, emulated by scaling.
+ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
+
+
+def engagement_term(inst, sol):
+    """The relaxation's engagement, sum of lam_k * f_k(S) * x[k][S]."""
+    return sum(
+        inst.lam[k] * inst.models[k].value(mask) * p for (k, mask), p in sol.subset.items()
+    )
 
 
 def test_build_counts_small():
@@ -28,7 +40,7 @@ def test_build_counts_small():
     inst = Instance(2, (0.5, 0.5), (model,) * 2, ZEROS2, K=1.0)
     lp = build_policy_lp(inst)
     assert len(lp.subset_vars) == 3  # {0}, {1}, {0,1}
-    assert len(lp.marginal_vars) == 4
+    assert lp.problem.A.shape[1] - len(lp.subset_vars) == 4  # marginal columns
     # 4 marginal rows + 1 floor + 2 layer budgets
     assert lp.problem.A.shape == (7, 7)
     assert lp.problem.senses == ("<=",) * 4 + (">=",) + ("<=",) * 2
@@ -37,7 +49,7 @@ def test_build_counts_small():
 def test_build_counts_worked_instance(appendix_c):
     lp = build_policy_lp(appendix_c)
     assert len(lp.subset_vars) == 15
-    assert len(lp.marginal_vars) == 16
+    assert lp.problem.A.shape[1] - len(lp.subset_vars) == 16
 
 
 def test_relaxation_beats_best_policy_on_worked_instance(appendix_c):
@@ -95,8 +107,8 @@ def test_scale_solution_identity_and_budgets(appendix_c):
     sol = solve_policy_lp(build_policy_lp(appendix_c))
     assert scale_solution(sol, 1.0) is sol
     scaled = scale_solution(sol, ONE_MINUS_INV_E)
-    assert scaled.engagement_term == pytest.approx(
-        ONE_MINUS_INV_E * sol.engagement_term
+    assert engagement_term(appendix_c, scaled) == pytest.approx(
+        ONE_MINUS_INV_E * engagement_term(appendix_c, sol)
     )
     assert scaled.value == pytest.approx(ONE_MINUS_INV_E * sol.value)
     half = scale_solution(sol, 0.5)
@@ -111,8 +123,8 @@ def test_scaled_engagement_term_on_worked_instance(appendix_c):
     # the relaxation's engagement value scales linearly with the repair factor
     sol = solve_policy_lp(build_policy_lp(appendix_c))
     scaled = scale_solution(sol, ONE_MINUS_INV_E)
-    assert sol.engagement_term == pytest.approx(191.5 / 400, abs=1e-9)
-    assert scaled.engagement_term == pytest.approx(
+    assert engagement_term(appendix_c, sol) == pytest.approx(191.5 / 400, abs=1e-9)
+    assert engagement_term(appendix_c, scaled) == pytest.approx(
         ONE_MINUS_INV_E * 191.5 / 400, abs=1e-9
     )
 
@@ -121,14 +133,10 @@ def test_round_point_mass_returns_that_permutation():
     model = MnlModel(3, (1.0, 0.5, 0.2), 1.0)
     inst = Instance(3, (1 / 3,) * 3, (model,) * 3, tuple((0.0,) * 3 for _ in range(3)))
     order0 = (2, 0, 1)
-    from seqsub.revenue import PolicyLpSolution
-    from seqsub.matroid import matrix_of
-
     sol = PolicyLpSolution(
         value=1.0,
         subset={},
         marginals=matrix_of({(i, order0[i]) for i in range(3)}, 3),
-        engagement_term=0.0,
     )
     for s in range(5):
         assert round_to_permutation(inst, sol, seed=s) == order0
@@ -137,9 +145,7 @@ def test_round_point_mass_returns_that_permutation():
 def test_round_zero_assignment_is_identity():
     model = MnlModel(3, (1.0, 1.0, 1.0), 1.0)
     inst = Instance(3, (1 / 3,) * 3, (model,) * 3, tuple((0.0,) * 3 for _ in range(3)))
-    from seqsub.revenue import PolicyLpSolution
-
-    sol = PolicyLpSolution(1.0, {}, np.zeros((3, 3)), 0.0)
+    sol = PolicyLpSolution(1.0, {}, np.zeros((3, 3)))
     assert round_to_permutation(inst, sol, seed=4) == (0, 1, 2)
 
 
@@ -156,11 +162,10 @@ def test_rounding_sweep_always_permutes(appendix_c):
 
 def test_round_rejects_marginals_outside_polytope():
     from seqsub.errors import PolytopeError
-    from seqsub.revenue import PolicyLpSolution
 
     model = MnlModel(2, (1.0, 1.0), 1.0)
     inst = Instance(2, (0.5, 0.5), (model,) * 2, ZEROS2)
-    bad = PolicyLpSolution(1.0, {}, np.array([[0.9, 0.9], [0.0, 0.0]]), 0.0)
+    bad = PolicyLpSolution(1.0, {}, np.array([[0.9, 0.9], [0.0, 0.0]]))
     with pytest.raises(PolytopeError):
         round_to_permutation(inst, bad, seed=0)
 
