@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
 import sys
-
-import numpy as np
 
 from . import __version__, core, coverage, engagement, generators, oracle, policy, revenue
 from .errors import SeqsubError, ValidationError
@@ -35,23 +32,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        if math.isinf(f):
-            return "inf"
-        return f
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, frozenset):
-        return sorted(obj)
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf"
     return obj
 
 
@@ -93,7 +79,7 @@ def _emit(report: dict, args, summary: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(_render(report, args.format))
-    elif args.format != "pretty-table":
+    else:
         sys.stdout.write(_render(report, args.format))
 
 
@@ -133,8 +119,6 @@ def _run_greedy(args) -> tuple[dict, str, int]:
     f_val = core.engagement(inst, order)
     g_val = core.revenue(inst, order)
     report = {
-        "algo": "greedy",
-        "instance": args.instance,
         "n": inst.n,
         "permutation": core.order_to_external(order),
         "engagement": f_val,
@@ -151,19 +135,13 @@ def _run_cg(args) -> tuple[dict, str, int]:
     inst = core.load_instance(args.instance)
     res = engagement.rank_cg(inst, steps=args.steps, samples=args.samples, seed=args.seed)
     report = {
-        "algo": "cg",
-        "instance": args.instance,
+        **{k: v for k, v in vars(res).items() if k != "order"},
         "n": inst.n,
         "seed": args.seed,
         "steps": args.steps,
         "samples": args.samples,
         "permutation": core.order_to_external(res.order),
-        "engagement": res.engagement,
         "revenue": core.revenue(inst, res.order),
-        "lifted_value": res.lifted_value,
-        "fractional_estimate": res.fractional_estimate,
-        "fractional_stderr": res.fractional_stderr,
-        "rounded_size": res.rounded_size,
     }
     report.update(_maybe_opt(inst, res.engagement))
     summary = (
@@ -177,8 +155,6 @@ def _run_oracle(args) -> tuple[dict, str, int]:
     inst = core.load_instance(args.instance)
     eng = oracle.brute_force_engagement_opt(inst)
     report = {
-        "algo": "oracle",
-        "instance": args.instance,
         "n": inst.n,
         "engagement_opt": {
             "value": eng.best_value,
@@ -203,6 +179,14 @@ def _run_oracle(args) -> tuple[dict, str, int]:
     return report, summary, 0
 
 
+def _trial(t: revenue.TrialResult) -> dict:
+    return {
+        "permutation": core.order_to_external(t.order),
+        "engagement": t.engagement,
+        "revenue": t.revenue,
+    }
+
+
 def _run_revenue(args) -> tuple[dict, str, int]:
     inst = core.load_instance(args.instance)
     rep = revenue.run_bicriteria(
@@ -213,38 +197,12 @@ def _run_revenue(args) -> tuple[dict, str, int]:
         root_seed=args.seed,
     )
     report = {
-        "algo": "revenue",
-        "instance": args.instance,
+        **{k: v for k, v in vars(rep).items() if k not in ("trials", "best")},
         "n": inst.n,
         "seed": args.seed,
         "trials": args.trials,
-        "factor": rep.factor,
-        "threshold": rep.threshold,
-        "lp_value": rep.lp_value,
-        "scaled_value": rep.scaled_value,
-        "mean_engagement": rep.mean_engagement,
-        "stderr_engagement": rep.stderr_engagement,
-        "mean_revenue": rep.mean_revenue,
-        "stderr_revenue": rep.stderr_revenue,
-        "alpha_ratio": rep.alpha_ratio,
-        "beta_ratio": rep.beta_ratio,
-        "worst_alpha": rep.worst_alpha,
-        "worst_beta": rep.worst_beta,
-        "revenue_ok": rep.revenue_ok,
-        "engagement_ok": rep.engagement_ok,
-        "best": {
-            "permutation": core.order_to_external(rep.best.order),
-            "engagement": rep.best.engagement,
-            "revenue": rep.best.revenue,
-        },
-        "per_seed": [
-            {
-                "permutation": core.order_to_external(t.order),
-                "engagement": t.engagement,
-                "revenue": t.revenue,
-            }
-            for t in rep.trials
-        ],
+        "best": _trial(rep.best),
+        "per_seed": [_trial(t) for t in rep.trials],
     }
     ok = rep.guarantees_ok()
     summary = (
@@ -259,8 +217,6 @@ def _run_coverage(args) -> tuple[dict, str, int]:
     ci = coverage.load_coverage(args.instance)
     best = coverage.coverage_best_of(ci, trials=args.trials, seed=args.seed)
     report = {
-        "algo": "coverage",
-        "instance": args.instance,
         "n": ci.n,
         "seed": args.seed,
         "trials": args.trials,
@@ -279,8 +235,6 @@ def _run_certify(args) -> tuple[dict, str, int]:
     pv = policy.load_policy(args.instance)
     result = policy.check_implementable(pv)
     report = {
-        "algo": "certify",
-        "instance": args.instance,
         "n": pv.n,
         "feasible": result.feasible,
         "failing_layer": result.failing_layer,
@@ -313,7 +267,7 @@ _RUNNERS = {
 
 def _cmd_run(args) -> int:
     report, summary, code = _RUNNERS[args.algo](args)
-    _emit(report, args, summary)
+    _emit({"algo": args.algo, "instance": args.instance, **report}, args, summary)
     return code
 
 

@@ -22,7 +22,6 @@ All types are immutable after construction and evaluation is pure.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence, Union
@@ -31,7 +30,7 @@ import numpy as np
 
 from .errors import UnknownSubsetError, ValidationError
 from .numerics import TOL
-from .util import iter_bits, json_field, mask_of, read_json
+from .util import iter_bits, json_field, mask_of, read_json, write_json
 
 #: Explicit tables enumerate all subsets; hard cap on the ground size.
 MAX_EXPLICIT_N = 20
@@ -151,25 +150,21 @@ class CoverageModel:
             mat[j, list(c)] = True
         mat.setflags(write=False)
         object.__setattr__(self, "_cover_matrix", mat)
-
-    def _scale(self) -> float:
-        if not self.normalize:
-            return 1.0
-        total = sum(self.weights)
-        return 1.0 / total if total > 0 else 1.0
+        total = sum(w)
+        object.__setattr__(self, "_scale", 1.0 / total if self.normalize and total > 0 else 1.0)
 
     def value(self, mask: int) -> float:
         covered = 0
         for j in iter_bits(mask):
             covered |= self._cover_masks[j]
         total = sum(self.weights[e] for e in iter_bits(covered))
-        return total * self._scale()
+        return total * self._scale
 
     def batch_value(self, members: np.ndarray) -> np.ndarray:
         if not self.weights:
             return np.zeros(members.shape[0])
         covered = members.astype(np.int8) @ self._cover_matrix.astype(np.int8) > 0
-        return (covered @ np.asarray(self.weights)) * self._scale()
+        return (covered @ np.asarray(self.weights)) * self._scale
 
 
 @dataclass(frozen=True)
@@ -385,9 +380,7 @@ def load_instance(path) -> Instance:
 
 
 def save_instance(inst: Instance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_json(inst), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, instance_to_json(inst))
 
 
 def order_to_external(order: Sequence[int]) -> list[int]:

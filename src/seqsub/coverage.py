@@ -23,7 +23,6 @@ above position k, and first occurrences only move products up.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,36 +31,36 @@ import numpy as np
 from .core import CoverageModel, Instance, Permutation, validate_permutation
 from .errors import TooLargeError, ValidationError
 from .numerics import SUM_TOL, LpProblem, simplex_solve
-from .util import json_field, read_json, split_seeds
+from .util import iter_bits, json_field, mask_of, read_json, split_seeds, write_json
 
 MAX_LP3_N = 50
 
 
 @dataclass(frozen=True)
 class CoverageInstance:
-    """n products; type k (0-based) has patience k+1 and interest set P_k."""
+    """n products; type k (0-based) has patience k+1 and interest set P_k,
+    a bitmask over products."""
 
     n: int
-    interest_sets: tuple[frozenset, ...]
+    interest_sets: tuple[int, ...]
 
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"coverage: n must be at least 1, got {self.n}")
         if len(self.interest_sets) != self.n:
             raise ValidationError("coverage: one interest set per user type required")
-        sets = tuple(frozenset(int(j) for j in s) for s in self.interest_sets)
-        for s in sets:
-            if any(not 0 <= j < self.n for j in s):
-                raise ValidationError("coverage: interest set references unknown product")
+        sets = tuple(int(s) for s in self.interest_sets)
+        if any(not 0 <= s < 1 << self.n for s in sets):
+            raise ValidationError("coverage: interest set references unknown product")
         object.__setattr__(self, "interest_sets", sets)
 
 
 def _hits(ci: CoverageInstance, order: Sequence[int]) -> np.ndarray:
     """hits[k] = 1 iff type k's interest set meets the first k+1 entries of order."""
     hits = np.zeros(ci.n, dtype=np.int64)
-    seen: set[int] = set()
+    seen = 0
     for k in range(ci.n):
-        seen.add(int(order[k]))
+        seen |= 1 << int(order[k])
         if ci.interest_sets[k] & seen:
             hits[k] = 1
     return hits
@@ -76,7 +75,7 @@ def as_instance(ci: CoverageInstance) -> Instance:
     """Adapter to the general model: lam uniform, f_k the type-k click indicator."""
     models = []
     for s in ci.interest_sets:
-        covers = tuple((0,) if j in s else () for j in range(ci.n))
+        covers = tuple((0,) if s >> j & 1 else () for j in range(ci.n))
         models.append(CoverageModel(ci.n, (1.0,), covers))
     zeros = tuple((0.0,) * ci.n for _ in range(ci.n))
     return Instance(ci.n, (1.0 / ci.n,) * ci.n, tuple(models), zeros)
@@ -95,7 +94,7 @@ def solve_assignment_lp(ci: CoverageInstance) -> AssignmentLpSolution:
     if n > MAX_LP3_N:
         raise TooLargeError(f"coverage: LP capped at n = {MAX_LP3_N}")
     # variables: x row-major, then y; rows: clicks, row sums, column sums, y <= 1
-    interest = np.array([[j in s for j in range(n)] for s in ci.interest_sets], dtype=float)
+    interest = (np.array(ci.interest_sets)[:, None] >> np.arange(n) & 1).astype(float)
     prefix = np.tri(n)  # prefix[k, i] = 1 iff position i <= k
     eye, ones, zeros = np.eye(n), np.ones(n), np.zeros((n, n))
     A = np.block([
@@ -181,25 +180,22 @@ def coverage_best_of(ci: CoverageInstance, trials: int, seed=None) -> BestOfResu
 def coverage_to_json(ci: CoverageInstance) -> dict:
     return {
         "n": ci.n,
-        "interest_sets": [sorted(j + 1 for j in s) for s in ci.interest_sets],
+        "interest_sets": [[j + 1 for j in iter_bits(s)] for s in ci.interest_sets],
     }
 
 
 def coverage_from_json(data) -> CoverageInstance:
     n = json_field(data, "n", int, "coverage")
     sets = json_field(
-        data,
-        "interest_sets",
-        lambda raw: tuple(frozenset(int(j) - 1 for j in s) for s in raw),
-        "coverage",
+        data, "interest_sets", lambda raw: [[int(j) - 1 for j in s] for s in raw], "coverage"
     )
-    return CoverageInstance(n, sets)
+    if any(not 0 <= j < n for s in sets for j in s):
+        raise ValidationError("coverage: interest set references unknown product")
+    return CoverageInstance(n, tuple(map(mask_of, sets)))
 
 
 def save_coverage(ci: CoverageInstance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(coverage_to_json(ci), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, coverage_to_json(ci))
 
 
 def load_coverage(path) -> CoverageInstance:

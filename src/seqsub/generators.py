@@ -17,7 +17,7 @@ from .coverage import CoverageInstance
 from .errors import GenerationError, TooLargeError
 from .oracle import MAX_VERIFY_N, verify_monotone_submodular
 from .policy import PolicyVector, mixture_of_permutations
-from .util import iter_bits
+from .util import iter_bits, mask_of
 
 KINDS = ("explicit", "coverage", "mnl")
 
@@ -138,7 +138,7 @@ def random_coverage_instance(n: int, seed=None) -> CoverageInstance:
     sets = []
     for _ in range(n):
         size = min(n, int(rng.integers(1, max(2, n // 2) + 1)))
-        sets.append(frozenset(int(j) for j in rng.choice(n, size=size, replace=False)))
+        sets.append(mask_of(int(j) for j in rng.choice(n, size=size, replace=False)))
     return CoverageInstance(n, tuple(sets))
 
 

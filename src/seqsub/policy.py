@@ -19,7 +19,6 @@ silently rescaled.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -28,7 +27,7 @@ import numpy as np
 from .core import Permutation, validate_permutation
 from .errors import CertMismatchError, ValidationError
 from .numerics import MASS_TOL, SUM_TOL, TOL, FlowNetwork, max_flow
-from .util import iter_bits, json_field, read_json
+from .util import iter_bits, json_field, read_json, write_json
 
 MAX_CERTIFY_N = 12
 
@@ -41,6 +40,8 @@ class PolicyVector:
     layers: tuple[Mapping[int, float], ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValidationError(f"policy: n must be at least 1, got {self.n}")
         if len(self.layers) != self.n:
             raise ValidationError("policy: need one layer per position")
         clean = []
@@ -113,14 +114,15 @@ class ImplementabilityReport:
 
 
 def _layer_network(prev: Mapping[int, float], curr: Mapping[int, float], n: int):
-    edges = [("s", ("a", S), p) for S, p in prev.items()]
-    edges += [(("b", T), "t", p) for T, p in curr.items()]
+    """Nodes are the masks themselves: the two layers' sets differ in size."""
+    edges = [("s", S, p) for S, p in prev.items()]
+    edges += [(T, "t", p) for T, p in curr.items()]
     for S in prev:
         for j in range(n):
             if not S & (1 << j):
                 T = S | (1 << j)
                 if T in curr:
-                    edges.append((("a", S), ("b", T), 1.0))
+                    edges.append((S, T, 1.0))
     return FlowNetwork("s", "t", tuple(edges))
 
 
@@ -148,18 +150,12 @@ def check_implementable(pv: PolicyVector) -> ImplementabilityReport:
         result = max_flow(_layer_network(prev, curr, pv.n))
         ok = result.value >= 1.0 - TOL
         edge_flows = {
-            (u[1], v[1]): f
-            for (u, v), f in result.edge_flows.items()
-            if isinstance(u, tuple) and isinstance(v, tuple)
+            (S, T): f for (S, T), f in result.edge_flows.items() if S != "s" and T != "t"
         }
         certs.append(LayerFlowCert(t, result.value, edge_flows, ok))
         if not ok and failing is None:
             failing = t
-            cut = sorted(
-                (t - 1 if node[0] == "a" else t, node[1])
-                for node in result.cut_nodes
-                if isinstance(node, tuple)
-            )
+            cut = sorted((S.bit_count(), S) for S in result.cut_nodes if S not in ("s", "t"))
     if failing is not None:
         return ImplementabilityReport(False, certs, failing, "flow-deficit", cut)
     return ImplementabilityReport(True, certs)
@@ -223,9 +219,7 @@ def policy_from_json(data) -> PolicyVector:
 
 
 def save_policy(pv: PolicyVector, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(policy_to_json(pv), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, policy_to_json(pv))
 
 
 def load_policy(path) -> PolicyVector:

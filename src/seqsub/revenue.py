@@ -63,7 +63,7 @@ class PolicyLp:
 @dataclass
 class PolicyLpSolution:
     value: float
-    subset: dict[tuple[int, int], float]  # (layer, mask) -> mass
+    policy: PolicyVector  # the subset variables' masses, layer by layer
     marginals: np.ndarray  # re-tightened to their constraint bounds
 
 
@@ -117,13 +117,12 @@ def solve_policy_lp(model: PolicyLp) -> PolicyLpSolution:
         )
     if res.status != "optimal":  # pragma: no cover - bounded by construction
         raise SeqsubError(f"revenue: unexpected LP status {res.status}")
-    subset = {
-        v: float(res.x[t]) for t, v in enumerate(model.subset_vars) if res.x[t] > 0.0
-    }
     layers = tuple({} for _ in range(n))
-    for (k, mask), p in subset.items():
-        layers[k][mask] = p
-    marg = marginals(PolicyVector(n, layers))
+    for (k, mask), p in zip(model.subset_vars, res.x):
+        if p > 0.0:
+            layers[k][mask] = float(p)
+    policy = PolicyVector(n, layers)
+    marg = marginals(policy)
     if (marg < -TOL).any():
         i, j = np.argwhere(marg < -TOL)[0]
         raise NumericalInstabilityError(
@@ -136,7 +135,7 @@ def solve_policy_lp(model: PolicyLp) -> PolicyLpSolution:
     if worst < 1.0 - SUM_TOL:
         raise NumericalInstabilityError("revenue: marginals far outside the polytope")
     marg *= worst
-    return PolicyLpSolution(float(res.value), subset, marg)
+    return PolicyLpSolution(float(res.value), policy, marg)
 
 
 def scale_solution(sol: PolicyLpSolution, factor: float) -> PolicyLpSolution:
@@ -154,7 +153,10 @@ def scale_solution(sol: PolicyLpSolution, factor: float) -> PolicyLpSolution:
     return replace(
         sol,
         value=sol.value * factor,
-        subset={v: p * factor for v, p in sol.subset.items()},
+        policy=PolicyVector(
+            sol.policy.n,
+            tuple({m: p * factor for m, p in layer.items()} for layer in sol.policy.layers),
+        ),
         marginals=sol.marginals * factor,
     )
 

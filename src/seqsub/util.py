@@ -1,4 +1,4 @@
-"""Small shared helpers: bitmask sets, seed splitting, JSON file and field access."""
+"""Small shared helpers: bitmask sets, seed splitting, JSON files and field access."""
 
 from __future__ import annotations
 
@@ -52,3 +52,10 @@ def read_json(path):
             return json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise ValidationError(f"malformed JSON in {path}: {exc}") from None
+
+
+def write_json(path, data) -> None:
+    """Write `data` to `path` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -2,30 +2,27 @@
 test-side helpers that other test modules import from here."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from seqsub import core, policy
 from seqsub.core import CoverageModel, Instance
-from seqsub.fixtures import (
-    APPENDIX_B_POINT,
-    APPENDIX_C_INSTANCE,
-    EXAMPLE_1_INSTANCE,
-    fixture_path,
-)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(scope="session")
 def appendix_c() -> Instance:
     """Four products, shared explicit table, K=100: brute OPT 191/4."""
-    return core.load_instance(fixture_path(APPENDIX_C_INSTANCE))
+    return core.load_instance(FIXTURES / "appendix_c_instance.json")
 
 
 @pytest.fixture(scope="session")
 def example_1() -> Instance:
     """Two additive per-patience tables where greedy picks the wrong head."""
-    return core.load_instance(fixture_path(EXAMPLE_1_INSTANCE))
+    return core.load_instance(FIXTURES / "example_1_instance.json")
 
 
 @pytest.fixture(scope="session")
@@ -43,8 +40,7 @@ def matching_instance() -> Instance:
 @pytest.fixture(scope="session")
 def matching_point() -> dict:
     """The fractional doubly stochastic point and its two matchings."""
-    with open(fixture_path(APPENDIX_B_POINT), "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = json.loads((FIXTURES / "appendix_b_point.json").read_text(encoding="utf-8"))
     orders = [core.order_from_external(m) for m in data["matchings"]]
     return {"x": data["x"], "orders": orders}
 

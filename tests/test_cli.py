@@ -7,7 +7,6 @@ import pytest
 
 from seqsub import core, coverage, generators, oracle, policy
 from seqsub.cli import main
-from seqsub.fixtures import APPENDIX_C_INSTANCE, EXAMPLE_1_INSTANCE, fixture_path
 
 
 @pytest.fixture()
@@ -43,7 +42,7 @@ def test_gen_coverage_sets_nonempty(tmp_path):
     out = tmp_path / "cov.json"
     assert main(["gen", "--kind", "coverage", "--n", "8", "--seed", "3", "--out", str(out)]) == 0
     ci = coverage.load_coverage(out)
-    assert all(len(s) >= 1 for s in ci.interest_sets)
+    assert all(0 < s < 1 << 8 for s in ci.interest_sets)
 
 
 def test_run_oracle_reports_best_revenue(appendix_c_path, tmp_path, capsys):
@@ -170,6 +169,8 @@ def _malformed_inputs(tmp_path):
     no_permutation.write_text(json.dumps({"algo": "greedy"}))
     array_report = tmp_path / "array_report.json"
     array_report.write_text(json.dumps([{"algo": "greedy"}]))
+    empty_policy = tmp_path / "empty_policy.json"
+    empty_policy.write_text("[]")
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps(
         {"n": 0, "lambda": [], "r": [], "click_model": {"type": "mnl", "weights": [], "w0": 1.0}}
@@ -195,6 +196,7 @@ def _malformed_inputs(tmp_path):
         "revenue-on-interest-sets": ["run", "revenue", "--instance", str(interest)],
         "coverage-on-general": ["run", "coverage", "--instance", str(general)],
         "certify-on-general": ["certify", "--instance", str(general)],
+        "empty-policy": ["certify", "--instance", str(empty_policy)],
         "truncated-json": ["run", "greedy", "--instance", str(truncated)],
         "report-without-permutation": [
             "report", "--report", str(no_permutation), "--instance", str(general)
@@ -219,6 +221,7 @@ def _malformed_inputs(tmp_path):
         "revenue-on-interest-sets",
         "coverage-on-general",
         "certify-on-general",
+        "empty-policy",
         "truncated-json",
         "report-without-permutation",
         "report-not-an-object",
@@ -247,7 +250,7 @@ def test_usage_error_exits_one():
     assert main(["run", "unknown-algo", "--instance", "x"]) == 1
 
 
-def test_csv_and_pretty_formats(appendix_c_path, tmp_path):
+def test_csv_and_pretty_formats(appendix_c_path, tmp_path, capsys):
     out = tmp_path / "r.csv"
     assert main(
         ["run", "greedy", "--instance", appendix_c_path, "--out", str(out),
@@ -262,9 +265,8 @@ def test_csv_and_pretty_formats(appendix_c_path, tmp_path):
          "--format", "pretty-table"]
     ) == 0
     assert "permutation" in out2.read_text()
-
-
-def test_fixture_files_ship_with_the_package():
-    for name in (APPENDIX_C_INSTANCE, EXAMPLE_1_INSTANCE):
-        inst = core.load_instance(fixture_path(name))
-        assert inst.n in (2, 4)
+    capsys.readouterr()
+    assert main(["run", "greedy", "--instance", appendix_c_path, "--format", "pretty-table"]) == 0
+    summary, *table = capsys.readouterr().out.splitlines()
+    assert summary.startswith("greedy: ")
+    assert table[0].split() == ["algo", "greedy"]

@@ -1,5 +1,6 @@
 """Assignment LP and dependent rounding for the interest-set model."""
 
+import json
 import math
 
 import numpy as np
@@ -17,21 +18,22 @@ from seqsub.coverage import (
     save_coverage,
     solve_assignment_lp,
 )
+from seqsub.errors import ValidationError
 from seqsub.generators import random_coverage_instance
-from seqsub.util import split_seeds
+from seqsub.util import iter_bits, split_seeds
 
 ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
 
 
 def test_lp_everyone_interested_in_everything():
-    ci = CoverageInstance(3, (frozenset({0, 1, 2}),) * 3)
+    ci = CoverageInstance(3, (0b111,) * 3)
     sol = solve_assignment_lp(ci)
     assert sol.value == pytest.approx(3.0, abs=1e-9)
     np.testing.assert_allclose(sol.y, np.ones(3), atol=1e-9)
 
 
 def test_lp_disjoint_singletons_need_identity():
-    ci = CoverageInstance(2, (frozenset({0}), frozenset({1})))
+    ci = CoverageInstance(2, (0b01, 0b10))
     sol = solve_assignment_lp(ci)
     assert sol.value == pytest.approx(2.0, abs=1e-9)
 
@@ -53,7 +55,7 @@ def test_lp_solution_is_doubly_stochastic():
     np.testing.assert_allclose(sol.x.sum(axis=0), np.ones(7), atol=1e-9)
     np.testing.assert_allclose(sol.x.sum(axis=1), np.ones(7), atol=1e-9)
     for k in range(7):
-        cover = sum(sol.x[i, j] for i in range(k + 1) for j in ci.interest_sets[k])
+        cover = sum(sol.x[i, j] for i in range(k + 1) for j in iter_bits(ci.interest_sets[k]))
         assert cover >= sol.y[k] - 1e-9
 
 
@@ -75,7 +77,7 @@ def test_assignment_lp_duals_satisfy_strong_duality(monkeypatch):
 
 
 def test_rounding_keeps_permutation_matrices():
-    ci = CoverageInstance(3, (frozenset({0}), frozenset({1}), frozenset({2})))
+    ci = CoverageInstance(3, (0b001, 0b010, 0b100))
     sol = solve_assignment_lp(ci)
     perm = np.eye(3)
     sol.x = perm  # already integral: rounding must return it unchanged
@@ -84,7 +86,7 @@ def test_rounding_keeps_permutation_matrices():
 
 
 def test_rounding_symmetric_two_products():
-    ci = CoverageInstance(2, (frozenset({0}), frozenset({0, 1})))
+    ci = CoverageInstance(2, (0b01, 0b11))
     sol = solve_assignment_lp(ci)
     sol.x = np.full((2, 2), 0.5)
     heads = 0
@@ -148,7 +150,7 @@ def test_best_of_single_trial_matches_single_rounding():
 
 
 def test_best_of_hits_optimum_on_disjoint_singletons():
-    ci = CoverageInstance(4, tuple(frozenset({j}) for j in range(4)))
+    ci = CoverageInstance(4, tuple(1 << j for j in range(4)))
     best = coverage_best_of(ci, trials=50, seed=3)
     assert best.clicks == 4
     assert best.lp_value == pytest.approx(4.0, abs=1e-9)
@@ -177,10 +179,23 @@ def test_adapter_matches_click_counting():
 
 
 def test_coverage_json_roundtrip(tmp_path):
-    ci = CoverageInstance(3, (frozenset({0, 2}), frozenset({1}), frozenset({0})))
+    ci = CoverageInstance(3, (0b101, 0b010, 0b001))
     path = tmp_path / "cov.json"
     save_coverage(ci, path)
+    assert json.loads(path.read_text())["interest_sets"] == [[1, 3], [2], [1]]
     assert load_coverage(path) == ci
     data = {"n": 2, "interest_sets": [[1], [1, 2]]}
     back = coverage_from_json(data)
-    assert back.interest_sets == (frozenset({0}), frozenset({0, 1}))
+    assert back.interest_sets == (0b01, 0b11)
+
+
+@pytest.mark.parametrize("raw", [[[0], [1]], [[1], [3]], [[1], [-1]], [[1], [10**30]]])
+def test_interest_set_outside_the_products_is_rejected(raw):
+    with pytest.raises(ValidationError, match="unknown product"):
+        coverage_from_json({"n": 2, "interest_sets": raw})
+
+
+@pytest.mark.parametrize("sets", [(0b01, 0b100), (-1, 0b01)])
+def test_interest_mask_outside_the_products_is_rejected(sets):
+    with pytest.raises(ValidationError, match="unknown product"):
+        CoverageInstance(2, sets)

@@ -59,7 +59,7 @@ def test_random_instances_validate():
 
 def test_random_coverage_instance_nonempty_sets():
     ci = random_coverage_instance(8, 4)
-    assert all(len(s) >= 1 for s in ci.interest_sets)
+    assert all(0 < s < 1 << 8 for s in ci.interest_sets)
 
 
 def test_random_policy_mixture_normalized():

@@ -11,6 +11,7 @@ from seqsub.core import ExplicitModel, Instance, MnlModel
 from seqsub.errors import InfeasibleError, SeqsubError
 from seqsub.generators import random_instance
 from seqsub.matroid import LaminarMatroid, in_matroid_polytope
+from seqsub.policy import PolicyVector, mixture_of_permutations
 from seqsub.revenue import (
     PolicyLpSolution,
     build_policy_lp,
@@ -31,7 +32,9 @@ ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
 def engagement_term(inst, sol):
     """The relaxation's engagement, sum of lam_k * f_k(S) * x[k][S]."""
     return sum(
-        inst.lam[k] * inst.models[k].value(mask) * p for (k, mask), p in sol.subset.items()
+        inst.lam[k] * inst.models[k].value(mask) * p
+        for k, layer in enumerate(sol.policy.layers)
+        for mask, p in layer.items()
     )
 
 
@@ -112,9 +115,7 @@ def test_scale_solution_identity_and_budgets(appendix_c):
     )
     assert scaled.value == pytest.approx(ONE_MINUS_INV_E * sol.value)
     half = scale_solution(sol, 0.5)
-    for k in range(4):
-        layer = sum(p for (kk, _), p in half.subset.items() if kk == k)
-        assert layer <= 0.5 + 1e-9
+    assert max(half.policy.layer_sums()) <= 0.5 + 1e-9
     with pytest.raises(SeqsubError):
         scale_solution(sol, 0.0)
 
@@ -135,7 +136,7 @@ def test_round_point_mass_returns_that_permutation():
     order0 = (2, 0, 1)
     sol = PolicyLpSolution(
         value=1.0,
-        subset={},
+        policy=mixture_of_permutations([order0], [1.0]),
         marginals=matrix_of({(i, order0[i]) for i in range(3)}, 3),
     )
     for s in range(5):
@@ -145,7 +146,7 @@ def test_round_point_mass_returns_that_permutation():
 def test_round_zero_assignment_is_identity():
     model = MnlModel(3, (1.0, 1.0, 1.0), 1.0)
     inst = Instance(3, (1 / 3,) * 3, (model,) * 3, tuple((0.0,) * 3 for _ in range(3)))
-    sol = PolicyLpSolution(1.0, {}, np.zeros((3, 3)))
+    sol = PolicyLpSolution(1.0, PolicyVector(3, ({}, {}, {})), np.zeros((3, 3)))
     assert round_to_permutation(inst, sol, seed=4) == (0, 1, 2)
 
 
@@ -165,7 +166,7 @@ def test_round_rejects_marginals_outside_polytope():
 
     model = MnlModel(2, (1.0, 1.0), 1.0)
     inst = Instance(2, (0.5, 0.5), (model,) * 2, ZEROS2)
-    bad = PolicyLpSolution(1.0, {}, np.array([[0.9, 0.9], [0.0, 0.0]]))
+    bad = PolicyLpSolution(1.0, PolicyVector(2, ({}, {})), np.array([[0.9, 0.9], [0.0, 0.0]]))
     with pytest.raises(PolytopeError):
         round_to_permutation(inst, bad, seed=0)
 
