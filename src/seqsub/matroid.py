@@ -102,12 +102,12 @@ def _keep_independent(n: int, elems: Iterable[tuple[int, int]]) -> list[tuple[in
 
     Stops at rank n, when every prefix capacity is used up.
     """
-    slack = np.arange(1, n + 1, dtype=np.int64)  # k - |R restricted to A_k|
+    slack = list(range(1, n + 1))  # k - |R restricted to A_k|; lists beat numpy at this size
     kept = []
     for i, j in elems:
-        if slack[i:].min() >= 1:
+        if min(slack[i:]) >= 1:
             kept.append((i, j))
-            slack[i:] -= 1
+            slack[i:] = [s - 1 for s in slack[i:]]
             if len(kept) == n:
                 break
     return kept
@@ -137,19 +137,21 @@ def in_matroid_polytope(M: LaminarMatroid, x) -> bool:
     x = np.asarray(x, dtype=float)
     if x.shape != (M.n, M.n):
         raise ValidationError("matroid: point must be an n x n matrix")
-    prefix = np.cumsum(x.sum(axis=1))
-    return bool(np.all(prefix <= np.arange(1, M.n + 1) + TOL))
+    prefix = x.sum(axis=1).cumsum().tolist()
+    return all(p <= k + TOL for k, p in enumerate(prefix, 1))
 
 
 def set_from_matrix(members: np.ndarray) -> LiftedSet:
-    idx = np.argwhere(members)
-    return frozenset((int(i), int(j)) for i, j in idx)
+    rows, cols = np.nonzero(members)
+    return frozenset(zip(rows.tolist(), cols.tolist()))
 
 
 def _check_unit_box(x: np.ndarray) -> np.ndarray:
-    if np.any(x < -TOL) or np.any(x > 1.0 + TOL):
-        raise ValidationError("matroid: coordinates must lie in [0, 1]")
-    return np.clip(x, 0.0, 1.0)
+    """x clipped to [0, 1]; ValidationError for NaN or a coordinate over TOL outside."""
+    lo, hi = x.min(initial=0.0), x.max(initial=0.0)  # NaN propagates
+    if not (lo >= -TOL and hi <= 1.0 + TOL):
+        raise ValidationError("matroid: coordinates must be finite and lie in [0, 1]")
+    return x if lo >= 0.0 and hi <= 1.0 else np.clip(x, 0.0, 1.0)
 
 
 @dataclass
@@ -296,8 +298,9 @@ def crs_round(M: LaminarMatroid, x, A: Iterable[tuple[int, int]], seed=None) -> 
     if not in_matroid_polytope(M, x):
         raise PolytopeError("matroid: contention resolution needs x in the polytope")
     rng = np.random.default_rng(seed)
-    elems = sorted(e for e in A if x[e] > 0.0)
-    order = rng.permutation(len(elems))
+    rows = x.tolist()
+    elems = sorted(e for e in A if rows[e[0]][e[1]] > 0.0)
+    order = rng.permutation(len(elems)).tolist()
     result = frozenset(_keep_independent(M.n, (elems[idx] for idx in order)))
     if not is_independent(M, result):  # pragma: no cover - structural guarantee
         raise SeqsubError("matroid: contention resolution produced a dependent set")

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: gen, run, certify, oracle, report, exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -100,6 +101,35 @@ def test_reports_are_byte_identical_for_fixed_seed(algo, appendix_c_path, tmp_pa
     assert out1.read_bytes() == out2.read_bytes()
 
 
+#: sha256 of the `run revenue --trials 200 --seed 7` report on
+#: random_instance(kind, 5, 1, full_mass=True, with_payments=True), hashed as
+#: sorted-key JSON with the `instance` path dropped. Every trial spawns its own
+#: seeds, so a change to any trial's random stream changes these digests.
+PINNED_REVENUE_DIGESTS = {
+    ("coverage", "0.632"): "402c57404bc1c4ebd13c02967cb4140239ee98bb4046a34d2462a7ad8777839e",
+    ("coverage", "1.0"): "06f3c891ec0d587651475628317578b1309bc64c6e09ae3fe616d7e95fd01f30",
+    ("explicit", "0.632"): "3a0a6f57115578d2f4409226eb924a1895b5a0afc0f6dd17e62c175b216ce931",
+    ("explicit", "1.0"): "bbc7a218680e93f1b277fbaf237a262bc4e5676af834c1464053f3af9f06f06b",
+    ("mnl", "0.632"): "90def348d11ed3ba3a9cced45aaf2a4fbf62bbfa89f85c57d68c781c5b55156a",
+    ("mnl", "1.0"): "8726a9f0a0938c99de6057c569fa82bfc9c95394786f9a7927326a2113758857",
+}
+
+
+@pytest.mark.parametrize("kind, factor", sorted(PINNED_REVENUE_DIGESTS))
+def test_seeded_revenue_reports_are_pinned(kind, factor, tmp_path):
+    path, out = tmp_path / "inst.json", tmp_path / "rev.json"
+    core.save_instance(
+        generators.random_instance(kind, 5, 1, full_mass=True, with_payments=True), path
+    )
+    args = ["run", "revenue", "--instance", str(path), "--trials", "200", "--seed", "7",
+            "--factor", factor, "--out", str(out)]
+    assert main(args) == 0
+    report = json.loads(out.read_text())
+    del report["instance"]
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_REVENUE_DIGESTS[kind, factor]
+
+
 def test_run_certify_prints_failing_layer(tmp_path, worked_policy_vector, capsys):
     pv_path = tmp_path / "pv.json"
     policy.save_policy(worked_policy_vector, pv_path)
@@ -146,6 +176,24 @@ def test_report_validation_roundtrip(algo, appendix_c_path, tmp_path):
         data["engagement"] += 0.01
     out.write_text(json.dumps(data))
     assert main(["report", "--report", str(out), "--instance", instance]) == 2
+
+
+def test_revenue_report_check_names_every_mismatching_trial(appendix_c_path, tmp_path, capsys):
+    out = tmp_path / "rev.json"
+    run = ["run", "revenue", "--instance", appendix_c_path, "--trials", "30", "--factor", "0.632"]
+    assert main(run + ["--out", str(out)]) == 0
+    assert main(["report", "--report", str(out), "--instance", appendix_c_path]) == 0
+    data = json.loads(out.read_text())
+    perms = [t["permutation"] for t in data["per_seed"]]
+    first = next(i for i, p in enumerate(perms) if perms.count(p) > 1)
+    repeat = perms.index(perms[first], first + 1)  # same order, so a shared evaluation
+    data["per_seed"][first]["engagement"] += 0.01
+    data["per_seed"][repeat]["revenue"] -= 0.01
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["report", "--report", str(out), "--instance", appendix_c_path]) == 2
+    expected = f"report INVALID: trial {first} mismatch; trial {repeat} mismatch"
+    assert capsys.readouterr().out.strip() == expected
 
 
 def test_gen_and_run_coverage_at_n_1(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from seqsub import matroid, oracle
 from seqsub.engagement import LiftedObjective
-from seqsub.errors import PolytopeError
+from seqsub.errors import PolytopeError, ValidationError
 from seqsub.generators import random_instance
 from seqsub.matroid import (
     LaminarMatroid,
@@ -26,6 +26,7 @@ from seqsub.matroid import (
     sample_independent_point,
     set_from_matrix,
 )
+from seqsub.numerics import TOL
 
 from conftest import matrix_of
 
@@ -128,6 +129,43 @@ def test_polytope_membership():
     bad = x.copy()
     bad[0] = [0.5, 0.5, 0.25, 0.25]
     assert not in_matroid_polytope(M4, bad)
+
+
+@pytest.mark.parametrize("n", [3, 12])
+def test_polytope_prefix_tolerance(n):
+    """Prefix sums TOL/2 over capacity pass and 2 TOL over fail, also at
+    n = 12 where numpy's row sums add their terms pairwise."""
+    M = LaminarMatroid(n)
+    x = np.full((n, n), 1.0 / n)  # every prefix sum sits at its capacity k
+    x[0, 0] += TOL / 2
+    assert in_matroid_polytope(M, x)
+    x[0, 0] += 1.5 * TOL
+    assert not in_matroid_polytope(M, x)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinates_are_rejected(bad):
+    """A NaN coordinate must not read as probability 0."""
+    M = LaminarMatroid(2)
+    x = np.full((2, 2), 0.25)
+    x[1, 0] = bad
+    calls = [
+        lambda: sample_independent_point(x, seed=0),
+        lambda: estimate_multilinear(Modular(np.ones((2, 2))), x, samples=8, seed=0),
+        lambda: crs_round(M, x, frozenset({(0, 0), (1, 0)}), seed=0),
+        lambda: pipage_round(M, x, seed=0),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="finite"):
+            call()
+
+
+def test_unit_box_clips_only_sub_tolerance_excess():
+    x = np.array([[1.0 + TOL / 2, 0.0], [-TOL / 2, 0.0]])
+    assert sample_independent_point(x, seed=0) == {(0, 0)}
+    x[1, 0] = -2 * TOL
+    with pytest.raises(ValidationError):
+        sample_independent_point(x, seed=0)
 
 
 def test_estimate_multilinear_integral_is_exact():

@@ -20,6 +20,7 @@ from seqsub.revenue import (
     scale_solution,
     solve_policy_lp,
 )
+from seqsub.util import split_seeds
 
 from conftest import matrix_of
 
@@ -245,3 +246,18 @@ def test_bicriteria_reports_reevaluate(appendix_c):
     for t in report.trials:
         assert core.engagement(appendix_c, t.order) == pytest.approx(t.engagement)
         assert core.revenue(appendix_c, t.order) == pytest.approx(t.revenue)
+
+
+def test_bicriteria_trials_carry_exact_values_per_order():
+    """The trials are the per-seed roundings, and each distinct order's
+    engagement and revenue are exactly what core computes for it."""
+    inst = random_instance("mnl", 5, 1, full_mass=True, with_payments=True)
+    root, trials = 5, 300
+    report = run_bicriteria(inst, seeds=trials, factor=ONE_MINUS_INV_E, root_seed=root)
+    scaled = scale_solution(solve_policy_lp(build_policy_lp(inst)), ONE_MINUS_INV_E)
+    orders = [round_to_permutation(inst, scaled, s) for s in split_seeds(root, trials)]
+    assert [t.order for t in report.trials] == orders
+    assert 1 < len(set(orders)) < trials  # values are shared between trials
+    for t in report.trials:
+        assert t.engagement == core.engagement(inst, t.order)
+        assert t.revenue == core.revenue(inst, t.order)
