@@ -49,6 +49,14 @@ def _pow2(n: int) -> np.ndarray:
     return 1 << np.arange(n, dtype=np.int64)
 
 
+def _gain(members: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """f(T + j) - f(T - j) for each row T of members and product j, from the
+    values of f at T, T xor product 0, ..., T xor product n-1 per row."""
+    vals = vals.reshape(members.shape[0], members.shape[1] + 1)
+    fT, fx = vals[:, :1], vals[:, 1:]
+    return np.where(members, fT - fx, fx - fT)
+
+
 def _finite(values, what: str) -> tuple[float, ...]:
     """values as floats; a ValidationError if one is NaN or infinite."""
     out = tuple(float(v) for v in values)
@@ -107,13 +115,21 @@ class ExplicitModel:
                 f"core: explicit table has no entry for mask {mask:#x}"
             ) from None
 
-    def batch_value(self, members: np.ndarray) -> np.ndarray:
-        masks = members.astype(np.int64) @ _pow2(self.n)
+    def _lookup(self, masks: np.ndarray) -> np.ndarray:
         vals = self._dense[masks]
         if np.isnan(vals).any():
-            bad = int(masks[int(np.isnan(vals).argmax())])
+            bad = int(masks.flat[int(np.isnan(vals).argmax())])
             raise UnknownSubsetError(f"core: explicit table has no entry for mask {bad:#x}")
         return vals
+
+    def batch_value(self, members: np.ndarray) -> np.ndarray:
+        return self._lookup(members.astype(np.int64) @ _pow2(self.n))
+
+    def batch_gain(self, members: np.ndarray) -> np.ndarray:
+        """f(T + j) - f(T - j) for each row T of members and product j: (R, n)."""
+        pow2 = _pow2(self.n)
+        masks = members.astype(np.int64) @ pow2
+        return _gain(members, self._lookup(masks[:, None] ^ np.append(0, pow2)))
 
 
 @dataclass(frozen=True)
@@ -145,9 +161,10 @@ class CoverageModel:
         for j, c in enumerate(cov):
             masks[j] = mask_of(c)
         object.__setattr__(self, "_cover_masks", tuple(int(m) for m in masks))
-        mat = np.zeros((self.n, len(w)), dtype=bool)
+        # 0/1 cover matrix in the smallest signed type that counts up to n
+        mat = np.zeros((self.n, len(w)), dtype=np.min_scalar_type(-self.n - 1))
         for j, c in enumerate(cov):
-            mat[j, list(c)] = True
+            mat[j, list(c)] = 1
         mat.setflags(write=False)
         object.__setattr__(self, "_cover_matrix", mat)
         total = sum(w)
@@ -160,11 +177,24 @@ class CoverageModel:
         total = sum(self.weights[e] for e in iter_bits(covered))
         return total * self._scale
 
-    def batch_value(self, members: np.ndarray) -> np.ndarray:
-        if not self.weights:
-            return np.zeros(members.shape[0])
-        covered = members.astype(np.int8) @ self._cover_matrix.astype(np.int8) > 0
+    def _counts(self, members: np.ndarray) -> np.ndarray:
+        """How many selected products cover each universe element: (R, U)."""
+        return members.astype(self._cover_matrix.dtype) @ self._cover_matrix
+
+    def _weigh(self, covered: np.ndarray) -> np.ndarray:
         return (covered @ np.asarray(self.weights)) * self._scale
+
+    def batch_value(self, members: np.ndarray) -> np.ndarray:
+        return self._weigh(self._counts(members) > 0)
+
+    def batch_gain(self, members: np.ndarray) -> np.ndarray:
+        """f(T + j) - f(T - j) for each row T of members and product j: (R, n)."""
+        R, n = members.shape
+        counts = self._counts(members)[:, None, :]
+        sign = 1 - 2 * members.astype(self._cover_matrix.dtype)  # T xor j drops j if j in T
+        flipped = counts + sign[:, :, None] * self._cover_matrix
+        covered = np.concatenate([counts, flipped], axis=1) > 0
+        return _gain(members, self._weigh(covered.reshape(R * (n + 1), len(self.weights))))
 
 
 @dataclass(frozen=True)
@@ -194,6 +224,12 @@ class MnlModel:
     def batch_value(self, members: np.ndarray) -> np.ndarray:
         ws = members.astype(float) @ np.asarray(self.weights)
         return ws / (ws + self.w0)
+
+    def batch_gain(self, members: np.ndarray) -> np.ndarray:
+        """f(T + j) - f(T - j) for each row T of members and product j: (R, n)."""
+        R, n = members.shape
+        rows = members[:, None, :] ^ np.eye(n + 1, n, -1, dtype=bool)  # T, then T xor j
+        return _gain(members, self.batch_value(rows.reshape(R * (n + 1), n)))
 
 
 ClickModel = Union[ExplicitModel, CoverageModel, MnlModel]

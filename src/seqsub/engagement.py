@@ -68,25 +68,19 @@ class LiftedObjective:
             W[p, j] = sum over those levels of lam_i (f_i(T_i+j) - f_i(T_i-j)).
         """
         B, n = incl.shape[0], self.n
-        cum = np.logical_or.accumulate(incl, axis=1)
-        eye = np.eye(n, dtype=bool)
+        cnt = np.cumsum(incl, axis=1, dtype=np.int16)  # occurrences at levels <= i
+        cum = cnt >= 1
         lam_gain = np.zeros((B, n, n))
         for i in self._active:
-            model = self.inst.models[i]
-            with_j = cum[:, i, None, :] | eye[None, :, :]
-            without_j = cum[:, i, None, :] & ~eye[None, :, :]
-            v_with = model.batch_value(with_j.reshape(B * n, n)).reshape(B, n)
-            v_without = model.batch_value(without_j.reshape(B * n, n)).reshape(B, n)
-            lam_gain[:, i, :] = self.inst.lam[i] * (v_with - v_without)
+            lam_gain[:, i, :] = self.inst.lam[i] * self.inst.models[i].batch_gain(cum[:, i, :])
         # prefix sums over levels, padded so C[:, p, :] = sum of levels < p
         C = np.zeros((B, n + 1, n))
         np.cumsum(lam_gain, axis=1, out=C[:, 1:, :])
-        # first and second occurrence row of each product, n = never
-        rows = np.arange(n)
-        idx = np.where(incl, rows[None, :, None], n)
-        m1 = idx.min(axis=1)
-        m2 = np.where(idx == m1[:, None, :], n, idx).min(axis=1)
-        p_grid = rows[None, :, None]
+        # first and second occurrence row of each product, n = never: the
+        # levels before an occurrence are those whose running count is short
+        m1 = n - cum.sum(axis=1)
+        m2 = n - (cnt >= 2).sum(axis=1)
+        p_grid = np.arange(n)[None, :, None]
         fo = np.where(p_grid == m1[:, None, :], m2[:, None, :], m1[:, None, :])
         fo = np.maximum(fo, p_grid)  # empty level range contributes 0
         return np.take_along_axis(C, fo, axis=1) - C[:, :n, :]

@@ -115,6 +115,12 @@ PINNED_REVENUE_DIGESTS = {
 }
 
 
+def _report_digest(out) -> str:
+    report = json.loads(out.read_text())
+    del report["instance"]
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("kind, factor", sorted(PINNED_REVENUE_DIGESTS))
 def test_seeded_revenue_reports_are_pinned(kind, factor, tmp_path):
     path, out = tmp_path / "inst.json", tmp_path / "rev.json"
@@ -124,10 +130,44 @@ def test_seeded_revenue_reports_are_pinned(kind, factor, tmp_path):
     args = ["run", "revenue", "--instance", str(path), "--trials", "200", "--seed", "7",
             "--factor", factor, "--out", str(out)]
     assert main(args) == 0
-    report = json.loads(out.read_text())
-    del report["instance"]
-    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-    assert digest == PINNED_REVENUE_DIGESTS[kind, factor]
+    assert _report_digest(out) == PINNED_REVENUE_DIGESTS[kind, factor]
+
+
+#: sha256 of the `run cg --seed 3` and `run greedy` reports on
+#: random_instance(kind, n, 1, full_mass=True, with_payments=True), hashed as
+#: the revenue reports above. At n <= 7 both reports also carry the
+#: brute-force optimum.
+PINNED_RANKING_DIGESTS = {
+    ("cg", "coverage", 6): "0f6853d05260dd0f0dd367a805f9053d7810c8a70388e3be2266745c000e5851",
+    ("cg", "coverage", 7): "afe9d48d3122c55c3e0ade2a46ad91d7daec5b119d80c5012d0f38f6e3ef38af",
+    ("cg", "coverage", 8): "214ef70d3803b3d7c0f367b48e08780e0d71684990ed7c7d24268beb93983dbf",
+    ("cg", "explicit", 6): "19fceec73ffa87c84fd2e0d962e083913793b3a141f09028b64e0cf4b44c6875",
+    ("cg", "explicit", 7): "c77b1ec77e477ef24cc612192f7509dab6c1d054dca5dfa49d7b887cc4554ce4",
+    ("cg", "explicit", 8): "f317bbe3eadd255f12f221e7c4105126d482b8c3f2003737c0c7eb156eaa0ad6",
+    ("cg", "mnl", 6): "3db52fe8bc8746cb8753fbddf595b54694249b27a1e3b56f2f0097da17a9f162",
+    ("cg", "mnl", 7): "ed7342f7ed251f1b8e3ac8b209a0795e8e68a1e4e726dfa49ff9d4ff812d76ad",
+    ("cg", "mnl", 8): "8110cfbdb6df96cb5d6cec8d0e754e357602fb6e1b8750eb279bc37aacd9cbf8",
+    ("greedy", "coverage", 6): "34b2528b7deed56a907195e2c66a0f2701d5e310332f3310bf84027d0a310ecb",
+    ("greedy", "coverage", 7): "2eb186ae67cddfbe8267d4b71673d50f8452ca141be620bc8032b297bc6d232a",
+    ("greedy", "coverage", 8): "bd81484a1e7f337ad37bcc9165f10e4fe59d3c480223564556c0715b9cece760",
+    ("greedy", "explicit", 6): "2a0f852ecbd3adaa2ac4f750237a725e54922672fc441635fb9ebc19f9353f29",
+    ("greedy", "explicit", 7): "da3de819e54eb14c82ded8d966a94d77fd626bec7788758c358bf0e0b05c30ee",
+    ("greedy", "explicit", 8): "3b1553dd88b6aa127b2d79c905878ccd64aaa2201f6785425b22191f6c85ddeb",
+    ("greedy", "mnl", 6): "6f4724bdabdf64302584b06e34b0400e840cc77f88283121b26397c2cd6cf959",
+    ("greedy", "mnl", 7): "4dcd41de5ada211432a2a2aad37f761123867e19f2b0caaf8071e89ca8cba5ab",
+    ("greedy", "mnl", 8): "321c0ff39ec7e92f889fca8ab58d9e0bd2223f27fbb02be2c2c4f73ceb0d5f41",
+}
+
+
+@pytest.mark.parametrize("algo, kind, n", sorted(PINNED_RANKING_DIGESTS))
+def test_seeded_ranking_reports_are_pinned(algo, kind, n, tmp_path):
+    path, out = tmp_path / "inst.json", tmp_path / "rank.json"
+    core.save_instance(
+        generators.random_instance(kind, n, 1, full_mass=True, with_payments=True), path
+    )
+    seed = ["--seed", "3"] if algo == "cg" else []
+    assert main(["run", algo, "--instance", str(path), *seed, "--out", str(out)]) == 0
+    assert _report_digest(out) == PINNED_RANKING_DIGESTS[algo, kind, n]
 
 
 def test_run_certify_prints_failing_layer(tmp_path, worked_policy_vector, capsys):

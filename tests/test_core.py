@@ -63,6 +63,57 @@ def test_explicit_batch_matches_scalar(appendix_c):
             assert batch[mask] == pytest.approx(model.value(mask), abs=1e-12), (kind, mask)
 
 
+def _gain_cases():
+    """Click models for the gain kernel: every kind at small n, plus edge cases."""
+    rng = np.random.default_rng(53)
+    for kind in ("mnl", "coverage", "explicit"):
+        for n in (1, 2, 5):
+            yield f"{kind}-{n}", random_instance(kind, n, rng).models[0]
+    yield "coverage-no-universe", CoverageModel(3, (), ((), (), ()))
+    yield "mnl-zero-weights", MnlModel(3, (0.0, 0.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("name, model", list(_gain_cases()))
+def test_batch_gain_matches_value_definition(name, model):
+    """batch_gain(T)[j] = f(T + j) - f(T - j), on empty, full and random T."""
+    n = model.n
+    rng = np.random.default_rng(61)
+    members = np.vstack(
+        [np.zeros((1, n), bool), np.ones((1, n), bool), rng.random((12, n)) < 0.5]
+    )
+    gains = model.batch_gain(members)
+    assert gains.shape == (len(members), n)
+    assert model.batch_gain(members[:0]).shape == (0, n)
+    for row, T in zip(gains, members):
+        mask = mask_of(j for j in range(n) if T[j])
+        for j in range(n):
+            want = model.value(mask | 1 << j) - model.value(mask & ~(1 << j))
+            assert row[j] == pytest.approx(want, abs=1e-12), (name, mask, j)
+
+
+def test_explicit_batch_gain_on_partial_table_raises():
+    model = ExplicitModel(2, {0: 0.0, 1: 0.5, 3: 0.7})  # no entry for {product 2}
+    assert model.batch_gain(np.array([[True, False]]))[0] == pytest.approx([0.5, 0.2])
+    with pytest.raises(UnknownSubsetError, match="0x2"):
+        model.batch_gain(np.array([[True, True]]))
+
+
+@pytest.mark.parametrize("n", [127, 128, 256])
+def test_coverage_counts_do_not_wrap(n):
+    """Every product covers element 0: past 127 selected products an int8
+    count wraps, and the element would read as uncovered."""
+    model = CoverageModel(n, (1.0, 2.0), ((0,),) * (n - 1) + ((0, 1),))
+    members = np.ones((2, n), bool)
+    members[1, -1] = False
+    full = (1 << n) - 1
+    np.testing.assert_array_equal(
+        model.batch_value(members), [model.value(full), model.value(full >> 1)]
+    )
+    assert model.value(full) == 3.0
+    # T xor j of the full set drops one product: only the last one uncovers element 1
+    np.testing.assert_array_equal(model.batch_gain(members[:1]), [[0.0] * (n - 1) + [2.0]])
+
+
 def test_engagement_on_worked_instance(appendix_c):
     val = core.engagement(appendix_c, (0, 1, 2, 3))
     assert val == pytest.approx(0.25 * (0.20 + 0.39 + 0.58 + 0.74), abs=1e-12)

@@ -1,6 +1,7 @@
 """Greedy ranking, the lifted objective, extraction, and the full pipeline."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from seqsub.engagement import (
     greedy_rank,
     rank_cg,
 )
-from seqsub.generators import random_instance
+from seqsub.generators import random_explicit_model, random_instance
 from seqsub.matroid import (
     LaminarMatroid,
     is_independent,
@@ -89,6 +90,55 @@ def test_batch_kernels_match_value_definition(kind):
             rest = R - {e}
             gain = obj.value(rest | {e}) - obj.value(rest)
             assert weights[b][e] == pytest.approx(gain, abs=1e-12), (b, e)
+
+
+def two_sided_marginal_weights(obj, incl):
+    """batch_marginal_weights as first written: f at T+j and at T-j through
+    two batch_value calls per level, occurrence rows from masked minima."""
+    inst, (B, n) = obj.inst, incl.shape[:2]
+    cum = np.logical_or.accumulate(incl, axis=1)
+    eye = np.eye(n, dtype=bool)
+    lam_gain = np.zeros((B, n, n))
+    for i in range(n):
+        if inst.lam[i] > 0.0:
+            with_j = (cum[:, i, None, :] | eye).reshape(B * n, n)
+            without_j = (cum[:, i, None, :] & ~eye).reshape(B * n, n)
+            v_with = inst.models[i].batch_value(with_j).reshape(B, n)
+            v_without = inst.models[i].batch_value(without_j).reshape(B, n)
+            lam_gain[:, i, :] = inst.lam[i] * (v_with - v_without)
+    C = np.zeros((B, n + 1, n))
+    np.cumsum(lam_gain, axis=1, out=C[:, 1:, :])
+    rows = np.arange(n)
+    idx = np.where(incl, rows[None, :, None], n)
+    m1 = idx.min(axis=1)
+    m2 = np.where(idx == m1[:, None, :], n, idx).min(axis=1)
+    p_grid = rows[None, :, None]
+    fo = np.where(p_grid == m1[:, None, :], m2[:, None, :], m1[:, None, :])
+    fo = np.maximum(fo, p_grid)
+    return np.take_along_axis(C, fo, axis=1) - C[:, :n, :]
+
+
+@pytest.mark.parametrize("kind", ["mnl", "coverage", "explicit"])
+def test_batch_marginal_weights_match_two_sided_reference(kind):
+    """The gain kernels evaluate f on T and T xor j instead of T+j and T-j.
+    That is the same floats whenever B*n and B*(n+1) are multiples of 4; at
+    other batch sizes BLAS may sum the tail rows in another order."""
+    rng = np.random.default_rng(67)
+    for n in range(1, 9):
+        inst = random_instance(kind, n, rng, full_mass=False)
+        if kind == "explicit":  # one table per patience level
+            inst = replace(inst, models=tuple(random_explicit_model(n, rng) for _ in range(n)))
+        lam = list(inst.lam)
+        lam[n // 2] = 0.0
+        for case in (inst, replace(inst, lam=tuple(lam))):
+            obj = LiftedObjective(case)
+            for B in (200, 16, 7, 50):
+                incl = rng.random((B, n, n)) < rng.random((B, 1, 1))  # sparse to dense
+                got, want = obj.batch_marginal_weights(incl), two_sided_marginal_weights(obj, incl)
+                if B % 4 == 0:
+                    assert np.array_equal(got, want), (n, B)
+                else:
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 def independent_prefix_products(R, n):

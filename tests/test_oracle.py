@@ -3,6 +3,7 @@
 import ast
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from seqsub import core, oracle
 from seqsub.core import ExplicitModel, Instance, MnlModel
 from seqsub.engagement import LiftedObjective
-from seqsub.errors import InfeasibleError, TooLargeError, ValidationError
+from seqsub.errors import InfeasibleError, TooLargeError, UnknownSubsetError, ValidationError
 from seqsub.generators import random_explicit_model, random_instance
 from seqsub.matroid import LaminarMatroid
 from seqsub.util import mask_of
@@ -127,6 +128,54 @@ def test_revenue_opt_unconstrained_equals_max_revenue(search, objective, kind, n
     assert rep.best_value.hex() == best.hex()
     assert rep.best_witness == first
     assert rep.enumerated_count == math.factorial(n)
+
+
+class _CountingModel:
+    """A click model that counts value() calls per mask."""
+
+    def __init__(self, model):
+        self.n, self.model, self.calls = model.n, model, Counter()
+
+    def value(self, mask):
+        self.calls[mask] += 1
+        return self.model.value(mask)
+
+
+@pytest.mark.parametrize("kind", ["mnl", "coverage", "explicit"])
+@pytest.mark.parametrize(
+    "search", [oracle.brute_force_engagement_opt, oracle.brute_force_revenue_opt]
+)
+def test_oracle_evaluates_each_prefix_mask_once(search, kind):
+    """The walk visits every prefix many times, but each level queries its
+    click model at most once per mask, and only on masks of its own size."""
+    inst = _audit_instance(kind, 6)
+    counting = tuple(_CountingModel(m) for m in inst.models)
+    rep, ref = search(replace(inst, models=counting)), search(inst)
+    assert (rep.best_value.hex(), rep.best_witness) == (ref.best_value.hex(), ref.best_witness)
+    assert rep.enumerated_count == ref.enumerated_count == 720
+    for level, model in enumerate(counting):
+        assert set(model.calls.values()) <= {1}
+        if inst.lam[level]:
+            assert sorted(model.calls) == [m for m in range(64) if m.bit_count() == level + 1]
+        else:
+            assert not model.calls
+
+
+def test_oracle_reports_the_first_missing_mask_of_the_walk():
+    """On partial tables the error names the first missing mask in walk order:
+    level 3's mask 0x17 (reached under 0, 1, 2, 4) before level 1's 0x6."""
+    n, missing = 5, [(), (0b00110,), (0b01101, 0b10011), (0b10111,), ()]
+    models = []
+    for level, masks in enumerate(missing):
+        table = dict(random_explicit_model(n, 20 + level).table)
+        for m in masks:
+            del table[m]
+        models.append(ExplicitModel(n, table))
+    inst = Instance(n, (0.3, 0.2, 0.2, 0.2, 0.1), tuple(models), ((0.0,) * n,) * n)
+    for search in (oracle.brute_force_engagement_opt, oracle.brute_force_revenue_opt):
+        with pytest.raises(UnknownSubsetError) as err:
+            search(inst)
+        assert str(err.value) == "core: explicit table has no entry for mask 0x17"
 
 
 def test_verify_worked_table_passes(appendix_c):
