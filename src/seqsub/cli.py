@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import __version__, core, coverage, engagement, generators, oracle, policy, revenue
-from .errors import SeqsubError, ValidationError
+from .errors import InfeasibleError, SeqsubError, ValidationError
 from .numerics import TOL
 from .util import json_field, read_json
 
@@ -153,6 +153,8 @@ def _run_cg(args) -> tuple[dict, str, int]:
 
 def _run_oracle(args) -> tuple[dict, str, int]:
     inst = core.load_instance(args.instance)
+    if args.threshold is not None:
+        inst = inst.with_threshold(args.threshold)
     eng = oracle.brute_force_engagement_opt(inst)
     report = {
         "n": inst.n,
@@ -173,7 +175,7 @@ def _run_oracle(args) -> tuple[dict, str, int]:
             f"oracle: engagement OPT {eng.best_value:.6f}, "
             f"revenue OPT {rev.best_value:.6f} at {report['revenue_opt']['permutation']}"
         )
-    except SeqsubError as exc:
+    except InfeasibleError as exc:
         report["revenue_opt"] = {"infeasible": str(exc)}
         summary = f"oracle: engagement OPT {eng.best_value:.6f}; revenue floor infeasible"
     return report, summary, 0
@@ -266,6 +268,8 @@ _RUNNERS = {
 
 
 def _cmd_run(args) -> int:
+    if args.seed < 0:
+        raise ValidationError(f"run: need --seed >= 0, got {args.seed}")
     report, summary, code = _RUNNERS[args.algo](args)
     _emit({"algo": args.algo, "instance": args.instance, **report}, args, summary)
     return code

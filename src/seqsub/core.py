@@ -28,7 +28,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import UnknownSubsetError, ValidationError
+from .errors import TooLargeError, ValidationError
 from .numerics import TOL
 from .util import iter_bits, json_field, mask_of, read_json, write_json
 
@@ -68,14 +68,13 @@ def _finite(values, what: str) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class ExplicitModel:
-    """Click function given as a subset -> value table.
+    """Click function given as a subset -> value table over all 2^n subsets.
 
-    Values must be nonnegative and monotone along subset inclusion (checked
-    at construction for every table entry whose immediate subsets are also
-    present). Values above 1 are allowed: tables may encode expected rewards
-    rather than probabilities. Submodularity is not checked here; use
-    oracle.verify_monotone_submodular. Tables may be partial; querying a
-    missing subset raises UnknownSubsetError.
+    The table must list every subset; values must be nonnegative and monotone
+    along subset inclusion. All three are checked once, at construction.
+    Values above 1 are allowed: tables may encode expected rewards rather
+    than probabilities. Submodularity is not checked here; use
+    oracle.verify_monotone_submodular.
     """
 
     n: int
@@ -83,53 +82,46 @@ class ExplicitModel:
     _dense: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_EXPLICIT_N:
-            raise ValidationError(f"core: explicit model needs 1 <= n <= {MAX_EXPLICIT_N}")
+        if self.n < 1:
+            raise ValidationError(f"core: explicit model needs n >= 1, got {self.n}")
+        if self.n > MAX_EXPLICIT_N:
+            raise TooLargeError(f"core: explicit model needs n <= {MAX_EXPLICIT_N}, got {self.n}")
         tbl = {int(m): float(v) for m, v in self.table.items()}
         object.__setattr__(self, "table", tbl)
-        full = (1 << self.n) - 1
+        size = 1 << self.n
         for m, v in tbl.items():
-            if not 0 <= m <= full:
+            if not 0 <= m < size:
                 raise ValidationError(f"core: table mask {m:#x} outside ground set")
             if not math.isfinite(v):
                 raise ValidationError(f"core: non-finite table value {v} at mask {m:#x}")
-            if v < -TOL:
-                raise ValidationError(f"core: negative table value {v} at mask {m:#x}")
-            for j in iter_bits(m):
-                parent = m & ~(1 << j)
-                if parent in tbl and v < tbl[parent] - TOL:
-                    raise ValidationError(
-                        f"core: table not monotone at mask {m:#x} minus product {j}"
-                    )
-        dense = np.full(1 << self.n, np.nan)
-        for m, v in tbl.items():
-            dense[m] = v
+        if len(tbl) < size:
+            missing = next(m for m in range(size) if m not in tbl)
+            raise ValidationError(f"core: explicit table has no entry for mask {missing:#x}")
+        dense = np.array([tbl[m] for m in range(size)])
+        bad = dense < -TOL
+        for j in range(self.n):  # [:, 1]: the masks with product j; [:, 0]: the same without j
+            d = dense.reshape(-1, 2, 1 << j)
+            bad.reshape(-1, 2, 1 << j)[:, 1] |= d[:, 1] < d[:, 0] - TOL
+        if bad.any():
+            m = int(bad.argmax())
+            if tbl[m] < -TOL:
+                raise ValidationError(f"core: negative table value {tbl[m]} at mask {m:#x}")
+            j = next(j for j in iter_bits(m) if tbl[m] < tbl[m & ~(1 << j)] - TOL)
+            raise ValidationError(f"core: table not monotone at mask {m:#x} minus product {j}")
         dense.setflags(write=False)
         object.__setattr__(self, "_dense", dense)
 
     def value(self, mask: int) -> float:
-        try:
-            return self.table[mask]
-        except KeyError:
-            raise UnknownSubsetError(
-                f"core: explicit table has no entry for mask {mask:#x}"
-            ) from None
-
-    def _lookup(self, masks: np.ndarray) -> np.ndarray:
-        vals = self._dense[masks]
-        if np.isnan(vals).any():
-            bad = int(masks.flat[int(np.isnan(vals).argmax())])
-            raise UnknownSubsetError(f"core: explicit table has no entry for mask {bad:#x}")
-        return vals
+        return self.table[mask]
 
     def batch_value(self, members: np.ndarray) -> np.ndarray:
-        return self._lookup(members.astype(np.int64) @ _pow2(self.n))
+        return self._dense[members.astype(np.int64) @ _pow2(self.n)]
 
     def batch_gain(self, members: np.ndarray) -> np.ndarray:
         """f(T + j) - f(T - j) for each row T of members and product j: (R, n)."""
         pow2 = _pow2(self.n)
         masks = members.astype(np.int64) @ pow2
-        return _gain(members, self._lookup(masks[:, None] ^ np.append(0, pow2)))
+        return _gain(members, self._dense[masks[:, None] ^ np.append(0, pow2)])
 
 
 @dataclass(frozen=True)

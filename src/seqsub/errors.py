@@ -14,10 +14,6 @@ class ValidationError(SeqsubError):
     """Input data violates a documented invariant (shapes, signs, monotonicity)."""
 
 
-class UnknownSubsetError(SeqsubError):
-    """An explicit click table was queried at a subset it does not define."""
-
-
 class TooLargeError(SeqsubError):
     """Instance exceeds a hard enumeration cutoff (never silently truncated)."""
 
@@ -39,4 +35,4 @@ class NumericalInstabilityError(SeqsubError):
 
 
 class GenerationError(SeqsubError):
-    """Random instance generation exhausted its retry budget."""
+    """Random instance generation failed its own verification or got an unknown kind."""

@@ -4,8 +4,8 @@ Random explicit tables are not rejection-sampled (a uniformly random
 monotone table is almost never submodular beyond n = 3); instead they
 tabulate draws from constructive monotone-submodular families — weighted
 coverage, MNL, budget-additive caps, concave-of-cardinality — and their
-nonnegative mixtures, then verify exhaustively before use. The verify/retry
-loop stays as a guard against construction bugs.
+nonnegative mixtures, then verify exhaustively before use. A table that
+fails verification is a construction bug and raises GenerationError.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from .util import iter_bits, mask_of
 
 KINDS = ("explicit", "coverage", "mnl")
 
-_EXPLICIT_RETRIES = 20
 
-
-def random_coverage_model(n: int, seed=None, normalize: bool = True) -> CoverageModel:
+def random_coverage_model(n: int, seed=None) -> CoverageModel:
     rng = np.random.default_rng(seed)
     universe = int(rng.integers(n, 2 * n + 1))
     weights = tuple(rng.uniform(0.2, 1.0, size=universe))
@@ -33,7 +31,7 @@ def random_coverage_model(n: int, seed=None, normalize: bool = True) -> Coverage
         mask = rng.random(universe) < rng.uniform(0.2, 0.6)
         mask[int(rng.integers(universe))] = True  # never an empty cover
         covers.append(tuple(int(e) for e in np.flatnonzero(mask)))
-    return CoverageModel(n, weights, tuple(covers), normalize=normalize)
+    return CoverageModel(n, weights, tuple(covers), normalize=True)
 
 
 def random_mnl_model(n: int, seed=None) -> MnlModel:
@@ -59,23 +57,25 @@ def random_explicit_model(n: int, seed=None) -> ExplicitModel:
     if n > MAX_VERIFY_N:
         raise TooLargeError(f"generators: explicit n={n} exceeds verification cap {MAX_VERIFY_N}")
     rng = np.random.default_rng(seed)
-    for _ in range(_EXPLICIT_RETRIES):
-        parts = [_budget_additive_table(n, rng), _concave_cardinality_table(n, rng)]
-        cov = random_coverage_model(n, rng, normalize=True)
-        parts.append({m: cov.value(m) for m in range(1 << n)})
-        mix = rng.dirichlet(np.ones(len(parts)))
-        table = {
-            m: float(sum(a * part[m] for a, part in zip(mix, parts)))
-            for m in range(1 << n)
-        }
-        peak = table[(1 << n) - 1]
-        if peak > 0:
-            scale = rng.uniform(0.5, 1.0) / peak
-            table = {m: v * scale for m, v in table.items()}
-        model = ExplicitModel(n, table)
-        if verify_monotone_submodular(model, n).ok:
-            return model
-    raise GenerationError("generators: explicit table retries exhausted")
+    parts = [_budget_additive_table(n, rng), _concave_cardinality_table(n, rng)]
+    cov = random_coverage_model(n, rng)
+    parts.append({m: cov.value(m) for m in range(1 << n)})
+    mix = rng.dirichlet(np.ones(len(parts)))
+    table = {
+        m: float(sum(a * part[m] for a, part in zip(mix, parts)))
+        for m in range(1 << n)
+    }
+    peak = table[(1 << n) - 1]
+    if peak > 0:
+        scale = rng.uniform(0.5, 1.0) / peak
+        table = {m: v * scale for m, v in table.items()}
+    model = ExplicitModel(n, table)
+    check = verify_monotone_submodular(model, n)
+    if not check.ok:
+        raise GenerationError(
+            f"generators: explicit table fails the {check.kind} check at mask {check.mask:#x}"
+        )
+    return model
 
 
 def random_models(kind: str, n: int, seed=None):
@@ -117,19 +117,15 @@ def random_instance(
     *,
     full_mass: bool | None = None,
     with_payments: bool = False,
-    K: float | None = None,
-    T: float = 0.0,
 ) -> Instance:
     rng = np.random.default_rng(seed)
     models = random_models(kind, n, rng)
     lam = random_lambda(n, rng, full_mass)
+    r, K = tuple((0.0,) * n for _ in range(n)), 0.0
     if with_payments:
         r = random_payments(n, rng, scale=float(rng.uniform(0.2, 1.0)))
-        K = float(rng.uniform(0.5, 4.0)) if K is None else K
-    else:
-        r = tuple((0.0,) * n for _ in range(n))
-        K = 0.0 if K is None else K
-    return Instance(n, lam, models, r, K=K, T=T)
+        K = float(rng.uniform(0.5, 4.0))
+    return Instance(n, lam, models, r, K=K)
 
 
 def random_coverage_instance(n: int, seed=None) -> CoverageInstance:

@@ -44,7 +44,8 @@ def _best_order(inst: Instance, pay, K: float, floor: float | None) -> OracleRep
     Prefix sums are accumulated along a depth-first walk in lexicographic
     order, so ties resolve to the lexicographically smallest permutation. The
     witness is None when no permutation qualifies. A prefix mask fixes its
-    level, so each level term is evaluated once, on the mask's first visit.
+    level, so each level term lam[k] * f_k(mask), k = |mask| - 1, is tabulated
+    once per mask before the walk; zero-lam levels are never queried.
     """
     if inst.n > MAX_BRUTE_N:
         raise TooLargeError(f"oracle: n={inst.n} exceeds brute-force cap {MAX_BRUTE_N}")
@@ -53,7 +54,11 @@ def _best_order(inst: Instance, pay, K: float, floor: float | None) -> OracleRep
     count = 0
     order = [0] * n
     used = [False] * n
-    terms: list[float | None] = [None] * (1 << n)
+    terms = [0.0] * (1 << n)
+    for m in range(1, 1 << n):
+        k = m.bit_count() - 1
+        if lam[k]:
+            terms[m] = lam[k] * models[k].value(m)
 
     def rec(depth: int, mask: int, eng: float, lin: float) -> None:
         nonlocal best, best_order, count
@@ -70,10 +75,7 @@ def _best_order(inst: Instance, pay, K: float, floor: float | None) -> OracleRep
             used[p] = True
             order[depth] = p
             m2 = mask | (1 << p)
-            term = terms[m2]
-            if term is None:
-                term = terms[m2] = lam[depth] * models[depth].value(m2) if lam[depth] else 0.0
-            rec(depth + 1, m2, eng + term, lin + pay[depth][p])
+            rec(depth + 1, m2, eng + terms[m2], lin + pay[depth][p])
             used[p] = False
 
     rec(0, 0, 0.0, 0.0)

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import Permutation, validate_permutation
-from .errors import CertMismatchError, ValidationError
+from .errors import CertMismatchError, TooLargeError, ValidationError
 from .numerics import MASS_TOL, SUM_TOL, TOL, FlowNetwork, max_flow
 from .util import iter_bits, json_field, read_json, write_json
 
@@ -135,7 +135,7 @@ def check_implementable(pv: PolicyVector) -> ImplementabilityReport:
     All layer certificates are computed even past the first failure.
     """
     if pv.n > MAX_CERTIFY_N:
-        raise ValidationError(f"policy: certification capped at n = {MAX_CERTIFY_N}")
+        raise TooLargeError(f"policy: certification capped at n = {MAX_CERTIFY_N}")
     for k, s in enumerate(pv.layer_sums()):
         if abs(s - 1.0) > TOL:
             return ImplementabilityReport(

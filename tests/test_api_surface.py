@@ -60,3 +60,21 @@ def test_no_public_name_is_referenced_only_by_tests():
             if name in tests and name not in callers and qualified not in TEST_ONLY_ALLOWED:
                 test_only.append(qualified)
     assert not test_only, test_only
+
+
+def test_every_exception_type_is_raised():
+    """Each exception class in errors.py appears in some `raise Name(...)` in
+    src, so a type that nothing raises any more does not linger."""
+    declared = {
+        node.name
+        for node in ast.parse((SRC / "errors.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+    }
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                if isinstance(node.exc.func, ast.Name):
+                    raised.add(node.exc.func.id)
+    assert "SeqsubError" in declared
+    assert declared <= raised, sorted(declared - raised)

@@ -57,6 +57,30 @@ def test_run_oracle_reports_best_revenue(appendix_c_path, tmp_path, capsys):
     assert report["revenue_opt"]["value"] == pytest.approx(47.75, abs=1e-9)
 
 
+def test_oracle_applies_threshold(appendix_c, appendix_c_path, tmp_path):
+    """--threshold overrides the engagement floor T, as it does for run revenue."""
+    out = tmp_path / "report.json"
+    mnl = tmp_path / "mnl.json"
+    main(["gen", "--kind", "mnl", "--n", "4", "--seed", "1", "--out", str(mnl)])
+
+    def oracle_report(path, threshold):
+        argv = ["oracle", "--instance", path, "--out", str(out), "--threshold", repr(threshold)]
+        assert main(argv) == 0
+        return json.loads(out.read_text())
+
+    report = oracle_report(appendix_c_path, 0.9)  # the best engagement is 0.4775
+    assert report["engagement_opt"]["value"] == pytest.approx(0.4775, abs=1e-9)
+    assert set(report["revenue_opt"]) == {"infeasible"}
+    for inst, path in ((appendix_c, appendix_c_path), (core.load_instance(mnl), str(mnl))):
+        floor = oracle.brute_force_engagement_opt(inst).best_value
+        want = oracle.brute_force_revenue_opt(inst.with_threshold(floor))
+        got = oracle_report(path, floor)["revenue_opt"]
+        assert got["value"] == want.best_value
+        assert got["permutation"] == core.order_to_external(want.best_witness)
+    # on the mnl instance the floor binds: it costs revenue
+    assert want.best_value < oracle.brute_force_revenue_opt(inst).best_value
+
+
 def test_run_greedy_reports_ratio(example_1_path, tmp_path):
     out = tmp_path / "greedy.json"
     assert main(["run", "greedy", "--instance", example_1_path, "--out", str(out)]) == 0
@@ -280,6 +304,13 @@ def _malformed_inputs(tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data))  # writes the NaN / Infinity literals
         non_finite[name] = str(path)
+    partial = tmp_path / "partial_table.json"
+    main(["gen", "--kind", "explicit", "--n", "3", "--seed", "1", "--out", str(partial)])
+    data = json.loads(partial.read_text())
+    tables = data["click_model"].get("per_patience") or [data["click_model"]["table"]]
+    for table in tables:
+        del table["6"]
+    partial.write_text(json.dumps(data))
     return {
         "revenue-on-interest-sets": ["run", "revenue", "--instance", str(interest)],
         "coverage-on-general": ["run", "coverage", "--instance", str(general)],
@@ -300,6 +331,12 @@ def _malformed_inputs(tmp_path):
         "infinite-K": ["oracle", "--instance", non_finite["infinite-K"]],
         "nan-payment": ["oracle", "--instance", non_finite["nan-payment"]],
         "nan-mnl-weight": ["oracle", "--instance", non_finite["nan-mnl-weight"]],
+        "run-negative-seed-cg": ["run", "cg", "--instance", str(general), "--seed", "-1"],
+        "run-negative-seed-revenue": ["run", "revenue", "--instance", str(general), "--seed", "-1"],
+        "run-negative-seed-coverage": [
+            "run", "coverage", "--instance", str(interest), "--seed", "-1"
+        ],
+        "partial-explicit-table": ["run", "greedy", "--instance", str(partial)],
     }
 
 
@@ -321,6 +358,10 @@ def _malformed_inputs(tmp_path):
         "infinite-K",
         "nan-payment",
         "nan-mnl-weight",
+        "run-negative-seed-cg",
+        "run-negative-seed-revenue",
+        "run-negative-seed-coverage",
+        "partial-explicit-table",
     ],
 )
 def test_malformed_input_is_a_one_line_error(case, tmp_path, capsys):
@@ -332,6 +373,8 @@ def test_malformed_input_is_a_one_line_error(case, tmp_path, capsys):
     assert len(err.splitlines()) == 1, err
     if case == "truncated-json":
         assert f"malformed JSON in {argv[-1]}: " in err, err
+    if case == "partial-explicit-table":
+        assert err == "seqsub: error: core: explicit table has no entry for mask 0x6\n", err
 
 
 def test_usage_error_exits_one():

@@ -8,8 +8,9 @@ import pytest
 
 from seqsub import core, oracle
 from seqsub.core import CoverageModel, ExplicitModel, Instance, MnlModel
-from seqsub.errors import UnknownSubsetError, ValidationError
+from seqsub.errors import TooLargeError, ValidationError
 from seqsub.generators import random_instance
+from seqsub.numerics import TOL
 from seqsub.util import mask_of
 
 
@@ -41,9 +42,18 @@ def test_explicit_full_set_value(appendix_c):
 
 
 def test_explicit_unknown_subset_raises():
-    model = ExplicitModel(2, {0: 0.0, 1: 0.5})
-    with pytest.raises(UnknownSubsetError):
-        model.value(3)
+    """Every subset must be listed: a table with an unknown subset is refused
+    when it is built, and the error names the smallest missing mask."""
+    with pytest.raises(ValidationError, match="^core: explicit table has no entry for mask 0x2$"):
+        ExplicitModel(2, {0: 0.0, 1: 0.5})
+    with pytest.raises(ValidationError, match="no entry for mask 0x0$"):
+        ExplicitModel(3, {m: 0.1 * m for m in range(1, 8)})
+
+
+def test_explicit_batch_gain_on_partial_table_raises():
+    """A partial table never reaches batch_gain: construction refuses it."""
+    with pytest.raises(ValidationError, match="^core: explicit table has no entry for mask 0x2$"):
+        ExplicitModel(2, {0: 0.0, 1: 0.5, 3: 0.7})
 
 
 def test_explicit_batch_matches_scalar(appendix_c):
@@ -91,11 +101,46 @@ def test_batch_gain_matches_value_definition(name, model):
             assert row[j] == pytest.approx(want, abs=1e-12), (name, mask, j)
 
 
-def test_explicit_batch_gain_on_partial_table_raises():
-    model = ExplicitModel(2, {0: 0.0, 1: 0.5, 3: 0.7})  # no entry for {product 2}
-    assert model.batch_gain(np.array([[True, False]]))[0] == pytest.approx([0.5, 0.2])
-    with pytest.raises(UnknownSubsetError, match="0x2"):
-        model.batch_gain(np.array([[True, True]]))
+def _first_table_violation(n, table):
+    """Reference: the per-entry scan in ascending mask order, sign before
+    monotonicity, products in ascending order."""
+    for m in range(1 << n):
+        if table[m] < -TOL:
+            return f"core: negative table value {table[m]} at mask {m:#x}"
+        for j in range(n):
+            if m >> j & 1 and table[m] < table[m & ~(1 << j)] - TOL:
+                return f"core: table not monotone at mask {m:#x} minus product {j}"
+    return None
+
+
+def test_explicit_table_errors_name_the_smallest_violating_mask():
+    rng = np.random.default_rng(71)
+    failures = 0
+    for _ in range(600):
+        n = int(rng.integers(1, 7))
+        table = {m: m.bit_count() / n for m in range(1 << n)}
+        for m in rng.integers(0, 1 << n, size=int(rng.integers(0, 4))):
+            table[int(m)] = float(rng.uniform(-0.3, 1.2))
+        want = _first_table_violation(n, table)
+        if want is None:
+            ExplicitModel(n, table)
+            continue
+        failures += 1
+        with pytest.raises(ValidationError) as err:
+            ExplicitModel(n, table)
+        assert str(err.value) == want
+    assert failures > 200
+
+
+def test_explicit_table_size_cap():
+    """A complete table at the cap builds; one product more is too large."""
+    n = core.MAX_EXPLICIT_N
+    model = ExplicitModel(n, {m: m.bit_count() / n for m in range(1 << n)})
+    assert model.batch_value(np.ones((1, n), bool))[0] == model.value((1 << n) - 1) == 1.0
+    with pytest.raises(TooLargeError):
+        ExplicitModel(n + 1, {})
+    with pytest.raises(ValidationError):
+        ExplicitModel(0, {0: 0.0})
 
 
 @pytest.mark.parametrize("n", [127, 128, 256])
@@ -202,8 +247,8 @@ def test_model_validation_errors():
         MnlModel(2, (1.0, 1.0), 0.0)
     with pytest.raises(ValidationError):
         CoverageModel(2, (-1.0,), ((0,), (0,)))
-    with pytest.raises(ValidationError):
-        ExplicitModel(2, {1: 0.5, 3: 0.4})  # not monotone
+    with pytest.raises(ValidationError, match="not monotone at mask 0x3 minus product 1"):
+        ExplicitModel(2, {0: 0.0, 1: 0.5, 2: 0.0, 3: 0.4})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

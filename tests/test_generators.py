@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seqsub import generators, oracle
-from seqsub.errors import TooLargeError
+from seqsub.errors import GenerationError, TooLargeError
 from seqsub.generators import (
     random_coverage_instance,
     random_explicit_model,
@@ -34,6 +34,15 @@ def test_explicit_size_is_rejected_before_tabulation(monkeypatch):
         random_explicit_model(oracle.MAX_VERIFY_N + 1, 0)
     with pytest.raises(TooLargeError):
         random_instance("explicit", 25, 0)
+
+
+def test_failed_verification_names_the_check(monkeypatch):
+    """A generated table is verified once; a failure is a construction bug,
+    reported with the failed check and mask instead of being re-drawn."""
+    failed = oracle.SubmodularityCheck(False, "submodular", 0x5, 0, 1)
+    monkeypatch.setattr(generators, "verify_monotone_submodular", lambda model, n: failed)
+    with pytest.raises(GenerationError, match="fails the submodular check at mask 0x5$"):
+        random_explicit_model(3, 0)
 
 
 def test_random_lambda_mass():

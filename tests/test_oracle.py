@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from seqsub import core, oracle
-from seqsub.core import ExplicitModel, Instance, MnlModel
+from seqsub.core import Instance, MnlModel
 from seqsub.engagement import LiftedObjective
-from seqsub.errors import InfeasibleError, TooLargeError, UnknownSubsetError, ValidationError
+from seqsub.errors import InfeasibleError, TooLargeError, ValidationError
 from seqsub.generators import random_explicit_model, random_instance
 from seqsub.matroid import LaminarMatroid
 from seqsub.util import mask_of
@@ -159,23 +159,6 @@ def test_oracle_evaluates_each_prefix_mask_once(search, kind):
             assert sorted(model.calls) == [m for m in range(64) if m.bit_count() == level + 1]
         else:
             assert not model.calls
-
-
-def test_oracle_reports_the_first_missing_mask_of_the_walk():
-    """On partial tables the error names the first missing mask in walk order:
-    level 3's mask 0x17 (reached under 0, 1, 2, 4) before level 1's 0x6."""
-    n, missing = 5, [(), (0b00110,), (0b01101, 0b10011), (0b10111,), ()]
-    models = []
-    for level, masks in enumerate(missing):
-        table = dict(random_explicit_model(n, 20 + level).table)
-        for m in masks:
-            del table[m]
-        models.append(ExplicitModel(n, table))
-    inst = Instance(n, (0.3, 0.2, 0.2, 0.2, 0.1), tuple(models), ((0.0,) * n,) * n)
-    for search in (oracle.brute_force_engagement_opt, oracle.brute_force_revenue_opt):
-        with pytest.raises(UnknownSubsetError) as err:
-            search(inst)
-        assert str(err.value) == "core: explicit table has no entry for mask 0x17"
 
 
 def test_verify_worked_table_passes(appendix_c):

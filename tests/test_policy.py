@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from seqsub.errors import CertMismatchError, ValidationError
+from seqsub.errors import CertMismatchError, TooLargeError, ValidationError
 from seqsub.generators import random_policy_mixture
 from seqsub.matroid import LaminarMatroid, in_matroid_polytope
 from seqsub.policy import (
+    MAX_CERTIFY_N,
     PolicyVector,
     check_implementable,
     load_policy,
@@ -172,3 +173,11 @@ def test_policy_json_roundtrip(tmp_path, worked_policy_vector):
     data = policy_to_json(worked_policy_vector)
     assert data[1][1]["set"] == "9"  # hex mask for the {1,4} prefix
     assert policy_from_json(data) == worked_policy_vector
+
+
+def test_certification_size_cap():
+    """A 20-permutation mixture certifies at the cap; one product more is too large."""
+    report = check_implementable(random_policy_mixture(MAX_CERTIFY_N, 20, 5))
+    assert report.feasible and len(report.certs) == MAX_CERTIFY_N
+    with pytest.raises(TooLargeError):
+        check_implementable(random_policy_mixture(MAX_CERTIFY_N + 1, 20, 5))
