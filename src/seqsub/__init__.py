@@ -3,8 +3,8 @@
 Modules:
 
 - core: instances, click models, exact engagement/revenue evaluation
-- oracle: brute-force optima, submodularity verification, exact multilinear
-  extensions and correlation-gap ratios
+- oracle: exact optima by a dynamic program over prefix sets, and
+  exhaustive submodularity verification
 - matroid: the prefix laminar matroid, continuous greedy, pipage rounding,
   independent sampling, contention resolution
 - engagement: greedy ranking and the lift-optimize-extract pipeline

@@ -23,8 +23,6 @@ from .errors import InfeasibleError, SeqsubError, ValidationError
 from .numerics import TOL
 from .util import json_field, read_json
 
-_ORACLE_COMPARE_N = 7  # brute force is cheap up to here; beyond, omit ratios
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are errors, not guarantee failures
@@ -84,8 +82,8 @@ def _emit(report: dict, args, summary: str) -> None:
 
 
 def _maybe_opt(inst: core.Instance, f_val: float) -> dict:
-    """Oracle comparison fields for engagement f_val, at sizes where it is cheap."""
-    if inst.n > _ORACLE_COMPARE_N:
+    """Oracle comparison fields for engagement f_val, up to the oracle's size cap."""
+    if inst.n > oracle.MAX_BRUTE_N:
         return {}
     opt = oracle.brute_force_engagement_opt(inst)
     out = {
@@ -158,6 +156,7 @@ def _run_oracle(args) -> tuple[dict, str, int]:
     eng = oracle.brute_force_engagement_opt(inst)
     report = {
         "n": inst.n,
+        "threshold": inst.T,
         "engagement_opt": {
             "value": eng.best_value,
             "permutation": core.order_to_external(eng.best_witness),
@@ -285,28 +284,46 @@ def _field(data, key: str, convert=float):
 
 def _cmd_report(args) -> int:
     """Re-validate a written report: permutations must re-evaluate exactly,
-    and a certify report must match a fresh certification of its policy."""
+    a reported optimum must bound the reported engagement, an oracle's
+    revenue witness must lie between its floor and the engagement optimum
+    (and a floor called infeasible above that optimum), and a certify report must match a fresh certification of its policy."""
     rep = read_json(args.report)
     algo = _field(rep, "algo", str)
     failures = []
     if algo in ("greedy", "cg"):
         inst = core.load_instance(args.instance)
         order = _field(rep, "permutation", core.order_from_external)
-        if not _close(core.engagement(inst, order), _field(rep, "engagement")):
+        f_val = core.engagement(inst, order)
+        if not _close(f_val, _field(rep, "engagement")):
             failures.append("engagement mismatch")
         if not _close(core.revenue(inst, order), _field(rep, "revenue")):
             failures.append("revenue mismatch")
+        if "opt_engagement" in rep:
+            opt_order = _field(rep, "opt_permutation", core.order_from_external)
+            opt_val = core.engagement(inst, opt_order)
+            if not _close(opt_val, _field(rep, "opt_engagement")):
+                failures.append("optimum mismatch")
+            if f_val > opt_val + TOL:
+                failures.append("engagement above the optimum")
+            if opt_val > 0 and not _close(f_val / opt_val, _field(rep, "engagement_ratio")):
+                failures.append("engagement ratio mismatch")
     elif algo == "oracle":
         inst = core.load_instance(args.instance)
         eng = _field(rep, "engagement_opt", dict)
         order = _field(eng, "permutation", core.order_from_external)
-        if not _close(core.engagement(inst, order), _field(eng, "value")):
+        opt_val = core.engagement(inst, order)
+        if not _close(opt_val, _field(eng, "value")):
             failures.append("engagement optimum mismatch")
+        floor = _field(rep, "threshold")
         rev = _field(rep, "revenue_opt", dict)
         if "permutation" in rev:
             order = _field(rev, "permutation", core.order_from_external)
             if not _close(core.revenue(inst, order), _field(rev, "value")):
                 failures.append("revenue optimum mismatch")
+            if not floor - TOL <= core.engagement(inst, order) <= opt_val + TOL:
+                failures.append("revenue optimum outside the engagement floor")
+        elif floor - TOL <= opt_val:
+            failures.append("engagement optimum reaches the floor called infeasible")
     elif algo == "revenue":
         inst = core.load_instance(args.instance)
         values = {}  # each distinct order is evaluated once

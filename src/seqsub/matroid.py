@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -57,44 +56,6 @@ def is_independent(M: LaminarMatroid, R: Iterable[tuple[int, int]]) -> bool:
         if c > k + 1:
             return False
     return True
-
-
-def _prefix_compositions(n: int, total: int | None) -> Iterator[tuple[int, ...]]:
-    """Per-position pick counts with running sums <= position index + 1."""
-    acc: list[int] = []
-
-    def rec(p: int, c: int):
-        if p == n:
-            if total is None or c == total:
-                yield tuple(acc)
-            return
-        cap = p + 1 - c
-        if total is not None:
-            cap = min(cap, total - c)
-        for s in range(cap + 1):
-            acc.append(s)
-            yield from rec(p + 1, c + s)
-            acc.pop()
-
-    yield from rec(0, 0)
-
-
-def _sets_for_counts(n: int, counts: tuple[int, ...]) -> Iterator[LiftedSet]:
-    pools = [combinations(range(n), s) for s in counts]
-    for chosen in product(*pools):
-        yield frozenset((p, j) for p, js in enumerate(chosen) for j in js)
-
-
-def iter_independent_sets(M: LaminarMatroid) -> Iterator[LiftedSet]:
-    """All independent sets, grouped by per-position pick counts."""
-    for counts in _prefix_compositions(M.n, None):
-        yield from _sets_for_counts(M.n, counts)
-
-
-def iter_bases(M: LaminarMatroid) -> Iterator[LiftedSet]:
-    """All bases (independent sets of full rank n)."""
-    for counts in _prefix_compositions(M.n, M.n):
-        yield from _sets_for_counts(M.n, counts)
 
 
 def _keep_independent(n: int, elems: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:

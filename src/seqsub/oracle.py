@@ -1,36 +1,34 @@
-"""Brute-force ground truth for small instances.
+"""Exact ground truth for small instances.
 
-Everything here is exhaustive and exact: optimal permutations by full
-enumeration, monotonicity/submodularity verification over all subsets, exact
-multilinear extensions, and exact correlation-gap ratios. Size cutoffs are
-hard errors, never silent truncation. These are the independent auditors the
-rest of the library is tested against, so nothing in this module may call
-the approximation pipelines.
-
-Generic set functions are callables over frozensets; click models are
-queried through their bitmask interface.
+Everything here is exact: optimal permutations by a dynamic program over the
+2^n prefix sets, and monotonicity/submodularity verification over all
+subsets. Size cutoffs are hard errors, never silent truncation. These are
+the independent auditors the rest of the library is tested against, so
+nothing in this module may call the approximation pipelines or the batch
+kernels; click models are queried one mask at a time through `value()`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import Instance
-from .errors import InfeasibleError, TooLargeError, ValidationError
-from .matroid import LaminarMatroid, LiftedSet, iter_bases, iter_independent_sets
+from .errors import InfeasibleError, TooLargeError
 
 _TOL = 1e-9
 
-MAX_BRUTE_N = 10
+MAX_BRUTE_N = 14
 MAX_VERIFY_N = 12
-MAX_MULTILINEAR_SUPPORT = 20
 
 
 @dataclass
 class OracleReport:
-    """Result of an exhaustive search; the witness re-evaluates to best_value."""
+    """Result of an exact search; the witness re-evaluates to best_value.
+
+    enumerated_count is the number of candidates the search kept: for the
+    permutation optima, the prefix-set labels built (2^n for engagement).
+    """
 
     best_value: float
     best_witness: object
@@ -38,52 +36,50 @@ class OracleReport:
 
 
 def _best_order(inst: Instance, pay, K: float, floor: float | None) -> OracleReport:
-    """Maximize sum_i pay[i][order[i]] + K * engagement over all n! permutations
+    """Maximize sum_i pay[i][order[i]] + K * engagement over all permutations
     whose engagement reaches floor (every permutation when floor is None).
 
-    Prefix sums are accumulated along a depth-first walk in lexicographic
-    order, so ties resolve to the lexicographically smallest permutation. The
-    witness is None when no permutation qualifies. A prefix mask fixes its
-    level, so each level term lam[k] * f_k(mask), k = |mask| - 1, is tabulated
-    once per mask before the walk; zero-lam levels are never queried.
+    Both sums depend on an order only through its chain of prefix sets, so
+    this is a dynamic program over the 2^n prefix masks (Held and Karp, 1962).
+    labels[m] is the Pareto front of (eng, lin, order) over the orders of
+    mask m; of two labels with equal sums the lexicographically smaller order
+    stays. Sums are accumulated in position order, as `core.engagement` and
+    `core.revenue` do, so the optimum keeps their float bits, and exact ties
+    at the full mask go to the smaller order. The witness is None when no
+    permutation qualifies. Each level term lam[k] * f_k(m), k = |m| - 1, is
+    tabulated once per mask; zero-lam levels are never queried.
     """
     if inst.n > MAX_BRUTE_N:
         raise TooLargeError(f"oracle: n={inst.n} exceeds brute-force cap {MAX_BRUTE_N}")
     n, lam, models = inst.n, inst.lam, inst.models
-    best, best_order = -math.inf, None
-    count = 0
-    order = [0] * n
-    used = [False] * n
-    terms = [0.0] * (1 << n)
+    labels = [[(0.0, 0.0, ())]]
     for m in range(1, 1 << n):
         k = m.bit_count() - 1
-        if lam[k]:
-            terms[m] = lam[k] * models[k].value(m)
-
-    def rec(depth: int, mask: int, eng: float, lin: float) -> None:
-        nonlocal best, best_order, count
-        if depth == n:
-            count += 1
-            if floor is None or eng >= floor - _TOL:
-                val = lin + K * eng
-                if val > best:
-                    best, best_order = val, tuple(order)
-            return
-        for p in range(n):
-            if used[p]:
-                continue
-            used[p] = True
-            order[depth] = p
-            m2 = mask | (1 << p)
-            rec(depth + 1, m2, eng + terms[m2], lin + pay[depth][p])
-            used[p] = False
-
-    rec(0, 0, 0.0, 0.0)
-    return OracleReport(best, best_order, count)
+        term = lam[k] * models[k].value(m) if lam[k] else 0.0
+        cands = [
+            (eng + term, lin + pay[k][j], order + (j,))
+            for j in range(n)
+            if m >> j & 1
+            for eng, lin, order in labels[m ^ (1 << j)]
+        ]
+        cands.sort(key=lambda c: (-c[0], -c[1], c[2]))
+        front, top = [], -math.inf
+        for c in cands:
+            if c[1] > top:
+                front.append(c)
+                top = c[1]
+        labels.append(front)
+    best, best_order = -math.inf, None
+    for eng, lin, order in labels[-1]:
+        if floor is None or eng >= floor - _TOL:
+            val = lin + K * eng
+            if val > best or (val == best and order < best_order):
+                best, best_order = val, order
+    return OracleReport(best, best_order, sum(map(len, labels)))
 
 
 def brute_force_engagement_opt(inst: Instance) -> OracleReport:
-    """Maximize engagement over all n! permutations (ties: lexicographically first)."""
+    """Maximize engagement over all permutations (ties: lexicographically first)."""
     return _best_order(inst, ((0.0,) * inst.n,) * inst.n, 1.0, None)
 
 
@@ -136,85 +132,3 @@ def verify_monotone_submodular(fn, n: int) -> SubmodularityCheck:
                 if lhs < rhs - _TOL:
                     return SubmodularityCheck(False, "submodular", m, x, y)
     return SubmodularityCheck(True)
-
-
-def exact_multilinear(g: Callable[[frozenset], float], x: Mapping) -> float:
-    """Exact expectation of g under independent inclusion probabilities x.
-
-    Elements with x = 0 are excluded, x = 1 forced in; the remaining support
-    (at most 20 elements) is enumerated exhaustively.
-    """
-    forced = []
-    support = []
-    for e in sorted(x):
-        v = float(x[e])
-        if not -1e-12 <= v <= 1.0 + 1e-12:
-            raise ValidationError(f"oracle: inclusion probability {v} outside [0,1]")
-        if v >= 1.0:
-            forced.append(e)
-        elif v > 0.0:
-            support.append(e)
-    m = len(support)
-    if m > MAX_MULTILINEAR_SUPPORT:
-        raise TooLargeError(
-            f"oracle: support {m} exceeds exact-multilinear cap {MAX_MULTILINEAR_SUPPORT}"
-        )
-    probs = [float(x[e]) for e in support]
-    total = 0.0
-    for mask in range(1 << m):
-        p = 1.0
-        chosen = list(forced)
-        for k in range(m):
-            if mask & (1 << k):
-                p *= probs[k]
-                chosen.append(support[k])
-            else:
-                p *= 1.0 - probs[k]
-        total += p * g(frozenset(chosen))
-    return total
-
-
-def correlation_gap_ratio(
-    f: Callable[[frozenset], float],
-    dist: Sequence[tuple[Iterable, float]],
-) -> float:
-    """Exact E[f] under independent marginals divided by E[f] under dist.
-
-    dist is an explicit (subset, probability) list summing to 1. Returns
-    +inf when the denominator is 0. For monotone submodular f the ratio is
-    at least 1 - 1/e.
-    """
-    pairs = [(frozenset(s), float(p)) for s, p in dist]
-    mass = sum(p for _, p in pairs)
-    if any(p < -1e-12 for _, p in pairs) or abs(mass - 1.0) > 1e-9:
-        raise ValidationError("oracle: subset distribution must be nonnegative, sum 1")
-    ground = frozenset().union(*(s for s, _ in pairs)) if pairs else frozenset()
-    if len(ground) > MAX_VERIFY_N:
-        raise TooLargeError(f"oracle: ground set {len(ground)} exceeds cap {MAX_VERIFY_N}")
-    base = sum(p * f(s) for s, p in pairs)
-    marginals = {e: sum(p for s, p in pairs if e in s) for e in sorted(ground)}
-    independent = exact_multilinear(f, marginals)
-    if base <= 0.0:
-        return math.inf
-    return independent / base
-
-
-def max_independent_value(
-    g: Callable[[LiftedSet], float],
-    matroid: LaminarMatroid,
-    bases_only: bool = True,
-) -> OracleReport:
-    """Exhaustive max of g over the matroid's independence family.
-
-    With bases_only=True only bases are enumerated, which is exact whenever
-    g is monotone (every independent set extends to a base without losing
-    value) and far cheaper. Ties resolve to the first set in the DFS order.
-    """
-    sets = iter_bases(matroid) if bases_only else iter_independent_sets(matroid)
-    best, witness, count = -math.inf, None, 0
-    for R in sets:
-        count += 1
-        v = g(R)
-        if v > best:
-            best, witness = v, R
-    return OracleReport(best, witness, count)

@@ -1,0 +1,136 @@
+"""Exhaustive auditors that only the tests call: exact multilinear
+extensions, correlation-gap ratios, and enumeration of the prefix matroid's
+independent sets and bases. Test modules import them as they import the
+helpers in conftest."""
+
+from __future__ import annotations
+
+import math
+from itertools import combinations, product
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+from seqsub.errors import TooLargeError, ValidationError
+from seqsub.matroid import LaminarMatroid, LiftedSet
+from seqsub.oracle import MAX_VERIFY_N, OracleReport
+
+MAX_MULTILINEAR_SUPPORT = 20
+
+
+def _prefix_compositions(n: int, total: int | None) -> Iterator[tuple[int, ...]]:
+    """Per-position pick counts with running sums <= position index + 1."""
+    acc: list[int] = []
+
+    def rec(p: int, c: int):
+        if p == n:
+            if total is None or c == total:
+                yield tuple(acc)
+            return
+        cap = p + 1 - c
+        if total is not None:
+            cap = min(cap, total - c)
+        for s in range(cap + 1):
+            acc.append(s)
+            yield from rec(p + 1, c + s)
+            acc.pop()
+
+    yield from rec(0, 0)
+
+
+def _sets_for_counts(n: int, counts: tuple[int, ...]) -> Iterator[LiftedSet]:
+    pools = [combinations(range(n), s) for s in counts]
+    for chosen in product(*pools):
+        yield frozenset((p, j) for p, js in enumerate(chosen) for j in js)
+
+
+def iter_independent_sets(M: LaminarMatroid) -> Iterator[LiftedSet]:
+    """All independent sets, grouped by per-position pick counts."""
+    for counts in _prefix_compositions(M.n, None):
+        yield from _sets_for_counts(M.n, counts)
+
+
+def iter_bases(M: LaminarMatroid) -> Iterator[LiftedSet]:
+    """All bases (independent sets of full rank n)."""
+    for counts in _prefix_compositions(M.n, M.n):
+        yield from _sets_for_counts(M.n, counts)
+
+
+def exact_multilinear(g: Callable[[frozenset], float], x: Mapping) -> float:
+    """Exact expectation of g under independent inclusion probabilities x.
+
+    Elements with x = 0 are excluded, x = 1 forced in; the remaining support
+    (at most 20 elements) is enumerated exhaustively.
+    """
+    forced = []
+    support = []
+    for e in sorted(x):
+        v = float(x[e])
+        if not -1e-12 <= v <= 1.0 + 1e-12:
+            raise ValidationError(f"oracle: inclusion probability {v} outside [0,1]")
+        if v >= 1.0:
+            forced.append(e)
+        elif v > 0.0:
+            support.append(e)
+    m = len(support)
+    if m > MAX_MULTILINEAR_SUPPORT:
+        raise TooLargeError(
+            f"oracle: support {m} exceeds exact-multilinear cap {MAX_MULTILINEAR_SUPPORT}"
+        )
+    probs = [float(x[e]) for e in support]
+    total = 0.0
+    for mask in range(1 << m):
+        p = 1.0
+        chosen = list(forced)
+        for k in range(m):
+            if mask & (1 << k):
+                p *= probs[k]
+                chosen.append(support[k])
+            else:
+                p *= 1.0 - probs[k]
+        total += p * g(frozenset(chosen))
+    return total
+
+
+def correlation_gap_ratio(
+    f: Callable[[frozenset], float],
+    dist: Sequence[tuple[Iterable, float]],
+) -> float:
+    """Exact E[f] under independent marginals divided by E[f] under dist.
+
+    dist is an explicit (subset, probability) list summing to 1. Returns
+    +inf when the denominator is 0. For monotone submodular f the ratio is
+    at least 1 - 1/e.
+    """
+    pairs = [(frozenset(s), float(p)) for s, p in dist]
+    mass = sum(p for _, p in pairs)
+    if any(p < -1e-12 for _, p in pairs) or abs(mass - 1.0) > 1e-9:
+        raise ValidationError("oracle: subset distribution must be nonnegative, sum 1")
+    ground = frozenset().union(*(s for s, _ in pairs)) if pairs else frozenset()
+    if len(ground) > MAX_VERIFY_N:
+        raise TooLargeError(f"oracle: ground set {len(ground)} exceeds cap {MAX_VERIFY_N}")
+    base = sum(p * f(s) for s, p in pairs)
+    marginals = {e: sum(p for s, p in pairs if e in s) for e in sorted(ground)}
+    independent = exact_multilinear(f, marginals)
+    if base <= 0.0:
+        return math.inf
+    return independent / base
+
+
+def max_independent_value(
+    g: Callable[[LiftedSet], float],
+    matroid: LaminarMatroid,
+    bases_only: bool = True,
+) -> OracleReport:
+    """Exhaustive max of g over the matroid's independence family.
+
+    With bases_only=True only bases are enumerated, which is exact whenever
+    g is monotone (every independent set extends to a base without losing
+    value) and far cheaper. Ties resolve to the first set in the DFS order.
+    """
+    sets = iter_bases(matroid) if bases_only else iter_independent_sets(matroid)
+    best, witness, count = -math.inf, None, 0
+    for R in sets:
+        count += 1
+        v = g(R)
+        if v > best:
+            best, witness = v, R
+    return OracleReport(best, witness, count)

@@ -68,7 +68,7 @@ def matrix_of(R, n: int) -> np.ndarray:
 
 def random_subset_distribution(n: int, seed=None, max_support: int = 6):
     """Explicit (subset, probability) list over ground set {0..n-1}, the input
-    of oracle.correlation_gap_ratio."""
+    of auditors.correlation_gap_ratio."""
     rng = np.random.default_rng(seed)
     support = int(rng.integers(1, max_support + 1))
     subsets = []

@@ -1,16 +1,17 @@
 """The public surface of the package: no public name exists only for the tests."""
 
 import ast
+import re
 from pathlib import Path
 
 import seqsub
+from seqsub import core, coverage, oracle, policy, revenue
 
 SRC = Path(seqsub.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
 
 # Public names that only tests call, each with the reason it stays in src.
 TEST_ONLY_ALLOWED = {
-    "oracle": "the brute-force auditors; auditing the pipelines is their job",
     "policy.sample_policy": "the README promises that certificates double as samplers",
     "coverage.as_instance": "audits coverage against the oracle; ROADMAP item 1 adds a CLI caller",
 }
@@ -78,3 +79,28 @@ def test_every_exception_type_is_raised():
                     raised.add(node.exc.func.id)
     assert "SeqsubError" in declared
     assert declared <= raised, sorted(declared - raised)
+
+
+# The README's "Size limits" table: each stage's row and the constant it names.
+README_CAPS = {
+    "exact optima (prefix-set DP)": oracle.MAX_BRUTE_N,
+    "monotonicity/submodularity check": oracle.MAX_VERIFY_N,
+    "explicit click tables": core.MAX_EXPLICIT_N,
+    "`gen --kind explicit` (verified)": oracle.MAX_VERIFY_N,
+    "revenue relaxation (explicit LP)": revenue.MAX_LP_N,
+    "policy certification": policy.MAX_CERTIFY_N,
+    "assignment LP (interest sets)": coverage.MAX_LP3_N,
+}
+
+
+def test_readme_size_caps_match_the_code():
+    """Every `n <= N` cap in the README's size table is the constant the code enforces."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Size limits", 1)[1].split("\n## ", 1)[0]
+    caps = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        match = re.fullmatch(r"`n <= (\d+)`", cells[1]) if len(cells) > 2 else None
+        if match:
+            caps[cells[0]] = int(match.group(1))
+    assert caps == README_CAPS

@@ -159,27 +159,27 @@ def test_seeded_revenue_reports_are_pinned(kind, factor, tmp_path):
 
 #: sha256 of the `run cg --seed 3` and `run greedy` reports on
 #: random_instance(kind, n, 1, full_mass=True, with_payments=True), hashed as
-#: the revenue reports above. At n <= 7 both reports also carry the
-#: brute-force optimum.
+#: the revenue reports above. Every one of these reports also carries the
+#: exact optimum, which the CLI adds up to the oracle's cap.
 PINNED_RANKING_DIGESTS = {
     ("cg", "coverage", 6): "0f6853d05260dd0f0dd367a805f9053d7810c8a70388e3be2266745c000e5851",
     ("cg", "coverage", 7): "afe9d48d3122c55c3e0ade2a46ad91d7daec5b119d80c5012d0f38f6e3ef38af",
-    ("cg", "coverage", 8): "214ef70d3803b3d7c0f367b48e08780e0d71684990ed7c7d24268beb93983dbf",
+    ("cg", "coverage", 8): "ac1b4119f38d6b3de94afbc6e7079ead1045af6daf61b2604dafb470ba114322",
     ("cg", "explicit", 6): "19fceec73ffa87c84fd2e0d962e083913793b3a141f09028b64e0cf4b44c6875",
     ("cg", "explicit", 7): "c77b1ec77e477ef24cc612192f7509dab6c1d054dca5dfa49d7b887cc4554ce4",
-    ("cg", "explicit", 8): "f317bbe3eadd255f12f221e7c4105126d482b8c3f2003737c0c7eb156eaa0ad6",
+    ("cg", "explicit", 8): "a34d9be27d724e9a29671748e766e09d92c7d4564665647d78323ebc87087acf",
     ("cg", "mnl", 6): "3db52fe8bc8746cb8753fbddf595b54694249b27a1e3b56f2f0097da17a9f162",
     ("cg", "mnl", 7): "ed7342f7ed251f1b8e3ac8b209a0795e8e68a1e4e726dfa49ff9d4ff812d76ad",
-    ("cg", "mnl", 8): "8110cfbdb6df96cb5d6cec8d0e754e357602fb6e1b8750eb279bc37aacd9cbf8",
+    ("cg", "mnl", 8): "132a9ef218961a6ae31a771c846bf87b274aa04024f2e50bc7d8a5127e089d78",
     ("greedy", "coverage", 6): "34b2528b7deed56a907195e2c66a0f2701d5e310332f3310bf84027d0a310ecb",
     ("greedy", "coverage", 7): "2eb186ae67cddfbe8267d4b71673d50f8452ca141be620bc8032b297bc6d232a",
-    ("greedy", "coverage", 8): "bd81484a1e7f337ad37bcc9165f10e4fe59d3c480223564556c0715b9cece760",
+    ("greedy", "coverage", 8): "08cd197cf652f2918bec0f7ee2852f49a325bf5818e0f47760cccf8c77085dde",
     ("greedy", "explicit", 6): "2a0f852ecbd3adaa2ac4f750237a725e54922672fc441635fb9ebc19f9353f29",
     ("greedy", "explicit", 7): "da3de819e54eb14c82ded8d966a94d77fd626bec7788758c358bf0e0b05c30ee",
-    ("greedy", "explicit", 8): "3b1553dd88b6aa127b2d79c905878ccd64aaa2201f6785425b22191f6c85ddeb",
+    ("greedy", "explicit", 8): "3b04e4d0cc5aefda87b82cb737c1f96c1b041038bb9acd8467517f1d487a60d4",
     ("greedy", "mnl", 6): "6f4724bdabdf64302584b06e34b0400e840cc77f88283121b26397c2cd6cf959",
     ("greedy", "mnl", 7): "4dcd41de5ada211432a2a2aad37f761123867e19f2b0caaf8071e89ca8cba5ab",
-    ("greedy", "mnl", 8): "321c0ff39ec7e92f889fca8ab58d9e0bd2223f27fbb02be2c2c4f73ceb0d5f41",
+    ("greedy", "mnl", 8): "9b2bc78e982e85609ede85dfa797be819500fa8e6563fedbeebbb9f18bba4816",
 }
 
 
@@ -240,6 +240,79 @@ def test_report_validation_roundtrip(algo, appendix_c_path, tmp_path):
         data["engagement"] += 0.01
     out.write_text(json.dumps(data))
     assert main(["report", "--report", str(out), "--instance", instance]) == 2
+
+
+OPTIMUM_TAMPERING = {
+    "halved-and-reversed": (
+        "optimum mismatch; engagement above the optimum; engagement ratio mismatch"
+    ),
+    "halved-optimum": "optimum mismatch",
+    "halved-ratio": "engagement ratio mismatch",
+    "worse-optimum": "engagement above the optimum",
+}
+
+
+@pytest.mark.parametrize("case", sorted(OPTIMUM_TAMPERING))
+def test_report_checks_the_reported_optimum(case, tmp_path, capsys):
+    """A greedy report's optimum must re-evaluate, bound its engagement and
+    give its ratio."""
+    path, out = str(tmp_path / "mnl.json"), tmp_path / "greedy.json"
+    main(["gen", "--kind", "mnl", "--n", "5", "--seed", "1", "--out", path])
+    assert main(["run", "greedy", "--instance", path, "--out", str(out)]) == 0
+    assert main(["report", "--report", str(out), "--instance", path]) == 0
+    data = json.loads(out.read_text())
+    reversed_order = data["opt_permutation"][::-1]
+    if case == "halved-and-reversed":
+        data["opt_engagement"] /= 2
+        data["opt_permutation"] = reversed_order
+    elif case == "halved-optimum":
+        data["opt_engagement"] /= 2
+    elif case == "halved-ratio":
+        data["engagement_ratio"] /= 2
+    else:  # a self-consistent optimum that greedy beats
+        worse = core.engagement(core.load_instance(path), core.order_from_external(reversed_order))
+        assert worse < data["engagement"]
+        data.update(opt_permutation=reversed_order, opt_engagement=worse,
+                    engagement_ratio=data["engagement"] / worse)
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["report", "--report", str(out), "--instance", path]) == 2
+    assert capsys.readouterr().out.strip() == f"report INVALID: {OPTIMUM_TAMPERING[case]}"
+
+
+def test_oracle_report_check_applies_the_floor(tmp_path, capsys):
+    """An oracle report records its floor; a revenue witness below it, or a
+    reachable floor called infeasible, is rejected."""
+    path, out = str(tmp_path / "mnl.json"), tmp_path / "oracle.json"
+    main(["gen", "--kind", "mnl", "--n", "4", "--seed", "1", "--out", path])
+    inst = core.load_instance(path)
+    floor = oracle.brute_force_engagement_opt(inst).best_value
+    argv = ["oracle", "--instance", path, "--threshold", repr(floor), "--out", str(out)]
+    assert main(argv) == 0
+    assert main(["report", "--report", str(out), "--instance", path]) == 0
+    data = json.loads(out.read_text())
+    assert data["threshold"] == floor
+    free = oracle.brute_force_revenue_opt(inst.with_threshold(0.0))
+    assert core.engagement(inst, free.best_witness) < floor - 1e-9  # the floor binds
+    data["revenue_opt"].update(
+        value=free.best_value, permutation=core.order_to_external(free.best_witness)
+    )
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["report", "--report", str(out), "--instance", path]) == 2
+    expected = "report INVALID: revenue optimum outside the engagement floor"
+    assert capsys.readouterr().out.strip() == expected
+    # a reachable floor reported as infeasible is rejected too
+    data["revenue_opt"] = {"infeasible": "no permutation reaches the floor"}
+    out.write_text(json.dumps(data))
+    assert main(["report", "--report", str(out), "--instance", path]) == 2
+    expected = "report INVALID: engagement optimum reaches the floor called infeasible"
+    assert capsys.readouterr().out.strip() == expected
+    # an unreachable floor is infeasible, and its report validates
+    argv[argv.index("--threshold") + 1] = repr(floor + 1e-6)
+    assert main(argv) == 0
+    assert set(json.loads(out.read_text())["revenue_opt"]) == {"infeasible"}
+    assert main(["report", "--report", str(out), "--instance", path]) == 0
 
 
 def test_revenue_report_check_names_every_mismatching_trial(appendix_c_path, tmp_path, capsys):

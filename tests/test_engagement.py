@@ -17,13 +17,10 @@ from seqsub.engagement import (
     rank_cg,
 )
 from seqsub.generators import random_explicit_model, random_instance
-from seqsub.matroid import (
-    LaminarMatroid,
-    is_independent,
-    iter_independent_sets,
-    set_from_matrix,
-)
+from seqsub.matroid import LaminarMatroid, is_independent, set_from_matrix
 from seqsub.util import iter_bits, mask_of
+
+from auditors import iter_independent_sets
 
 ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
 

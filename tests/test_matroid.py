@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqsub import matroid, oracle
 from seqsub.engagement import LiftedObjective
 from seqsub.errors import PolytopeError, ValidationError
 from seqsub.generators import random_instance
@@ -19,8 +18,6 @@ from seqsub.matroid import (
     estimate_multilinear,
     in_matroid_polytope,
     is_independent,
-    iter_bases,
-    iter_independent_sets,
     max_weight_base,
     pipage_round,
     sample_independent_point,
@@ -28,6 +25,7 @@ from seqsub.matroid import (
 )
 from seqsub.numerics import TOL
 
+from auditors import exact_multilinear, iter_bases, iter_independent_sets
 from conftest import matrix_of
 
 M4 = LaminarMatroid(4)
@@ -224,7 +222,7 @@ def test_continuous_greedy_beats_fraction_of_optimum_on_worked_instance(appendix
     g = LiftedObjective(appendix_c)
     y = continuous_greedy(g, M4, steps=40, samples_per_step=200, seed=3)
     x = {(i, j): y[i, j] for i in range(4) for j in range(4) if y[i, j] > 0}
-    exact = oracle.exact_multilinear(g.value, x)
+    exact = exact_multilinear(g.value, x)
     # the fractional point must already clear the guarantee for OPT = 0.4775
     assert exact >= (1.0 - 1.0 / math.e) * 0.4775 - 1e-9
 

@@ -1,4 +1,4 @@
-"""Brute-force optima, verification, exact multilinear values, correlation gap."""
+"""Exact optima, verification, exact multilinear values, correlation gap."""
 
 import ast
 import itertools
@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from seqsub import core, oracle
-from seqsub.core import Instance, MnlModel
-from seqsub.engagement import LiftedObjective
+from seqsub.core import ExplicitModel, Instance, MnlModel
+from seqsub.engagement import LiftedObjective, greedy_rank
 from seqsub.errors import InfeasibleError, TooLargeError, ValidationError
 from seqsub.generators import random_explicit_model, random_instance
 from seqsub.matroid import LaminarMatroid
 from seqsub.util import mask_of
 
+from auditors import correlation_gap_ratio, exact_multilinear, max_independent_value
 from conftest import random_subset_distribution
 
 INV_E_GAP = 1.0 - 1.0 / math.e
@@ -49,7 +50,7 @@ def test_engagement_opt_on_worked_instance(appendix_c):
     rep = oracle.brute_force_engagement_opt(appendix_c)
     # best chain of prefix values: (20 + 39 + 58 + 74) / 100, weighted by 1/4
     assert rep.best_value == pytest.approx(1.91 / 4, abs=1e-9)
-    assert rep.enumerated_count == 24
+    assert rep.enumerated_count == 16
     assert core.engagement(appendix_c, rep.best_witness) == pytest.approx(rep.best_value)
 
 
@@ -59,7 +60,7 @@ def test_engagement_opt_single_product():
     rep = oracle.brute_force_engagement_opt(inst)
     assert rep.best_witness == (0,)
     assert rep.best_value == pytest.approx(0.8 * (2.0 / 3.0))
-    assert rep.enumerated_count == 1
+    assert rep.enumerated_count == 2
 
 
 def test_engagement_opt_two_product_worked_example(example_1):
@@ -72,18 +73,38 @@ def test_engagement_opt_two_product_worked_example(example_1):
 
 
 def test_engagement_opt_size_cap():
-    model = MnlModel(11, (1.0,) * 11, 1.0)
+    model = MnlModel(15, (1.0,) * 15, 1.0)
     inst = Instance(
-        11, (1.0 / 11,) * 11, (model,) * 11, tuple((0.0,) * 11 for _ in range(11))
+        15, (1.0 / 15,) * 15, (model,) * 15, tuple((0.0,) * 15 for _ in range(15))
     )
     with pytest.raises(TooLargeError):
         oracle.brute_force_engagement_opt(inst)
+
+
+def test_engagement_opt_reaches_the_size_cap():
+    """At the cap n = 14 the witness re-evaluates to the same float bits and
+    is no worse than greedy; one label per prefix mask."""
+    inst = random_instance("mnl", oracle.MAX_BRUTE_N, 3, full_mass=True, with_payments=True)
+    rep = oracle.brute_force_engagement_opt(inst)
+    assert core.engagement(inst, rep.best_witness).hex() == rep.best_value.hex()
+    assert rep.best_value >= core.engagement(inst, greedy_rank(inst))
+    assert rep.enumerated_count == 2**oracle.MAX_BRUTE_N
 
 
 def test_revenue_opt_on_worked_instance(appendix_c):
     rep = oracle.brute_force_revenue_opt(appendix_c)
     assert rep.best_value == pytest.approx(47.75, abs=1e-9)
     assert core.revenue(appendix_c, rep.best_witness) == pytest.approx(rep.best_value)
+
+
+def test_revenue_opt_breaks_exact_ties_toward_the_first_order():
+    """(0, 1) pays 0.25 + 0.25 and (1, 0) pays 0.0 + 0.5: an exact tie between
+    two Pareto labels, where the later-sorted label has the smaller order."""
+    model = ExplicitModel(2, {0: 0.0, 1: 0.25, 2: 0.5, 3: 0.5})
+    inst = Instance(2, (1.0, 0.0), (model, model), ((0.25, 0.0), (0.0, 0.0)), K=1.0)
+    assert core.revenue(inst, (0, 1)) == core.revenue(inst, (1, 0)) == 0.5
+    rep = oracle.brute_force_revenue_opt(inst)
+    assert (rep.best_value, rep.best_witness, rep.enumerated_count) == (0.5, (0, 1), 5)
 
 
 def test_revenue_opt_infeasible_floor(appendix_c):
@@ -104,7 +125,7 @@ def _audit_instance(kind: str, n: int) -> Instance:
     return replace(inst, lam=lam, models=models)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 @pytest.mark.parametrize("kind", ["mnl", "coverage", "explicit"])
 @pytest.mark.parametrize(
     "search, objective",
@@ -116,7 +137,8 @@ def _audit_instance(kind: str, n: int) -> Instance:
 )
 def test_revenue_opt_unconstrained_equals_max_revenue(search, objective, kind, n):
     """Both oracles (T = 0) against itertools.permutations: the same float
-    bits, the first lexicographic maximiser, and n! orders enumerated."""
+    bits and the first lexicographic maximiser. The engagement search builds
+    one label per prefix mask, the revenue search at least one."""
     inst = _audit_instance(kind, n)
     assert sum(inst.lam) < 1.0
     best, first = -math.inf, None
@@ -127,7 +149,33 @@ def test_revenue_opt_unconstrained_equals_max_revenue(search, objective, kind, n
     rep = search(inst)
     assert rep.best_value.hex() == best.hex()
     assert rep.best_witness == first
-    assert rep.enumerated_count == math.factorial(n)
+    if search is oracle.brute_force_engagement_opt:
+        assert rep.enumerated_count == 2**n
+    else:
+        assert rep.enumerated_count >= 2**n
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("kind", ["mnl", "coverage", "explicit"])
+def test_revenue_opt_under_a_floor_equals_enumeration(kind, n):
+    """Floors of 0.9 and 0.97 x the best engagement, against
+    itertools.permutations: the same float bits and the first lexicographic
+    maximiser among the orders that reach the floor."""
+    inst = _audit_instance(kind, n)
+    scored = [
+        (order, core.engagement(inst, order), core.revenue(inst, order))
+        for order in itertools.permutations(range(n))
+    ]
+    top = max(eng for _, eng, _ in scored)
+    for factor in (0.9, 0.97):
+        floor = factor * top
+        best, first = -math.inf, None
+        for order, eng, value in scored:
+            if eng >= floor - 1e-9 and value > best:
+                best, first = value, order
+        rep = oracle.brute_force_revenue_opt(inst.with_threshold(floor))
+        assert rep.best_value.hex() == best.hex()
+        assert rep.best_witness == first
 
 
 class _CountingModel:
@@ -146,13 +194,18 @@ class _CountingModel:
     "search", [oracle.brute_force_engagement_opt, oracle.brute_force_revenue_opt]
 )
 def test_oracle_evaluates_each_prefix_mask_once(search, kind):
-    """The walk visits every prefix many times, but each level queries its
-    click model at most once per mask, and only on masks of its own size."""
+    """The search extends every prefix mask from each of its predecessors,
+    but each level queries its click model at most once per mask, and only
+    on masks of its own size."""
     inst = _audit_instance(kind, 6)
     counting = tuple(_CountingModel(m) for m in inst.models)
     rep, ref = search(replace(inst, models=counting)), search(inst)
     assert (rep.best_value.hex(), rep.best_witness) == (ref.best_value.hex(), ref.best_witness)
-    assert rep.enumerated_count == ref.enumerated_count == 720
+    assert rep.enumerated_count == ref.enumerated_count
+    if search is oracle.brute_force_engagement_opt:
+        assert rep.enumerated_count == 64
+    else:
+        assert rep.enumerated_count >= 64
     for level, model in enumerate(counting):
         assert set(model.calls.values()) <= {1}
         if inst.lam[level]:
@@ -190,18 +243,18 @@ def test_verify_catches_submodularity_violation():
 def test_exact_multilinear_integral_point():
     g = lambda S: float(len(S)) ** 1.5
     x = {e: 1.0 if e % 2 == 0 else 0.0 for e in range(6)}
-    assert oracle.exact_multilinear(g, x) == pytest.approx(3.0**1.5)
+    assert exact_multilinear(g, x) == pytest.approx(3.0**1.5)
 
 
 def test_exact_multilinear_zero_point():
     g = lambda S: 2.0 + len(S)
-    assert oracle.exact_multilinear(g, {0: 0.0, 1: 0.0}) == pytest.approx(2.0)
+    assert exact_multilinear(g, {0: 0.0, 1: 0.0}) == pytest.approx(2.0)
 
 
 def test_exact_multilinear_support_cap():
     g = len
     with pytest.raises(TooLargeError):
-        oracle.exact_multilinear(g, {e: 0.5 for e in range(21)})
+        exact_multilinear(g, {e: 0.5 for e in range(21)})
 
 
 def test_matching_point_values(matching_instance, matching_point):
@@ -227,7 +280,7 @@ def test_matching_point_values(matching_instance, matching_point):
         for j in range(4)
         if matching_point["x"][i][j] > 0
     }
-    frac = oracle.exact_multilinear(g.value, x)
+    frac = exact_multilinear(g.value, x)
     assert frac == pytest.approx(11.0 / 32.0, abs=1e-12)
     # observed relation, recorded: strictly between the matchings
     assert g1 < frac < g2
@@ -236,26 +289,26 @@ def test_matching_point_values(matching_instance, matching_point):
     # equals direct evaluation
     for m_set, val in zip(m_sets, (g1, g2)):
         point = {e: 1.0 for e in m_set}
-        assert oracle.exact_multilinear(g.value, point) == pytest.approx(val, abs=1e-12)
+        assert exact_multilinear(g.value, point) == pytest.approx(val, abs=1e-12)
 
 
 def test_correlation_gap_additive_is_one():
     w = {0: 0.3, 1: 1.1, 2: 0.6}
     f = lambda S: sum(w[e] for e in S)
     dist = [(frozenset({0, 1}), 0.5), (frozenset({2}), 0.3), (frozenset(), 0.2)]
-    assert oracle.correlation_gap_ratio(f, dist) == pytest.approx(1.0, abs=1e-12)
+    assert correlation_gap_ratio(f, dist) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_correlation_gap_point_mass_is_one():
     f = lambda S: min(len(S), 2.0)
     dist = [(frozenset({0, 2, 3}), 1.0)]
-    assert oracle.correlation_gap_ratio(f, dist) == pytest.approx(1.0, abs=1e-12)
+    assert correlation_gap_ratio(f, dist) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_correlation_gap_zero_denominator_is_inf():
     f = lambda S: float(len(S))
     dist = [(frozenset(), 1.0)]
-    assert oracle.correlation_gap_ratio(f, dist) == math.inf
+    assert correlation_gap_ratio(f, dist) == math.inf
 
 
 def test_correlation_gap_respects_lower_bound_quick():
@@ -265,14 +318,14 @@ def test_correlation_gap_respects_lower_bound_quick():
         model = inst.models[0]
         f = lambda S: model.value(mask_of(S))
         dist = random_subset_distribution(8, rng)
-        ratio = oracle.correlation_gap_ratio(f, dist)
+        ratio = correlation_gap_ratio(f, dist)
         assert ratio >= INV_E_GAP - 1e-9
 
 
 def test_correlation_gap_invalid_distribution():
     f = len
     with pytest.raises(ValidationError):
-        oracle.correlation_gap_ratio(f, [(frozenset({0}), 0.7)])
+        correlation_gap_ratio(f, [(frozenset({0}), 0.7)])
 
 
 def test_max_independent_value_matches_permutation_optimum():
@@ -284,7 +337,7 @@ def test_max_independent_value_matches_permutation_optimum():
         inst = random_instance("explicit", n, rng)
         g = LiftedObjective(inst)
         M = LaminarMatroid(n)
-        over_sets = oracle.max_independent_value(g.value, M, bases_only=False)
+        over_sets = max_independent_value(g.value, M, bases_only=False)
         opt = oracle.brute_force_engagement_opt(inst)
         assert over_sets.best_value == pytest.approx(opt.best_value, abs=1e-9)
         shaped = frozenset((i, opt.best_witness[i]) for i in range(n))
@@ -297,7 +350,7 @@ def test_max_independent_value_bases_only_agrees(n):
     inst = random_instance("mnl", n, rng)
     g = LiftedObjective(inst)
     M = LaminarMatroid(n)
-    bases = oracle.max_independent_value(g.value, M, bases_only=True)
+    bases = max_independent_value(g.value, M, bases_only=True)
     opt = oracle.brute_force_engagement_opt(inst)
     # monotone g: restricting to bases loses nothing
     assert bases.best_value == pytest.approx(opt.best_value, abs=1e-9)
