@@ -4,12 +4,12 @@ The simplex is a two-phase dense-tableau method with Bland's rule, so it
 terminates on degenerate problems and produces identical pivot sequences for
 identical inputs. It is whole-array code: the tableau, starting basis,
 phase costs and duals come from row-sense masks, and each pivot is one
-rank-1 update of the rows whose pivot-column entry is nonzero. Only the
-ratio test stays a scan in row order, because its tie rule (a ratio within
-TOL of the best wins on the smaller basic index) depends on the order. The
-max-flow solver augments along shortest paths
-(Edmonds-Karp) over real-valued capacities and returns a min cut as witness;
-flow-vs-cut duality and flow conservation are checked on every call.
+rank-1 update of the rows whose pivot-column entry is nonzero. Its two-pass
+ratio test (Harris, 1973) never pivots on less than PIVOT_TOL of the largest
+eligible entry, and an `optimal` point is re-checked against the original
+rows. The max-flow solver augments along shortest paths (Edmonds-Karp) over
+real-valued capacities and returns a min cut as witness; flow-vs-cut
+duality and flow conservation are checked on every call.
 
 Both are sized for desk-scale problems (a few thousand variables, dense rows).
 """
@@ -24,12 +24,10 @@ import numpy as np
 
 from .errors import NumericalInstabilityError, SeqsubError, ValidationError
 
-# The one tolerance table of every pipeline module; all absolute. The oracle
-# keeps its own, as the independent auditor. SIGN_TOL admits basic values that
-# revenue's marginal check (-TOL) then rejects, a known gap.
-TOL = 1e-9  # feasibility and equality
-PIVOT_TOL = 1e-10  # the smallest pivot the simplex divides by
-SIGN_TOL = 1e-7  # phase-1 infeasibility and basic-solution sign checks
+# The one tolerance table of every pipeline module; PIVOT_TOL is relative,
+# the others absolute. The oracle keeps its own, as the independent auditor.
+TOL = 1e-9  # feasibility, equality and sign checks; the smallest pivot
+PIVOT_TOL = 1e-3  # a pivot's smallest share of the largest eligible one
 SUM_TOL = 1e-6  # row and flow sums after rounding; marginal prefix overshoot
 MASS_TOL = 1e-12  # negligible mass: residual capacity, flow, policy prefixes
 
@@ -81,8 +79,6 @@ class LpSolution:
 def _pivot(T: np.ndarray, rhs: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     """One rank-1 update, applied only to rows with a nonzero pivot-column entry."""
     piv = T[row, col]
-    if abs(piv) < PIVOT_TOL:
-        raise NumericalInstabilityError(f"numerics: pivot {piv:.3e} below tolerance")
     T[row] /= piv
     rhs[row] /= piv
     rows = np.flatnonzero(T[:, col])
@@ -104,23 +100,23 @@ def _bland_iterate(
     """Run Bland pivots until optimal/unbounded. Returns (status, iterations)."""
     while True:
         cbar = cost - cost[basis] @ T
-        candidates = np.flatnonzero((cbar > TOL) & allowed)
-        if candidates.size == 0:
+        improving = (cbar > TOL) & allowed
+        enter = int(improving.argmax())  # Bland: lowest improving index
+        if not improving[enter]:
             return "optimal", iters
-        enter = int(candidates[0])  # Bland: lowest improving index
-        # ratio test, scanned in row order: a ratio within TOL of the best so
-        # far wins when its basic variable has the smaller index (Bland)
-        best_ratio, leave = None, -1
-        rows = np.flatnonzero(T[:, enter] > TOL)
-        for i, ratio in zip(rows.tolist(), (rhs[rows] / T[rows, enter]).tolist()):
-            if (
-                best_ratio is None
-                or ratio < best_ratio - TOL
-                or (abs(ratio - best_ratio) <= TOL and basis[i] < basis[leave])
-            ):
-                best_ratio, leave = ratio, i
-        if leave < 0:
+        column = T[:, enter]
+        rows = np.flatnonzero(column > TOL)
+        if rows.size == 0:
             return "unbounded", iters
+        # theta relaxes every ratio by TOL; of the rows within it whose pivot
+        # is at least PIVOT_TOL of their largest, the smallest basic index
+        # leaves (Bland). Python lists beat array code on these few rows.
+        pivs, vals = column[rows].tolist(), rhs[rows].tolist()
+        theta = min([(v + TOL if v > 0.0 else TOL) / a for a, v in zip(pivs, vals)])
+        cands = zip(pivs, vals, basis[rows].tolist(), rows.tolist())
+        ties = [(a, b, i) for a, v, b, i in cands if v / a <= theta]
+        floor = PIVOT_TOL * max(ties)[0]
+        leave = min([(b, i) for a, b, i in ties if a >= floor])[1]
         _pivot(T, rhs, basis, leave, enter)
         iters += 1
         if iters > _MAX_ITERS:
@@ -163,13 +159,14 @@ def simplex_solve(p: LpProblem) -> LpSolution:
         status, iters = _bland_iterate(T, rhs, basis, cost1, np.ones(N, dtype=bool), iters)
         if status != "optimal":  # pragma: no cover - phase 1 is always bounded
             raise NumericalInstabilityError("numerics: phase 1 did not converge")
-        if cost1[basis] @ rhs < -SIGN_TOL:
+        if cost1[basis] @ rhs < -TOL:
             return LpSolution("infeasible", None, None, None, iters)
-        # drive remaining artificial variables out of the basis; a row with no
-        # usable pivot is a redundant constraint and is dropped
+        # drive artificials out on the first entry of at least PIVOT_TOL of
+        # the row's largest; a row with none is redundant and is dropped
         drop = np.zeros(m, dtype=bool)
         for i in np.flatnonzero(basis >= n_real):
-            cols = np.flatnonzero(np.abs(T[i, :n_real]) > TOL)
+            a = np.abs(T[i, :n_real])
+            cols = np.flatnonzero((a > TOL) & (a >= PIVOT_TOL * a.max()))
             if cols.size:
                 _pivot(T, rhs, basis, i, int(cols[0]))
             else:
@@ -183,12 +180,17 @@ def simplex_solve(p: LpProblem) -> LpSolution:
     if status == "unbounded":
         return LpSolution("unbounded", None, None, None, iters)
 
-    if np.any(rhs < -SIGN_TOL):
+    if np.any(rhs < -TOL):
         raise NumericalInstabilityError("numerics: basic solution lost feasibility")
 
     x = np.zeros(N)
     x[basis] = rhs
     xs = x[:n]
+    # x must satisfy the original rows too; its sign is the basic check above
+    ax = p.A @ xs
+    excess = np.select([senses == LESS, senses == GREATER], [ax - p.b, p.b - ax], abs(ax - p.b))
+    if np.any(excess > TOL * (1.0 + np.abs(p.b) + np.abs(p.A) @ np.abs(xs))):
+        raise NumericalInstabilityError("numerics: optimal point violates a constraint row")
     value = float(p.c @ xs)
 
     # a row's price is its slack's reduced cost (its artificial's on = rows),

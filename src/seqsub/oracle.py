@@ -46,36 +46,39 @@ def _best_order(inst: Instance, pay, K: float, floor: float | None) -> OracleRep
     stays. Sums are accumulated in position order, as `core.engagement` and
     `core.revenue` do, so the optimum keeps their float bits, and exact ties
     at the full mask go to the smaller order. The witness is None when no
-    permutation qualifies. Each level term lam[k] * f_k(m), k = |m| - 1, is
-    tabulated once per mask; zero-lam levels are never queried.
+    permutation qualifies. Fronts are kept for one level (mask size) at a
+    time. Each level term lam[k] * f_k(m), k = |m| - 1, is tabulated once per
+    mask; zero-lam levels are never queried.
     """
     if inst.n > MAX_BRUTE_N:
         raise TooLargeError(f"oracle: n={inst.n} exceeds brute-force cap {MAX_BRUTE_N}")
     n, lam, models = inst.n, inst.lam, inst.models
-    labels = [[(0.0, 0.0, ())]]
-    for m in range(1, 1 << n):
-        k = m.bit_count() - 1
-        term = lam[k] * models[k].value(m) if lam[k] else 0.0
-        cands = [
-            (eng + term, lin + pay[k][j], order + (j,))
-            for j in range(n)
-            if m >> j & 1
-            for eng, lin, order in labels[m ^ (1 << j)]
-        ]
-        cands.sort(key=lambda c: (-c[0], -c[1], c[2]))
-        front, top = [], -math.inf
-        for c in cands:
-            if c[1] > top:
-                front.append(c)
-                top = c[1]
-        labels.append(front)
+    labels, count = {0: [(0.0, 0.0, ())]}, 1
+    for k in range(n):
+        prev, labels = labels, {}
+        for m in (m for m in range(1 << n) if m.bit_count() == k + 1):
+            term = lam[k] * models[k].value(m) if lam[k] else 0.0
+            cands = [
+                (eng + term, lin + pay[k][j], order + (j,))
+                for j in range(n)
+                if m >> j & 1
+                for eng, lin, order in prev[m ^ (1 << j)]
+            ]
+            cands.sort(key=lambda c: (-c[0], -c[1], c[2]))
+            front, top = [], -math.inf
+            for c in cands:
+                if c[1] > top:
+                    front.append(c)
+                    top = c[1]
+            labels[m] = front
+            count += len(front)
     best, best_order = -math.inf, None
-    for eng, lin, order in labels[-1]:
+    for eng, lin, order in labels[(1 << n) - 1]:
         if floor is None or eng >= floor - _TOL:
             val = lin + K * eng
             if val > best or (val == best and order < best_order):
                 best, best_order = val, order
-    return OracleReport(best, best_order, sum(map(len, labels)))
+    return OracleReport(best, best_order, count)
 
 
 def brute_force_engagement_opt(inst: Instance) -> OracleReport:

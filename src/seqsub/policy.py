@@ -27,7 +27,7 @@ import numpy as np
 from .core import Permutation, validate_permutation
 from .errors import CertMismatchError, TooLargeError, ValidationError
 from .numerics import MASS_TOL, SUM_TOL, TOL, FlowNetwork, max_flow
-from .util import iter_bits, json_field, read_json, write_json
+from .util import json_field, read_json, write_json
 
 MAX_CERTIFY_N = 12
 
@@ -79,19 +79,6 @@ def mixture_of_permutations(
             mask |= 1 << p
             layers[k][mask] = layers[k].get(mask, 0.0) + w
     return PolicyVector(n, tuple(layers))
-
-
-def marginals(pv: PolicyVector) -> np.ndarray:
-    """Position-product marginals x[i][j]; may go negative for vectors that
-    no policy implements (callers check)."""
-    inside = np.zeros((pv.n, pv.n))  # inside[k][j]: layer-k mass of sets holding j
-    for k, layer in enumerate(pv.layers):
-        for mask, p in layer.items():
-            for j in iter_bits(mask):
-                inside[k, j] += p
-    x = inside.copy()
-    x[1:] -= inside[:-1]
-    return x
 
 
 @dataclass

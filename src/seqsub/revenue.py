@@ -1,24 +1,31 @@
 """Bi-criteria revenue pipeline: explicit LP relaxation, scaling, CRS rounding.
 
-The relaxation keeps one variable per (layer, subset) pair and one per
-(position, product) marginal:
+The relaxation keeps one variable per (layer, subset) pair. The marginal
+of product j at position i is linear in them,
 
-    max  sum r[i][j] * m[i][j] + K * sum lam_i * f_i(S) * x[i][S]
-    s.t. m[i][j] <= sum_{S of size i+1 containing j} x[i][S]
-                    - sum_{S of size i containing j} x[i-1][S]
+    m[i][j](x) = sum_{S of size i+1 containing j} x[i][S]
+                 - sum_{S of size i containing j} x[i-1][S],
+
+and the LP is
+
+    max  sum r[i][j] * m[i][j](x) + K * sum lam_i * f_i(S) * x[i][S]
+    s.t. m[i][j](x) >= 0
          sum_i sum_S lam_i * f_i(S) * x[i][S] >= T
          sum_{|S|=i+1} x[i][S] <= 1  per layer
-         all variables >= 0
+         x >= 0
 
-Its optimum upper-bounds the revenue of every feasible (even randomized)
-policy meeting the engagement floor. At desk scale (n <= 12) the subset
-variables are enumerated explicitly and the LP is solved exactly, which
-upper-bounds what the polynomial-time path achieves; scale_solution keeps
-the multiply-by-(1 - 1/e) feasibility repair exercisable for tests that
-emulate that path. Rounding samples each lifted element (i, j) with its
-marginal probability (the marginals always lie in the prefix-matroid
-polytope), prunes to an independent set by contention resolution, and sorts
-products by earliest position.
+so x[i][S]'s objective coefficient is K * lam_i * f_i(S) plus
+sum_{j in S} (r[i][j] - r[i+1][j]), with r[n] = 0. Payments are nonnegative
+(Instance checks), so a marginal variable bounded by m[i][j](x) would sit at
+its bound and is not needed. The optimum upper-bounds the revenue of every
+feasible (even randomized) policy meeting the engagement floor. At desk
+scale (n <= 12) the subset variables are enumerated explicitly and the LP is
+solved exactly, which upper-bounds what the polynomial-time path achieves;
+scale_solution keeps the multiply-by-(1 - 1/e) feasibility repair
+exercisable for tests that emulate that path. Rounding samples each lifted
+element (i, j) with its marginal probability (the marginals always lie in
+the prefix-matroid polytope), prunes to an independent set by contention
+resolution, and sorts products by earliest position.
 
 build_policy_lp stacks these rows as array blocks built from one (layer,
 product, subset) incidence array.
@@ -37,7 +44,6 @@ from .errors import InfeasibleError, NumericalInstabilityError, SeqsubError, Too
 from .matroid import LaminarMatroid, crs_round, sample_independent_point
 from .engagement import extract_permutation
 from .numerics import SUM_TOL, TOL, LpProblem, simplex_solve
-from .policy import PolicyVector, marginals
 from .util import mask_of, split_seeds
 
 MAX_LP_N = 12
@@ -47,7 +53,7 @@ _PAPER_RATIO = 0.25  # the proven end-to-end constant, (1 - 1/e)^3 rounded down
 
 @dataclass
 class PolicyLp:
-    """Explicit relaxation: all subset vars, then the n x n marginals row by row."""
+    """Explicit relaxation: one column per subset var; the n x n marginal rows first."""
 
     inst: Instance
     subset_vars: list[tuple[int, int]]  # (layer 0-based, subset mask)
@@ -57,17 +63,17 @@ class PolicyLp:
 @dataclass
 class PolicyLpSolution:
     value: float
-    policy: PolicyVector  # the subset variables' masses, layer by layer
-    marginals: np.ndarray  # re-tightened to their constraint bounds
+    marginals: np.ndarray  # read off the marginal rows, clipped and nudged
 
 
 def build_policy_lp(inst: Instance) -> PolicyLp:
     """Assemble the relaxation from one (layer, product, subset var) incidence.
 
     inc[k, j, t] = 1 when subset variable t lies in layer k and contains
-    product j. Marginal row (i, j) is inc[i-1, j] - inc[i, j] followed by the
-    identity on the marginal columns; then come the floor row lam_k * f_k(S)
-    and one row per layer over that layer's subset variables.
+    product j. Marginal row (i, j) is -m[i][j] = inc[i-1, j] - inc[i, j], and
+    the payments reach the objective through the same marginals; then come
+    the floor row lam_k * f_k(S) and one row per layer over that layer's
+    subset variables.
     """
     n = inst.n
     if n > MAX_LP_N:
@@ -82,23 +88,19 @@ def build_policy_lp(inst: Instance) -> PolicyLp:
     inc = in_layer[:, None, :] * ((mask >> np.arange(n)[:, None]) & 1)
     lam = np.array(inst.lam)[layer]
     f = np.array([inst.models[k].value(m) for k, m in subset_vars])
-    A = np.block([
-        [-np.diff(inc, axis=0, prepend=0).reshape(n * n, -1), np.eye(n * n)],
-        [lam * f, np.zeros(n * n)],
-        [in_layer, np.zeros((n, n * n))],
-    ])
-    c = np.concatenate([inst.K * lam * f, np.ravel(inst.r)])
+    marg = np.diff(inc, axis=0, prepend=0).reshape(n * n, -1)
+    A = np.vstack([-marg, lam * f, in_layer])
+    c = inst.K * lam * f + np.ravel(inst.r) @ marg
     b = np.concatenate([np.zeros(n * n), [inst.T], np.ones(n)])
     senses = ("<=",) * (n * n) + (">=",) + ("<=",) * n
     return PolicyLp(inst, subset_vars, LpProblem(c, A, b, senses))
 
 
 def solve_policy_lp(model: PolicyLp) -> PolicyLpSolution:
-    """Solve the relaxation exactly and re-tighten the marginal variables.
+    """Solve the relaxation exactly and read the marginals off its rows.
 
-    The objective rewards marginals, so the simplex already pushes them to
-    their bounds; they are recomputed from the subset masses defensively,
-    clipped at -TOL (anything lower is an error), and the whole marginal
+    The marginals are the negated marginal rows times the solution; they
+    are clipped at -TOL (anything lower is an error), and the whole marginal
     matrix is nudged by one multiplicative factor if simplex noise pushed a
     prefix sum past its capacity.
     """
@@ -111,12 +113,7 @@ def solve_policy_lp(model: PolicyLp) -> PolicyLpSolution:
         )
     if res.status != "optimal":  # pragma: no cover - bounded by construction
         raise SeqsubError(f"revenue: unexpected LP status {res.status}")
-    layers = tuple({} for _ in range(n))
-    for (k, mask), p in zip(model.subset_vars, res.x):
-        if p > 0.0:
-            layers[k][mask] = float(p)
-    policy = PolicyVector(n, layers)
-    marg = marginals(policy)
+    marg = -(model.problem.A[: n * n] @ res.x).reshape(n, n)
     if (marg < -TOL).any():
         i, j = np.argwhere(marg < -TOL)[0]
         raise NumericalInstabilityError(
@@ -129,7 +126,7 @@ def solve_policy_lp(model: PolicyLp) -> PolicyLpSolution:
     if worst < 1.0 - SUM_TOL:
         raise NumericalInstabilityError("revenue: marginals far outside the polytope")
     marg *= worst
-    return PolicyLpSolution(float(res.value), policy, marg)
+    return PolicyLpSolution(float(res.value), marg)
 
 
 def scale_solution(sol: PolicyLpSolution, factor: float) -> PolicyLpSolution:
@@ -144,15 +141,7 @@ def scale_solution(sol: PolicyLpSolution, factor: float) -> PolicyLpSolution:
         raise SeqsubError(f"revenue: scale factor {factor} outside (0, 1]")
     if factor == 1.0:
         return sol
-    return replace(
-        sol,
-        value=sol.value * factor,
-        policy=PolicyVector(
-            sol.policy.n,
-            tuple({m: p * factor for m, p in layer.items()} for layer in sol.policy.layers),
-        ),
-        marginals=sol.marginals * factor,
-    )
+    return replace(sol, value=sol.value * factor, marginals=sol.marginals * factor)
 
 
 def round_to_permutation(inst: Instance, sol: PolicyLpSolution, seed=None) -> Permutation:

@@ -1,7 +1,7 @@
 """Exhaustive auditors that only the tests call: exact multilinear
-extensions, correlation-gap ratios, and enumeration of the prefix matroid's
-independent sets and bases. Test modules import them as they import the
-helpers in conftest."""
+extensions, correlation-gap ratios, enumeration of the prefix matroid's
+independent sets and bases, and a policy vector's marginals. Test modules
+import them as they import the helpers in conftest."""
 
 from __future__ import annotations
 
@@ -9,9 +9,13 @@ import math
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from seqsub.errors import TooLargeError, ValidationError
 from seqsub.matroid import LaminarMatroid, LiftedSet
 from seqsub.oracle import MAX_VERIFY_N, OracleReport
+from seqsub.policy import PolicyVector
+from seqsub.util import iter_bits
 
 MAX_MULTILINEAR_SUPPORT = 20
 
@@ -134,3 +138,16 @@ def max_independent_value(
         if v > best:
             best, witness = v, R
     return OracleReport(best, witness, count)
+
+
+def marginals(pv: PolicyVector) -> np.ndarray:
+    """Position-product marginals x[i][j]; may go negative for vectors that
+    no policy implements (callers check)."""
+    inside = np.zeros((pv.n, pv.n))  # inside[k][j]: layer-k mass of sets holding j
+    for k, layer in enumerate(pv.layers):
+        for mask, p in layer.items():
+            for j in iter_bits(mask):
+                inside[k, j] += p
+    x = inside.copy()
+    x[1:] -= inside[:-1]
+    return x

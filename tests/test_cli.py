@@ -130,12 +130,12 @@ def test_reports_are_byte_identical_for_fixed_seed(algo, appendix_c_path, tmp_pa
 #: sorted-key JSON with the `instance` path dropped. Every trial spawns its own
 #: seeds, so a change to any trial's random stream changes these digests.
 PINNED_REVENUE_DIGESTS = {
-    ("coverage", "0.632"): "402c57404bc1c4ebd13c02967cb4140239ee98bb4046a34d2462a7ad8777839e",
-    ("coverage", "1.0"): "06f3c891ec0d587651475628317578b1309bc64c6e09ae3fe616d7e95fd01f30",
-    ("explicit", "0.632"): "3a0a6f57115578d2f4409226eb924a1895b5a0afc0f6dd17e62c175b216ce931",
-    ("explicit", "1.0"): "bbc7a218680e93f1b277fbaf237a262bc4e5676af834c1464053f3af9f06f06b",
-    ("mnl", "0.632"): "90def348d11ed3ba3a9cced45aaf2a4fbf62bbfa89f85c57d68c781c5b55156a",
-    ("mnl", "1.0"): "8726a9f0a0938c99de6057c569fa82bfc9c95394786f9a7927326a2113758857",
+    ("coverage", "0.632"): "34980e112f27fd999362eaf389c41ab607606f25c92659c6cf5ab6e719194b10",
+    ("coverage", "1.0"): "23777aeffcab9d79281fe54e1bb9d6d1888f8394c9b9825c8a78f664391d37b8",
+    ("explicit", "0.632"): "ac1d69341952f880948122de6dc09f401a9713d523f5baa8f58219f43765c7c1",
+    ("explicit", "1.0"): "ee3de1b395a7f3cf44410ccefd42a4522d14518cd53f3f4a2147a10151fb87a8",
+    ("mnl", "0.632"): "cd750c1482b46bef9c5d25098d72d80e65ebfcffc330957326c6368c9f50ccd1",
+    ("mnl", "1.0"): "4a36b652cfbf4647b309c61cfd8a8cd17a22213297151a085db76c6e6c43fb85",
 }
 
 
@@ -155,6 +155,17 @@ def test_seeded_revenue_reports_are_pinned(kind, factor, tmp_path):
             "--factor", factor, "--out", str(out)]
     assert main(args) == 0
     assert _report_digest(out) == PINNED_REVENUE_DIGESTS[kind, factor]
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_run_revenue_solves_generated_mnl_instances(n, tmp_path):
+    """`gen --kind mnl --seed 3` at n = 7 and 8: the relaxation solves, and
+    the report validates. A ratio test that divided by tiny pivots failed
+    both, at n = 7 on a negative marginal and at n = 8 at the iteration cap."""
+    path, out = str(tmp_path / "mnl.json"), str(tmp_path / "rev.json")
+    assert main(["gen", "--kind", "mnl", "--n", str(n), "--seed", "3", "--out", path]) == 0
+    assert main(["run", "revenue", "--instance", path, "--out", out]) == 0
+    assert main(["report", "--report", out, "--instance", path]) == 0
 
 
 #: sha256 of the `run cg --seed 3` and `run greedy` reports on

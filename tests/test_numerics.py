@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from seqsub import core, coverage, engagement, generators, numerics, revenue
-from seqsub.errors import ValidationError
+from seqsub.errors import NumericalInstabilityError, ValidationError
 from seqsub.numerics import FlowNetwork, LpProblem, max_flow, simplex_solve
 
 
@@ -166,7 +166,7 @@ def _pinned_lp(name, appendix_c, monkeypatch) -> LpProblem:
         inst = generators.random_instance("mnl", 5, 7, full_mass=True, with_payments=True)
         floor = 0.95 * core.engagement(inst, engagement.greedy_rank(inst))
         return revenue.build_policy_lp(inst.with_threshold(floor)).problem
-    if name == "mnl6":  # a ratio-test tie: the closed-form rule moves the value 1 ulp
+    if name == "mnl6":  # tiny eligible pivots: an absolute pivot floor ends 4.1% high
         inst = generators.random_instance("mnl", 6, 9, full_mass=True, with_payments=True)
         return revenue.build_policy_lp(inst).problem
     if name == "coverage10":
@@ -190,12 +190,10 @@ def _pinned_lp(name, appendix_c, monkeypatch) -> LpProblem:
 # Any change to how an LP is built, to the pivot sequence or to the float
 # order of a pivot shows here. The bits also follow the summation order of
 # numpy's matrix-vector product, so another BLAS build may need a re-record.
-# The mnl6 record pins a wrong optimum, 4.1% high: HiGHS and brute force
-# both give 4.3427188735364 (see test_pinned_lps_match_highs).
 PINNED_PIVOT_RECORDS = {
-    "appendix-c": ("5331a1de319a5b22", 39, "0x1.7efffffffffffp+5", "e8fe6a0a02fa7217"),
-    "mnl5-floor": ("bce8dadea7f9b572", 213, "0x1.8448f4226e8b0p+0", "e6a937c3bbc72b6c"),
-    "mnl6": ("b96cb91b97a7ca87", 3780, "0x1.215d34d1c434ap+2", "085c68f2e9a60dee"),
+    "appendix-c": ("21ca7d582444413f", 39, "0x1.7efffffffffffp+5", "2ba41585ae18340f"),
+    "mnl5-floor": ("a51394fb41368970", 185, "0x1.8448f4226e8abp+0", "b5808a769f9f9020"),
+    "mnl6": ("48e079c0cd115459", 902, "0x1.15ef1b2463e44p+2", "312de08d89a8ca6e"),
     "coverage10": ("4fbf77a703b86ac9", 183, "0x1.4000000000000p+3", "0afd2c7db695069a"),
     "negative-rhs": ("dab2e780171217f5", 4, "0x1.7ffffffffffffp+1", "11592f093902bb66"),
 }
@@ -210,17 +208,14 @@ def test_simplex_pivot_records_are_pinned(name, appendix_c, monkeypatch):
     assert record == PINNED_PIVOT_RECORDS[name]
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        pytest.param(name, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2"))
-        if name == "mnl6" else name
-        for name in sorted(PINNED_PIVOT_RECORDS)
-    ],
-)
+@pytest.mark.parametrize("name", sorted(PINNED_PIVOT_RECORDS))
 def test_pinned_lps_match_highs(name, appendix_c, monkeypatch):
-    optimize = pytest.importorskip("scipy.optimize")
     p = _pinned_lp(name, appendix_c, monkeypatch)
+    assert simplex_solve(p).value == pytest.approx(_highs_value(p), rel=1e-9, abs=0.0)
+
+
+def _highs_value(p: LpProblem) -> float:
+    optimize = pytest.importorskip("scipy.optimize")
     senses = np.array(p.senses)
     sign = np.where(senses == ">=", -1.0, 1.0)
     eq = senses == "="
@@ -233,7 +228,39 @@ def test_pinned_lps_match_highs(name, appendix_c, monkeypatch):
         method="highs",
     )
     assert ref.status == 0, ref.message
-    assert simplex_solve(p).value == pytest.approx(-ref.fun, rel=1e-9, abs=0.0)
+    return -ref.fun
+
+
+def test_revenue_lps_match_highs():
+    """Revenue relaxations with and without a binding floor: every solve is
+    optimal and within 1e-9 of HiGHS. A ratio test that divides by any pivot
+    above TOL ends at a wrong optimum on some of them (mnl, n = 6)."""
+    for kind in ("mnl", "coverage", "explicit"):
+        for n in range(3, 7):
+            for s in range(5):
+                inst = generators.random_instance(kind, n, 1000 + s, with_payments=True)
+                greedy = core.engagement(inst, engagement.greedy_rank(inst))
+                for floor in (0.0, 0.95 * greedy):
+                    p = revenue.build_policy_lp(inst.with_threshold(floor)).problem
+                    res = simplex_solve(p)
+                    assert res.status == "optimal", (kind, n, s, floor)
+                    assert res.value == pytest.approx(_highs_value(p), rel=1e-9, abs=0.0)
+
+
+def test_simplex_rejects_a_point_that_violates_the_original_rows(appendix_c, monkeypatch):
+    """A corrupted tableau entry mid-solve still reaches a final tableau with
+    no improving column, but its point breaks the LP's own rows."""
+    real, calls = numerics._pivot, []
+
+    def corrupting_pivot(T, rhs, basis, row, col):
+        real(T, rhs, basis, row, col)
+        calls.append(row)
+        if len(calls) == 5:
+            rhs[row] += 0.25
+
+    monkeypatch.setattr(numerics, "_pivot", corrupting_pivot)
+    with pytest.raises(NumericalInstabilityError, match="violates a constraint row"):
+        simplex_solve(revenue.build_policy_lp(appendix_c).problem)
 
 
 def test_simplex_rejects_bad_shapes():

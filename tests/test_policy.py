@@ -11,13 +11,14 @@ from seqsub.policy import (
     PolicyVector,
     check_implementable,
     load_policy,
-    marginals,
     mixture_of_permutations,
     policy_from_json,
     policy_to_json,
     sample_policy,
     save_policy,
 )
+
+from auditors import marginals
 
 
 def test_point_mass_marginals():

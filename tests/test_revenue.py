@@ -11,7 +11,8 @@ from seqsub.core import ExplicitModel, Instance, MnlModel
 from seqsub.errors import InfeasibleError, SeqsubError
 from seqsub.generators import random_instance
 from seqsub.matroid import LaminarMatroid, in_matroid_polytope
-from seqsub.policy import PolicyVector, mixture_of_permutations
+from seqsub.numerics import simplex_solve
+from seqsub.policy import PolicyVector
 from seqsub.revenue import (
     PolicyLpSolution,
     build_policy_lp,
@@ -22,6 +23,7 @@ from seqsub.revenue import (
 )
 from seqsub.util import split_seeds
 
+from auditors import marginals
 from conftest import matrix_of
 
 ZEROS2 = ((0.0, 0.0), (0.0, 0.0))
@@ -30,13 +32,10 @@ ZEROS2 = ((0.0, 0.0), (0.0, 0.0))
 ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
 
 
-def engagement_term(inst, sol):
-    """The relaxation's engagement, sum of lam_k * f_k(S) * x[k][S]."""
-    return sum(
-        inst.lam[k] * inst.models[k].value(mask) * p
-        for k, layer in enumerate(sol.policy.layers)
-        for mask, p in layer.items()
-    )
+def engagement_term(lp, x):
+    """The relaxation's engagement at x, read off the floor row:
+    sum of lam_k * f_k(S) * x[k][S]."""
+    return float(lp.problem.A[lp.inst.n ** 2] @ x)
 
 
 def test_build_counts_small():
@@ -44,16 +43,43 @@ def test_build_counts_small():
     inst = Instance(2, (0.5, 0.5), (model,) * 2, ZEROS2, K=1.0)
     lp = build_policy_lp(inst)
     assert len(lp.subset_vars) == 3  # {0}, {1}, {0,1}
-    assert lp.problem.A.shape[1] - len(lp.subset_vars) == 4  # marginal columns
-    # 4 marginal rows + 1 floor + 2 layer budgets
-    assert lp.problem.A.shape == (7, 7)
+    # 4 marginal rows + 1 floor + 2 layer budgets over the 2^n - 1 subset columns
+    assert lp.problem.A.shape == (7, 3)
     assert lp.problem.senses == ("<=",) * 4 + (">=",) + ("<=",) * 2
 
 
 def test_build_counts_worked_instance(appendix_c):
     lp = build_policy_lp(appendix_c)
     assert len(lp.subset_vars) == 15
-    assert lp.problem.A.shape[1] - len(lp.subset_vars) == 16
+    assert lp.problem.A.shape == (16 + 1 + 4, 15)
+
+
+def test_payments_enter_through_the_marginals():
+    """Column (k, S) earns K * lam_k * f_k(S) + sum_{j in S} (r[k][j] - r[k+1][j])."""
+    inst = random_instance("explicit", 4, 3, with_payments=True)
+    lp = build_policy_lp(inst)
+    r = np.vstack([inst.r, np.zeros(4)])
+    for t, (k, mask) in enumerate(lp.subset_vars):
+        pay = sum(r[k][j] - r[k + 1][j] for j in range(4) if mask >> j & 1)
+        expected = inst.K * inst.lam[k] * inst.models[k].value(mask) + pay
+        assert lp.problem.c[t] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_marginals_are_read_off_the_marginal_rows(appendix_c):
+    """The solution's marginals equal those of the policy vector the LP's
+    subset masses form, computed independently by walking their bits."""
+    instances = [appendix_c] + [
+        random_instance(kind, 4, 2, with_payments=True) for kind in ("mnl", "explicit")
+    ]
+    for inst in instances:
+        lp = build_policy_lp(inst)
+        x = simplex_solve(lp.problem).x
+        layers = tuple({} for _ in range(inst.n))
+        for (k, mask), p in zip(lp.subset_vars, x):
+            layers[k][mask] = max(float(p), 0.0)
+        expected = np.clip(marginals(PolicyVector(inst.n, layers)), 0.0, 1.0)
+        sol = solve_policy_lp(lp)
+        np.testing.assert_allclose(sol.marginals, expected, rtol=0.0, atol=1e-12)
 
 
 def test_relaxation_beats_best_policy_on_worked_instance(appendix_c):
@@ -108,25 +134,30 @@ def test_linear_only_relaxation_upper_bounds_assignment():
 
 
 def test_scale_solution_identity_and_budgets(appendix_c):
-    sol = solve_policy_lp(build_policy_lp(appendix_c))
+    lp = build_policy_lp(appendix_c)
+    sol = solve_policy_lp(lp)
     assert scale_solution(sol, 1.0) is sol
     scaled = scale_solution(sol, ONE_MINUS_INV_E)
-    assert engagement_term(appendix_c, scaled) == pytest.approx(
-        ONE_MINUS_INV_E * engagement_term(appendix_c, sol)
+    # the scaled marginals are those of the scaled point
+    x = ONE_MINUS_INV_E * simplex_solve(lp.problem).x
+    np.testing.assert_allclose(
+        scaled.marginals, -(lp.problem.A[:16] @ x).reshape(4, 4), rtol=0.0, atol=1e-12
     )
     assert scaled.value == pytest.approx(ONE_MINUS_INV_E * sol.value)
     half = scale_solution(sol, 0.5)
-    assert max(half.policy.layer_sums()) <= 0.5 + 1e-9
+    # prefix i of the marginals holds i + 1 times layer i's mass
+    layer_sums = np.cumsum(half.marginals.sum(axis=1)) / np.arange(1, 5)
+    assert layer_sums.max() <= 0.5 + 1e-9
     with pytest.raises(SeqsubError):
         scale_solution(sol, 0.0)
 
 
 def test_scaled_engagement_term_on_worked_instance(appendix_c):
     # the relaxation's engagement value scales linearly with the repair factor
-    sol = solve_policy_lp(build_policy_lp(appendix_c))
-    scaled = scale_solution(sol, ONE_MINUS_INV_E)
-    assert engagement_term(appendix_c, sol) == pytest.approx(191.5 / 400, abs=1e-9)
-    assert engagement_term(appendix_c, scaled) == pytest.approx(
+    lp = build_policy_lp(appendix_c)
+    x = simplex_solve(lp.problem).x
+    assert engagement_term(lp, x) == pytest.approx(191.5 / 400, abs=1e-9)
+    assert engagement_term(lp, ONE_MINUS_INV_E * x) == pytest.approx(
         ONE_MINUS_INV_E * 191.5 / 400, abs=1e-9
     )
 
@@ -137,7 +168,6 @@ def test_round_point_mass_returns_that_permutation():
     order0 = (2, 0, 1)
     sol = PolicyLpSolution(
         value=1.0,
-        policy=mixture_of_permutations([order0], [1.0]),
         marginals=matrix_of({(i, order0[i]) for i in range(3)}, 3),
     )
     for s in range(5):
@@ -147,7 +177,7 @@ def test_round_point_mass_returns_that_permutation():
 def test_round_zero_assignment_is_identity():
     model = MnlModel(3, (1.0, 1.0, 1.0), 1.0)
     inst = Instance(3, (1 / 3,) * 3, (model,) * 3, tuple((0.0,) * 3 for _ in range(3)))
-    sol = PolicyLpSolution(1.0, PolicyVector(3, ({}, {}, {})), np.zeros((3, 3)))
+    sol = PolicyLpSolution(1.0, np.zeros((3, 3)))
     assert round_to_permutation(inst, sol, seed=4) == (0, 1, 2)
 
 
@@ -167,7 +197,7 @@ def test_round_rejects_marginals_outside_polytope():
 
     model = MnlModel(2, (1.0, 1.0), 1.0)
     inst = Instance(2, (0.5, 0.5), (model,) * 2, ZEROS2)
-    bad = PolicyLpSolution(1.0, PolicyVector(2, ({}, {})), np.array([[0.9, 0.9], [0.0, 0.0]]))
+    bad = PolicyLpSolution(1.0, np.array([[0.9, 0.9], [0.0, 0.0]]))
     with pytest.raises(PolytopeError):
         round_to_permutation(inst, bad, seed=0)
 
