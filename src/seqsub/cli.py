@@ -188,21 +188,24 @@ def _trial(t: revenue.TrialResult) -> dict:
     }
 
 
+def _revenue_summary(rep: revenue.BiCriteriaReport) -> dict:
+    """A revenue report's aggregate fields, which `report` recomputes."""
+    return {
+        **{k: v for k, v in vars(rep).items() if k != "trials"},
+        "trials": len(rep.trials),
+        "best": _trial(rep.best),
+    }
+
+
 def _run_revenue(args) -> tuple[dict, str, int]:
     inst = core.load_instance(args.instance)
     rep = revenue.run_bicriteria(
-        inst,
-        seeds=args.trials,
-        factor=args.factor,
-        threshold=args.threshold,
-        root_seed=args.seed,
+        inst, args.trials, factor=args.factor, threshold=args.threshold, seed=args.seed
     )
     report = {
-        **{k: v for k, v in vars(rep).items() if k not in ("trials", "best")},
+        **_revenue_summary(rep),
         "n": inst.n,
         "seed": args.seed,
-        "trials": args.trials,
-        "best": _trial(rep.best),
         "per_seed": [_trial(t) for t in rep.trials],
     }
     ok = rep.guarantees_ok()
@@ -278,6 +281,13 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= TOL
 
 
+def _agrees(claimed, expected) -> bool:
+    """Finite floats agree within TOL; "inf", booleans, counts and orders exactly."""
+    if isinstance(expected, float):
+        return type(claimed) in (int, float) and _close(claimed, expected)
+    return type(claimed) is type(expected) and claimed == expected
+
+
 def _field(data, key: str, convert=float):
     return json_field(data, key, convert, "report")
 
@@ -286,7 +296,9 @@ def _cmd_report(args) -> int:
     """Re-validate a written report: permutations must re-evaluate exactly,
     a reported optimum must bound the reported engagement, an oracle's
     revenue witness must lie between its floor and the engagement optimum
-    (and a floor called infeasible above that optimum), and a certify report must match a fresh certification of its policy."""
+    (and a floor called infeasible above that optimum), a revenue report's
+    aggregates must follow from its trials, and a certify report must match
+    a fresh certification of its policy."""
     rep = read_json(args.report)
     algo = _field(rep, "algo", str)
     failures = []
@@ -327,6 +339,7 @@ def _cmd_report(args) -> int:
     elif algo == "revenue":
         inst = core.load_instance(args.instance)
         values = {}  # each distinct order is evaluated once
+        trials = []
         for i, trial in enumerate(_field(rep, "per_seed", list)):
             order = _field(trial, "permutation", core.order_from_external)
             if order not in values:
@@ -336,6 +349,17 @@ def _cmd_report(args) -> int:
                 g_val, _field(trial, "revenue")
             ):
                 failures.append(f"trial {i} mismatch")
+            trials.append(revenue.TrialResult(order, f_val, g_val))
+        if not trials:
+            failures.append("no trials")
+        else:
+            summary = revenue.summarize(
+                trials, _field(rep, "lp_value"), _field(rep, "factor"), _field(rep, "threshold")
+            )
+            claimed = dict(_flatten({k: v for k, v in rep.items() if k != "per_seed"}))
+            for key, value in _flatten(_jsonable(_revenue_summary(summary))):
+                if not _agrees(claimed.get(key), value):
+                    failures.append(f"{key} mismatch")
     elif algo == "coverage":
         ci = coverage.load_coverage(args.instance)
         order = _field(rep, "permutation", core.order_from_external)
@@ -365,7 +389,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=40, help="continuous greedy steps")
     p.add_argument("--samples", type=int, default=200, help="marginal samples per step")
-    p.add_argument("--trials", type=int, default=200, help="rounding trials / seeds")
+    p.add_argument("--trials", type=int, default=200, help="rounding trials")
     p.add_argument("--factor", type=float, default=1.0, help="LP solution scale factor")
     p.add_argument("--threshold", type=float, default=None, help="override engagement floor T")
     p.add_argument("--out", default=None, help="write machine-readable report here")

@@ -31,7 +31,7 @@ import numpy as np
 from .core import CoverageModel, Instance, Permutation, validate_permutation
 from .errors import TooLargeError, ValidationError
 from .numerics import SUM_TOL, LpProblem, simplex_solve
-from .util import iter_bits, json_field, mask_of, read_json, split_seeds, write_json
+from .util import iter_bits, json_field, mask_of, read_json, write_json
 
 MAX_LP3_N = 50
 
@@ -165,13 +165,14 @@ class BestOfResult:
 
 
 def coverage_best_of(ci: CoverageInstance, trials: int, seed=None) -> BestOfResult:
-    """Round `trials` times, keep the permutation with the most realized clicks."""
+    """Round `trials` times from one generator, keep the order with the most clicks."""
     if trials < 1:
         raise ValidationError("coverage: need at least one trial")
     sol = solve_assignment_lp(ci)
+    rng = np.random.default_rng(seed)
     best_order, best_clicks = None, -1
-    for child in split_seeds(seed, trials):
-        rounded = round_assignment(ci, sol, child)
+    for _ in range(trials):
+        rounded = round_assignment(ci, sol, rng)
         if rounded.clicks > best_clicks:
             best_order, best_clicks = rounded.order, rounded.clicks
     return BestOfResult(best_order, best_clicks, sol.value)

@@ -30,7 +30,6 @@ from .matroid import (
     pipage_round,
 )
 from .numerics import TOL
-from .util import split_seeds
 
 
 class LiftedObjective:
@@ -155,10 +154,10 @@ def rank_cg(
     """
     obj = LiftedObjective(inst)
     M = LaminarMatroid(inst.n)
-    cg_seed, est_seed, pip_seed = split_seeds(seed, 3)
-    y = continuous_greedy(obj, M, steps=steps, samples_per_step=samples, seed=cg_seed)
-    est = estimate_multilinear(obj, y, samples=max(samples, 64), seed=est_seed)
-    rounded = pipage_round(M, y, seed=pip_seed)
+    rng = np.random.default_rng(seed)
+    y = continuous_greedy(obj, M, steps=steps, samples_per_step=samples, seed=rng)
+    est = estimate_multilinear(obj, y, samples=max(samples, 64), seed=rng)
+    rounded = pipage_round(M, y, seed=rng)
     order = extract_permutation(rounded, inst.n)
     g_val = obj.value(rounded)
     f_val = engagement(inst, order)

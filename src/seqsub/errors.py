@@ -31,7 +31,12 @@ class CertMismatchError(SeqsubError):
 
 
 class NumericalInstabilityError(SeqsubError):
-    """The simplex hit a pivot below tolerance; reported, never silent."""
+    """An LP solve went numerically wrong; reported, never silent.
+
+    Raised when the simplex hits its iteration cap, its basic solution loses
+    feasibility or its optimum violates a row, and when the revenue LP's
+    marginals break their bounds.
+    """
 
 
 class GenerationError(SeqsubError):

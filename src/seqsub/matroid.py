@@ -10,8 +10,9 @@ family of prefix-sum constraints.
 The Monte Carlo routines take an objective g that evaluates boolean
 membership tensors of shape (B, n, n): `g.batch_value(incl)` gives g of each
 of the B sets, and `g.batch_marginal_weights(incl)` the per-element marginals
-g(R\\e + e) - g(R\\e). Every randomized operation takes an explicit seed and
-is reproducible.
+g(R\\e + e) - g(R\\e). Every randomized operation takes a seed or a numpy
+Generator (anything np.random.default_rng accepts) and is reproducible; a
+pipeline passes one Generator through all of its draws.
 """
 
 from __future__ import annotations

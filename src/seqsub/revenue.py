@@ -21,8 +21,8 @@ its bound and is not needed. The optimum upper-bounds the revenue of every
 feasible (even randomized) policy meeting the engagement floor. At desk
 scale (n <= 12) the subset variables are enumerated explicitly and the LP is
 solved exactly, which upper-bounds what the polynomial-time path achieves;
-scale_solution keeps the multiply-by-(1 - 1/e) feasibility repair
-exercisable for tests that emulate that path. Rounding samples each lifted
+scale_solution (`run revenue --factor`) applies the multiply-by-(1 - 1/e)
+feasibility repair that path needs. Rounding samples each lifted
 element (i, j) with its marginal probability (the marginals always lie in
 the prefix-matroid polytope), prunes to an independent set by contention
 resolution, and sorts products by earliest position.
@@ -44,7 +44,7 @@ from .errors import InfeasibleError, NumericalInstabilityError, SeqsubError, Too
 from .matroid import LaminarMatroid, crs_round, sample_independent_point
 from .engagement import extract_permutation
 from .numerics import SUM_TOL, TOL, LpProblem, simplex_solve
-from .util import mask_of, split_seeds
+from .util import mask_of
 
 MAX_LP_N = 12
 
@@ -146,10 +146,9 @@ def scale_solution(sol: PolicyLpSolution, factor: float) -> PolicyLpSolution:
 
 def round_to_permutation(inst: Instance, sol: PolicyLpSolution, seed=None) -> Permutation:
     """Sample at the LP marginals, resolve contention (checks the polytope), extract."""
-    M = LaminarMatroid(inst.n)
-    sample_seed, crs_seed = split_seeds(seed, 2)
-    sampled = sample_independent_point(sol.marginals, sample_seed)
-    kept = crs_round(M, sol.marginals, sampled, crs_seed)
+    rng = np.random.default_rng(seed)
+    sampled = sample_independent_point(sol.marginals, rng)
+    kept = crs_round(LaminarMatroid(inst.n), sol.marginals, sampled, rng)
     return extract_permutation(kept, inst.n)
 
 
@@ -183,48 +182,28 @@ class BiCriteriaReport:
         return self.revenue_ok and self.engagement_ok
 
 
-def run_bicriteria(
-    inst: Instance,
-    seeds: int = 200,
-    *,
-    factor: float = 1.0,
-    threshold: float | None = None,
-    root_seed=0,
+def summarize(
+    trials: list[TrialResult], lp_value: float, factor: float, threshold: float
 ) -> BiCriteriaReport:
-    """Full pipeline: build, solve, scale, round `seeds` times, audit ratios.
+    """Aggregate rounding trials against the LP value and the floor, and audit.
 
     The audit asserts the proven end-to-end constant: mean revenue at least
     0.25x the LP value and, when T > 0, mean engagement at least 0.25 T
     (both minus 3 standard errors of Monte Carlo noise). Measured ratios are
     reported and typically sit far higher because the LP is exact.
     """
-    if seeds < 1:
+    k = len(trials)
+    if k < 1:
         raise SeqsubError("revenue: need at least one rounding trial")
-    if threshold is not None:
-        inst = inst.with_threshold(threshold)
-    sol = solve_policy_lp(build_policy_lp(inst))
-    scaled = scale_solution(sol, factor)
-    orders = [round_to_permutation(inst, scaled, s) for s in split_seeds(root_seed, seeds)]
-    values = {o: (engagement(inst, o), revenue(inst, o)) for o in set(orders)}
-    trials = [TrialResult(o, *values[o]) for o in orders]
     f_vals = np.array([t.engagement for t in trials])
     g_vals = np.array([t.revenue for t in trials])
-    se_f = float(f_vals.std(ddof=1) / math.sqrt(seeds)) if seeds > 1 else 0.0
-    se_g = float(g_vals.std(ddof=1) / math.sqrt(seeds)) if seeds > 1 else 0.0
+    se_f = float(f_vals.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
+    se_g = float(g_vals.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
     mean_f, mean_g = float(f_vals.mean()), float(g_vals.mean())
-    T = inst.T
-    alpha = mean_g / sol.value if sol.value > 0 else math.inf
-    beta = mean_f / T if T > 0 else math.inf
-    worst_alpha = min((t.revenue / sol.value for t in trials), default=math.inf) \
-        if sol.value > 0 else math.inf
-    worst_beta = min((t.engagement / T for t in trials), default=math.inf) \
-        if T > 0 else math.inf
-    revenue_ok = mean_g >= _PAPER_RATIO * sol.value - 3.0 * se_g
-    engagement_ok = T == 0 or mean_f >= _PAPER_RATIO * T - 3.0 * se_f
-    best = max(trials, key=lambda t: t.revenue)
+    T = threshold
     return BiCriteriaReport(
-        lp_value=sol.value,
-        scaled_value=scaled.value,
+        lp_value=lp_value,
+        scaled_value=factor * lp_value,
         factor=factor,
         threshold=T,
         trials=trials,
@@ -232,11 +211,35 @@ def run_bicriteria(
         stderr_engagement=se_f,
         mean_revenue=mean_g,
         stderr_revenue=se_g,
-        alpha_ratio=alpha,
-        beta_ratio=beta,
-        worst_alpha=worst_alpha,
-        worst_beta=worst_beta,
-        revenue_ok=revenue_ok,
-        engagement_ok=engagement_ok,
-        best=best,
+        alpha_ratio=mean_g / lp_value if lp_value > 0 else math.inf,
+        beta_ratio=mean_f / T if T > 0 else math.inf,
+        worst_alpha=float(g_vals.min()) / lp_value if lp_value > 0 else math.inf,
+        worst_beta=float(f_vals.min()) / T if T > 0 else math.inf,
+        revenue_ok=mean_g >= _PAPER_RATIO * lp_value - 3.0 * se_g,
+        engagement_ok=T == 0 or mean_f >= _PAPER_RATIO * T - 3.0 * se_f,
+        best=max(trials, key=lambda t: t.revenue),
     )
+
+
+def run_bicriteria(
+    inst: Instance,
+    trials: int = 200,
+    *,
+    factor: float = 1.0,
+    threshold: float | None = None,
+    seed=0,
+) -> BiCriteriaReport:
+    """Full pipeline: build, solve, scale, round `trials` times, summarize.
+
+    Every trial draws from one generator in turn, so the first k trials of
+    a run are the k-trial run with the same seed.
+    """
+    if threshold is not None:
+        inst = inst.with_threshold(threshold)
+    sol = solve_policy_lp(build_policy_lp(inst))
+    scaled = scale_solution(sol, factor)
+    rng = np.random.default_rng(seed)
+    orders = [round_to_permutation(inst, scaled, rng) for _ in range(trials)]
+    values = {o: (engagement(inst, o), revenue(inst, o)) for o in set(orders)}
+    results = [TrialResult(o, *values[o]) for o in orders]
+    return summarize(results, sol.value, factor, inst.T)

@@ -1,11 +1,9 @@
-"""Small shared helpers: bitmask sets, seed splitting, JSON files and field access."""
+"""Small shared helpers: bitmask sets, JSON files and field access."""
 
 from __future__ import annotations
 
 import json
 from typing import Callable, Iterable, Iterator
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -24,13 +22,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def split_seeds(seed, n: int) -> list[np.random.SeedSequence]:
-    """Derive `n` independent child seeds from a root seed (fixed splitting rule)."""
-    if isinstance(seed, np.random.SeedSequence):
-        return seed.spawn(n)
-    return np.random.SeedSequence(seed).spawn(n)
 
 
 def json_field(data, key: str, convert: Callable, where: str):

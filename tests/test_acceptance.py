@@ -19,7 +19,7 @@ from seqsub.generators import random_coverage_instance, random_instance, random_
 from seqsub.matroid import LaminarMatroid
 from seqsub.policy import check_implementable
 from seqsub.revenue import build_policy_lp, run_bicriteria, solve_policy_lp
-from seqsub.util import mask_of, split_seeds
+from seqsub.util import mask_of
 
 from auditors import correlation_gap_ratio, exact_multilinear, iter_independent_sets
 from conftest import random_subset_distribution
@@ -100,7 +100,7 @@ def test_criterion_4_cg_pipeline():
         opt = oracle.brute_force_engagement_opt(inst).best_value
         vals = [
             rank_cg(inst, steps=40, samples=200, seed=s).engagement
-            for s in split_seeds(trial, 20)
+            for s in np.random.SeedSequence(trial).spawn(20)
         ]
         mean = float(np.mean(vals))
         assert mean >= GAP * opt - 0.02, f"instance {trial}: mean {mean} vs opt {opt}"
@@ -174,7 +174,7 @@ def test_criterion_7_bicriteria():
         inst = random_instance(kind, n, rng, with_payments=True)
         opt = oracle.brute_force_revenue_opt(inst)
         T = 0.5 * core.engagement(inst, opt.best_witness)
-        report = run_bicriteria(inst, seeds=200, threshold=T, root_seed=trial)
+        report = run_bicriteria(inst, trials=200, threshold=T, seed=trial)
         assert report.mean_revenue >= 0.25 * report.lp_value
         if T > 0:
             assert report.mean_engagement >= 0.25 * T
@@ -194,7 +194,7 @@ def test_criterion_8_coverage_rounding():
         ci = random_coverage_instance(8, rng)
         sol = solve_assignment_lp(ci)
         clicks = np.empty(1000)
-        for t, s in enumerate(split_seeds(trial, 1000)):
+        for t, s in enumerate(np.random.SeedSequence(trial).spawn(1000)):
             rounded = round_assignment(ci, sol, seed=s)
             assert sorted(rounded.order) == list(range(8))
             assert np.all(rounded.y_tilde >= rounded.y_hat)

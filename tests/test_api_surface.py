@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # Public names that only tests call, each with the reason it stays in src.
 TEST_ONLY_ALLOWED = {
     "policy.sample_policy": "the README promises that certificates double as samplers",
-    "coverage.as_instance": "audits coverage against the oracle; ROADMAP item 1 adds a CLI caller",
+    "coverage.as_instance": "audits coverage against the oracle; ROADMAP item 4 adds a CLI caller",
 }
 
 
@@ -79,6 +79,17 @@ def test_every_exception_type_is_raised():
                     raised.add(node.exc.func.id)
     assert "SeqsubError" in declared
     assert declared <= raised, sorted(declared - raised)
+
+
+def test_no_seed_tree_in_src():
+    """Each pipeline run draws from one Generator, so no src module spawns
+    child seeds or names SeedSequence."""
+    offenders = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if re.search(r"\.spawn\(|SeedSequence", path.read_text(encoding="utf-8"))
+    ]
+    assert not offenders, offenders
 
 
 # The README's "Size limits" table: each stage's row and the constant it names.

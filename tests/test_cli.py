@@ -127,14 +127,15 @@ def test_reports_are_byte_identical_for_fixed_seed(algo, appendix_c_path, tmp_pa
 
 #: sha256 of the `run revenue --trials 200 --seed 7` report on
 #: random_instance(kind, 5, 1, full_mass=True, with_payments=True), hashed as
-#: sorted-key JSON with the `instance` path dropped. Every trial spawns its own
-#: seeds, so a change to any trial's random stream changes these digests.
+#: sorted-key JSON with the `instance` path dropped. The trials draw in turn
+#: from one generator, so a change to any draw changes the factor-0.632
+#: digests; at factor 1.0 the marginals are integral and every trial is the same.
 PINNED_REVENUE_DIGESTS = {
-    ("coverage", "0.632"): "34980e112f27fd999362eaf389c41ab607606f25c92659c6cf5ab6e719194b10",
+    ("coverage", "0.632"): "6501380e6ff8261fe3e4e118b8d23d1ec19d63d0a7b89f86f5eb50b7528d3252",
     ("coverage", "1.0"): "23777aeffcab9d79281fe54e1bb9d6d1888f8394c9b9825c8a78f664391d37b8",
-    ("explicit", "0.632"): "ac1d69341952f880948122de6dc09f401a9713d523f5baa8f58219f43765c7c1",
+    ("explicit", "0.632"): "bd317f9c1982c6e440869fe2e4fb11f02abd2793e32f7965d1a83d096b445893",
     ("explicit", "1.0"): "ee3de1b395a7f3cf44410ccefd42a4522d14518cd53f3f4a2147a10151fb87a8",
-    ("mnl", "0.632"): "cd750c1482b46bef9c5d25098d72d80e65ebfcffc330957326c6368c9f50ccd1",
+    ("mnl", "0.632"): "7bcc29cd6931f8a3b39ad7781302f30eca07a15c63c299c6c567d63d94ec2b8b",
     ("mnl", "1.0"): "4a36b652cfbf4647b309c61cfd8a8cd17a22213297151a085db76c6e6c43fb85",
 }
 
@@ -173,15 +174,15 @@ def test_run_revenue_solves_generated_mnl_instances(n, tmp_path):
 #: the revenue reports above. Every one of these reports also carries the
 #: exact optimum, which the CLI adds up to the oracle's cap.
 PINNED_RANKING_DIGESTS = {
-    ("cg", "coverage", 6): "0f6853d05260dd0f0dd367a805f9053d7810c8a70388e3be2266745c000e5851",
-    ("cg", "coverage", 7): "afe9d48d3122c55c3e0ade2a46ad91d7daec5b119d80c5012d0f38f6e3ef38af",
-    ("cg", "coverage", 8): "ac1b4119f38d6b3de94afbc6e7079ead1045af6daf61b2604dafb470ba114322",
-    ("cg", "explicit", 6): "19fceec73ffa87c84fd2e0d962e083913793b3a141f09028b64e0cf4b44c6875",
-    ("cg", "explicit", 7): "c77b1ec77e477ef24cc612192f7509dab6c1d054dca5dfa49d7b887cc4554ce4",
-    ("cg", "explicit", 8): "a34d9be27d724e9a29671748e766e09d92c7d4564665647d78323ebc87087acf",
-    ("cg", "mnl", 6): "3db52fe8bc8746cb8753fbddf595b54694249b27a1e3b56f2f0097da17a9f162",
-    ("cg", "mnl", 7): "ed7342f7ed251f1b8e3ac8b209a0795e8e68a1e4e726dfa49ff9d4ff812d76ad",
-    ("cg", "mnl", 8): "132a9ef218961a6ae31a771c846bf87b274aa04024f2e50bc7d8a5127e089d78",
+    ("cg", "coverage", 6): "99e13dc992b444b5d1d33aa6f7bbf1452ebedfdf65a8d52b1ad376c4f3083e04",
+    ("cg", "coverage", 7): "a01463a8b95d38cff6d41db56d3cf9f2faf678ace75deebee1d17fce7edeca80",
+    ("cg", "coverage", 8): "52fba70bdb034d282cab299555550fa6a014da0c8c2c3d4661c070244bf45526",
+    ("cg", "explicit", 6): "800fa335e0c263dd925b5500cdaca4ce0c27871cd87e6624d3004770582d03f0",
+    ("cg", "explicit", 7): "86d25d3f12c4b1be81f826b244c602a789cd640ea838290cf7dd20e85297bc60",
+    ("cg", "explicit", 8): "cfa4c53f8106d989145f87d9af92d7d107c0d5e705f41617b59503670c32ad6c",
+    ("cg", "mnl", 6): "2868c4de0a2d70eb7e2611708c80288474919815b913612c552e80640af7215f",
+    ("cg", "mnl", 7): "11f5f67d145461480e9785c79468ce562e1599caa301c2defa6306da04d56a07",
+    ("cg", "mnl", 8): "629deb4ef42cb0d34b908bc74381c9cff36ab90ae67f8ff6c8103e25c9325463",
     ("greedy", "coverage", 6): "34b2528b7deed56a907195e2c66a0f2701d5e310332f3310bf84027d0a310ecb",
     ("greedy", "coverage", 7): "2eb186ae67cddfbe8267d4b71673d50f8452ca141be620bc8032b297bc6d232a",
     ("greedy", "coverage", 8): "08cd197cf652f2918bec0f7ee2852f49a325bf5818e0f47760cccf8c77085dde",
@@ -342,6 +343,56 @@ def test_revenue_report_check_names_every_mismatching_trial(appendix_c_path, tmp
     assert main(["report", "--report", str(out), "--instance", appendix_c_path]) == 2
     expected = f"report INVALID: trial {first} mismatch; trial {repeat} mismatch"
     assert capsys.readouterr().out.strip() == expected
+
+
+#: One edit of a revenue report's aggregates each: the key (dotted into
+#: `best`), the new value from the old, and the line `report` prints for it.
+#: The report's floor is 0, so its beta ratios read "inf".
+REVENUE_TAMPERING = {
+    "trial-count": ("trials", lambda v: v + 1, "trials mismatch"),
+    "no-trials": ("per_seed", lambda v: [], "no trials"),
+    "mean-revenue": ("mean_revenue", lambda v: 3 * v, "mean_revenue mismatch"),
+    "mean-engagement": ("mean_engagement", lambda v: 1.01 * v, "mean_engagement mismatch"),
+    "stderr-revenue": ("stderr_revenue", lambda v: v / 2, "stderr_revenue mismatch"),
+    "stderr-engagement": ("stderr_engagement", lambda v: 0.0, "stderr_engagement mismatch"),
+    "alpha-ratio": ("alpha_ratio", lambda v: 9, "alpha_ratio mismatch"),
+    "alpha-ratio-inf": ("alpha_ratio", lambda v: "inf", "alpha_ratio mismatch"),
+    "beta-ratio-spelling": ("beta_ratio", lambda v: "Infinity", "beta_ratio mismatch"),
+    "worst-alpha": ("worst_alpha", lambda v: 1.01 * v, "worst_alpha mismatch"),
+    "worst-beta": ("worst_beta", lambda v: 1e300, "worst_beta mismatch"),
+    "best-revenue": ("best.revenue", lambda v: 123, "best.revenue mismatch"),
+    "best-permutation": ("best.permutation", lambda v: [1, 2, 3, 4, 5],
+                         "best.permutation mismatch"),
+    "revenue-ok": ("revenue_ok", lambda v: not v, "revenue_ok mismatch"),
+    "engagement-ok": ("engagement_ok", lambda v: 1, "engagement_ok mismatch"),
+    "scaled-value": ("scaled_value", lambda v: v / 0.632, "scaled_value mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REVENUE_TAMPERING))
+def test_revenue_report_check_recomputes_the_aggregates(case, tmp_path, capsys):
+    """Every aggregate of a revenue report follows from its trials, its LP
+    value, factor and floor; `report` recomputes each one."""
+    path, out = tmp_path / "mnl.json", tmp_path / "rev.json"
+    core.save_instance(
+        generators.random_instance("mnl", 5, 1, full_mass=True, with_payments=True), path
+    )
+    argv = ["run", "revenue", "--instance", str(path), "--trials", "50", "--factor", "0.632"]
+    assert main(argv + ["--seed", "7", "--out", str(out)]) == 0
+    check = ["report", "--report", str(out), "--instance", str(path)]
+    assert main(check) == 0
+    data = json.loads(out.read_text())
+    assert data["beta_ratio"] == data["worst_beta"] == "inf"
+    key, edit, expected = REVENUE_TAMPERING[case]
+    *path, last = key.split(".")
+    node = data
+    for k in path:
+        node = node[k]
+    node[last] = edit(node[last])
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(check) == 2
+    assert capsys.readouterr().out.strip() == f"report INVALID: {expected}"
 
 
 def test_gen_and_run_coverage_at_n_1(tmp_path):

@@ -20,7 +20,7 @@ from seqsub.coverage import (
 )
 from seqsub.errors import ValidationError
 from seqsub.generators import random_coverage_instance
-from seqsub.util import iter_bits, split_seeds
+from seqsub.util import iter_bits
 
 ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
 
@@ -91,7 +91,7 @@ def test_rounding_symmetric_two_products():
     sol.x = np.full((2, 2), 0.5)
     heads = 0
     trials = 10_000
-    for s in split_seeds(4, trials):
+    for s in np.random.SeedSequence(4).spawn(trials):
         rounded = round_assignment(ci, sol, seed=s)
         assert sorted(rounded.order) == [0, 1]
         heads += rounded.order[0] == 0
@@ -103,7 +103,7 @@ def test_repair_never_loses_clicks_and_outputs_permutations():
     for trial in range(6):
         ci = random_coverage_instance(8, rng)
         sol = solve_assignment_lp(ci)
-        for s in split_seeds(trial, 300):
+        for s in np.random.SeedSequence(trial).spawn(300):
             rounded = round_assignment(ci, sol, seed=s)
             assert sorted(rounded.order) == list(range(8))
             assert np.all(rounded.y_tilde >= rounded.y_hat)
@@ -115,7 +115,7 @@ def test_rounding_mean_clears_lp_fraction():
     ci = random_coverage_instance(8, rng)
     sol = solve_assignment_lp(ci)
     vals = np.array(
-        [round_assignment(ci, sol, seed=s).clicks for s in split_seeds(5, 1500)]
+        [round_assignment(ci, sol, seed=s).clicks for s in np.random.SeedSequence(5).spawn(1500)]
     )
     stderr = vals.std(ddof=1) / math.sqrt(len(vals))
     assert vals.mean() >= ONE_MINUS_INV_E * sol.value - 2 * stderr
@@ -129,7 +129,7 @@ def test_per_type_click_probability_bound():
     sol = solve_assignment_lp(ci)
     trials = 4000
     hits = np.zeros(6)
-    for s in split_seeds(9, trials):
+    for s in np.random.SeedSequence(9).spawn(trials):
         hits += round_assignment(ci, sol, seed=s).y_tilde
     freq = hits / trials
     for k in range(6):
@@ -144,9 +144,26 @@ def test_best_of_single_trial_matches_single_rounding():
     ci = random_coverage_instance(5, rng)
     best = coverage_best_of(ci, trials=1, seed=8)
     sol = solve_assignment_lp(ci)
-    single = round_assignment(ci, sol, seed=split_seeds(8, 1)[0])
+    single = round_assignment(ci, sol, seed=8)
     assert best.order == single.order
     assert best.clicks == single.clicks
+
+
+def test_best_of_keeps_the_best_of_successive_draws():
+    """Trial t is draw t of one generator: the first k trials of an N-trial
+    run are the k-trial run, and a Generator seed is drawn from as-is."""
+    ci = random_coverage_instance(10, 0)
+    sol = solve_assignment_lp(ci)
+    rng = np.random.default_rng(11)
+    draws = [round_assignment(ci, sol, rng) for _ in range(30)]
+    bests = []
+    for k in (1, 4, 30):
+        best = max(draws[:k], key=lambda d: d.clicks)  # the first of any ties
+        bests.append(best.clicks)
+        for seed in (11, np.random.default_rng(11)):
+            got = coverage_best_of(ci, trials=k, seed=seed)
+            assert (got.order, got.clicks) == (best.order, best.clicks)
+    assert bests[0] < bests[-1]
 
 
 def test_best_of_hits_optimum_on_disjoint_singletons():

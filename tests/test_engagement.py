@@ -256,9 +256,11 @@ def test_rank_cg_chains_extraction_dominance(appendix_c):
 
 
 def test_rank_cg_deterministic_given_seed(appendix_c):
+    """A seed fixes the result, and a Generator is drawn from as-is."""
     r1 = rank_cg(appendix_c, steps=10, samples=50, seed=123)
     r2 = rank_cg(appendix_c, steps=10, samples=50, seed=123)
-    assert r1 == r2
+    r3 = rank_cg(appendix_c, steps=10, samples=50, seed=np.random.default_rng(123))
+    assert r1 == r2 == r3
 
 
 def test_rank_cg_mean_clears_guarantee_on_worked_instance(appendix_c):

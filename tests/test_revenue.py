@@ -21,7 +21,6 @@ from seqsub.revenue import (
     scale_solution,
     solve_policy_lp,
 )
-from seqsub.util import split_seeds
 
 from auditors import marginals
 from conftest import matrix_of
@@ -214,13 +213,12 @@ def test_impression_accounting(appendix_c):
     sol = solve_policy_lp(build_policy_lp(inst))
     from seqsub.matroid import crs_round, sample_independent_point
     from seqsub.engagement import extract_permutation
-    from seqsub.util import split_seeds
 
     M = LaminarMatroid(4)
-    for s in range(500):
-        s1, s2 = split_seeds(s, 2)
-        A = sample_independent_point(sol.marginals, s1)
-        kept = crs_round(M, sol.marginals, A, s2)
+    draws = np.random.default_rng(0)  # one stream for every trial, as the pipeline draws
+    for _ in range(500):
+        A = sample_independent_point(sol.marginals, draws)
+        kept = crs_round(M, sol.marginals, A, draws)
         order = extract_permutation(kept, 4)
         position_of = {j: i for i, j in enumerate(order)}
         for i, j in kept:
@@ -230,7 +228,7 @@ def test_impression_accounting(appendix_c):
 
 
 def test_bicriteria_on_worked_instance(appendix_c):
-    report = run_bicriteria(appendix_c, seeds=200, root_seed=1)
+    report = run_bicriteria(appendix_c, trials=200, seed=1)
     assert report.lp_value >= 191.5 / 4 - 1e-9
     assert report.mean_revenue >= 0.25 * report.lp_value
     assert report.revenue_ok and report.engagement_ok
@@ -244,7 +242,7 @@ def test_bicriteria_trivial_zero_instance():
     table = {m: 0.0 for m in range(4)}
     model = ExplicitModel(2, table)
     inst = Instance(2, (0.5, 0.5), (model,) * 2, ZEROS2, K=0.0)
-    report = run_bicriteria(inst, seeds=20, root_seed=0)
+    report = run_bicriteria(inst, trials=20, seed=0)
     assert report.lp_value == pytest.approx(0.0, abs=1e-9)
     assert report.mean_revenue == pytest.approx(0.0, abs=1e-12)
     assert report.revenue_ok and report.engagement_ok
@@ -257,7 +255,7 @@ def test_bicriteria_with_active_floor():
         inst = random_instance("mnl", 4, rng, with_payments=True)
         opt = oracle.brute_force_revenue_opt(inst)
         T = 0.5 * core.engagement(inst, opt.best_witness)
-        report = run_bicriteria(inst, seeds=100, threshold=T, root_seed=trial)
+        report = run_bicriteria(inst, trials=100, threshold=T, seed=trial)
         assert report.revenue_ok and report.engagement_ok
         assert report.mean_engagement >= 0.25 * T - 3 * report.stderr_engagement
         assert report.mean_revenue >= 0.25 * report.lp_value - 3 * report.stderr_revenue
@@ -265,29 +263,44 @@ def test_bicriteria_with_active_floor():
 
 def test_bicriteria_emulated_repair_factor(appendix_c):
     report = run_bicriteria(
-        appendix_c, seeds=100, factor=ONE_MINUS_INV_E, root_seed=3
+        appendix_c, trials=100, factor=ONE_MINUS_INV_E, seed=3
     )
     assert report.scaled_value == pytest.approx(ONE_MINUS_INV_E * report.lp_value)
     assert report.revenue_ok  # the paper constant still clears easily
 
 
 def test_bicriteria_reports_reevaluate(appendix_c):
-    report = run_bicriteria(appendix_c, seeds=25, root_seed=7)
+    report = run_bicriteria(appendix_c, trials=25, seed=7)
     for t in report.trials:
         assert core.engagement(appendix_c, t.order) == pytest.approx(t.engagement)
         assert core.revenue(appendix_c, t.order) == pytest.approx(t.revenue)
 
 
 def test_bicriteria_trials_carry_exact_values_per_order():
-    """The trials are the per-seed roundings, and each distinct order's
-    engagement and revenue are exactly what core computes for it."""
+    """The trials are successive roundings on one generator, and each
+    distinct order's engagement and revenue are exactly what core computes
+    for it."""
     inst = random_instance("mnl", 5, 1, full_mass=True, with_payments=True)
-    root, trials = 5, 300
-    report = run_bicriteria(inst, seeds=trials, factor=ONE_MINUS_INV_E, root_seed=root)
+    seed, trials = 5, 300
+    report = run_bicriteria(inst, trials=trials, factor=ONE_MINUS_INV_E, seed=seed)
     scaled = scale_solution(solve_policy_lp(build_policy_lp(inst)), ONE_MINUS_INV_E)
-    orders = [round_to_permutation(inst, scaled, s) for s in split_seeds(root, trials)]
+    rng = np.random.default_rng(seed)
+    orders = [round_to_permutation(inst, scaled, rng) for _ in range(trials)]
     assert [t.order for t in report.trials] == orders
     assert 1 < len(set(orders)) < trials  # values are shared between trials
     for t in report.trials:
         assert t.engagement == core.engagement(inst, t.order)
         assert t.revenue == core.revenue(inst, t.order)
+
+
+def test_first_trials_are_the_shorter_run():
+    """The first k trials of an N-trial run are exactly the k-trial run, and
+    a Generator passed as the seed is drawn from as-is."""
+    inst = random_instance("explicit", 5, 2, full_mass=True, with_payments=True)
+    full = run_bicriteria(inst, trials=60, factor=ONE_MINUS_INV_E, seed=4).trials
+    assert len({t.order for t in full}) > 1
+    for k in (1, 7, 59):
+        short = run_bicriteria(inst, trials=k, factor=ONE_MINUS_INV_E, seed=4).trials
+        assert short == full[:k]
+    rng = np.random.default_rng(4)
+    assert run_bicriteria(inst, trials=60, factor=ONE_MINUS_INV_E, seed=rng).trials == full
