@@ -1,8 +1,8 @@
 """Command-line harness: instance generation, pipelines, audits, reports.
 
-Subcommands: gen, run, certify, oracle, report. `certify` and `oracle` are
-shortcuts for `run certify` / `run oracle`. Exit codes: 0 success, 2 when a
-guarantee assertion or report re-validation fails (CI contract), 1 on errors.
+Subcommands: gen, run {greedy,cg,revenue,coverage}, oracle, certify, report;
+each takes only the flags it reads. Exit codes: 0 success, 2 when a guarantee
+assertion or report re-validation fails (CI contract), 1 on errors.
 
 Reports are JSON with sorted keys and deterministic float repr, so a fixed
 --seed reproduces byte-identical files. Wall-clock timings never enter
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -29,14 +30,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    return obj
+def _seed(text: str) -> int:
+    if not text.isdigit():
+        raise ValidationError(f"need --seed >= 0, got {text}")
+    return int(text)
 
 
 def _flatten(obj, prefix=""):
@@ -54,31 +51,21 @@ def _flatten(obj, prefix=""):
 
 
 def _render(report: dict, fmt: str) -> str:
-    data = _jsonable(report)
     if fmt == "json":
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["key", "value"])
-        for k, v in _flatten(data):
+        for k, v in _flatten(report):
             writer.writerow([k, v])
         return buf.getvalue()
     lines = []
-    rows = [(k, v) for k, v in _flatten(data)]
+    rows = list(_flatten(report))
     width = max(len(k) for k, _ in rows)
     for k, v in rows:
         lines.append(f"{k:<{width}}  {v}")
     return "\n".join(lines) + "\n"
-
-
-def _emit(report: dict, args, summary: str) -> None:
-    print(summary)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_render(report, args.format))
-    else:
-        sys.stdout.write(_render(report, args.format))
 
 
 def _maybe_opt(inst: core.Instance, f_val: float) -> dict:
@@ -96,8 +83,8 @@ def _maybe_opt(inst: core.Instance, f_val: float) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    if args.n < 1 or args.seed < 0:
-        raise ValidationError(f"gen: need --n >= 1 and --seed >= 0, got {args.n} and {args.seed}")
+    if args.n < 1:
+        raise ValidationError(f"gen: need --n >= 1, got {args.n}")
     if args.kind == "coverage":
         ci = generators.random_coverage_instance(args.n, args.seed)
         coverage.save_coverage(ci, args.out)
@@ -189,12 +176,17 @@ def _trial(t: revenue.TrialResult) -> dict:
 
 
 def _revenue_summary(rep: revenue.BiCriteriaReport) -> dict:
-    """A revenue report's aggregate fields, which `report` recomputes."""
-    return {
+    """A revenue report's aggregate fields, which `report` recomputes; an
+    infinite ratio (the LP value or the floor is 0) reads "inf"."""
+    summary = {
         **{k: v for k, v in vars(rep).items() if k != "trials"},
         "trials": len(rep.trials),
         "best": _trial(rep.best),
     }
+    for key in ("alpha_ratio", "beta_ratio", "worst_alpha", "worst_beta"):
+        if math.isinf(summary[key]):
+            summary[key] = "inf"
+    return summary
 
 
 def _run_revenue(args) -> tuple[dict, str, int]:
@@ -259,21 +251,43 @@ def _run_certify(args) -> tuple[dict, str, int]:
     return report, summary, 0
 
 
-_RUNNERS = {
-    "greedy": _run_greedy,
-    "cg": _run_cg,
-    "oracle": _run_oracle,
-    "revenue": _run_revenue,
-    "coverage": _run_coverage,
-    "certify": _run_certify,
+#: Each pipeline by its spelling: its runner and the flags it reads beside
+#: --instance, --out and --format. Any other flag is a usage error.
+_COMMANDS = {
+    ("run", "greedy"): (_run_greedy, ()),
+    ("run", "cg"): (_run_cg, ("--seed", "--steps", "--samples")),
+    ("run", "revenue"): (_run_revenue, ("--seed", "--trials", "--factor", "--threshold")),
+    ("run", "coverage"): (_run_coverage, ("--seed", "--trials")),
+    ("oracle",): (_run_oracle, ("--threshold",)),
+    ("certify",): (_run_certify, ()),
+}
+
+_FLAGS = {
+    "--instance": {"required": True, "help": "input file (format depends on the command)"},
+    "--seed": {"type": _seed, "default": 0},
+    "--steps": {"type": int, "default": 40, "help": "continuous greedy steps"},
+    "--samples": {"type": int, "default": 200, "help": "marginal samples per step"},
+    "--trials": {"type": int, "default": 200, "help": "rounding trials"},
+    "--factor": {"type": float, "default": 1.0, "help": "LP solution scale factor"},
+    "--threshold": {"type": float, "default": None, "help": "override engagement floor T"},
+    "--out": {"help": "write machine-readable report here"},
+    "--format": {
+        "choices": ("json", "csv", "pretty-table"),
+        "default": "json",
+        "help": "report format for --out (or stdout when no --out)",
+    },
 }
 
 
 def _cmd_run(args) -> int:
-    if args.seed < 0:
-        raise ValidationError(f"run: need --seed >= 0, got {args.seed}")
-    report, summary, code = _RUNNERS[args.algo](args)
-    _emit({"algo": args.algo, "instance": args.instance, **report}, args, summary)
+    report, summary, code = args.runner(args)
+    report = {"algo": args.algo, "instance": args.instance, **report}
+    print(summary)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(_render(report, args.format))
+    else:
+        sys.stdout.write(_render(report, args.format))
     return code
 
 
@@ -338,18 +352,14 @@ def _cmd_report(args) -> int:
             failures.append("engagement optimum reaches the floor called infeasible")
     elif algo == "revenue":
         inst = core.load_instance(args.instance)
-        values = {}  # each distinct order is evaluated once
-        trials = []
-        for i, trial in enumerate(_field(rep, "per_seed", list)):
-            order = _field(trial, "permutation", core.order_from_external)
-            if order not in values:
-                values[order] = (core.engagement(inst, order), core.revenue(inst, order))
-            f_val, g_val = values[order]
-            if not _close(f_val, _field(trial, "engagement")) or not _close(
-                g_val, _field(trial, "revenue")
+        claimed_trials = _field(rep, "per_seed", list)
+        orders = [_field(t, "permutation", core.order_from_external) for t in claimed_trials]
+        trials = revenue.evaluate_trials(inst, orders)
+        for i, (claimed, t) in enumerate(zip(claimed_trials, trials)):
+            if not _close(t.engagement, _field(claimed, "engagement")) or not _close(
+                t.revenue, _field(claimed, "revenue")
             ):
                 failures.append(f"trial {i} mismatch")
-            trials.append(revenue.TrialResult(order, f_val, g_val))
         if not trials:
             failures.append("no trials")
         else:
@@ -357,7 +367,7 @@ def _cmd_report(args) -> int:
                 trials, _field(rep, "lp_value"), _field(rep, "factor"), _field(rep, "threshold")
             )
             claimed = dict(_flatten({k: v for k, v in rep.items() if k != "per_seed"}))
-            for key, value in _flatten(_jsonable(_revenue_summary(summary))):
+            for key, value in _flatten(_revenue_summary(summary)):
                 if not _agrees(claimed.get(key), value):
                     failures.append(f"{key} mismatch")
     elif algo == "coverage":
@@ -384,24 +394,8 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--instance", required=True, help="input file (format depends on algo)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=40, help="continuous greedy steps")
-    p.add_argument("--samples", type=int, default=200, help="marginal samples per step")
-    p.add_argument("--trials", type=int, default=200, help="rounding trials")
-    p.add_argument("--factor", type=float, default=1.0, help="LP solution scale factor")
-    p.add_argument("--threshold", type=float, default=None, help="override engagement floor T")
-    p.add_argument("--out", default=None, help="write machine-readable report here")
-    p.add_argument(
-        "--format",
-        choices=("json", "csv", "pretty-table"),
-        default="json",
-        help="report format for --out (or stdout when no --out)",
-    )
-
-
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
     parser = _Parser(prog="seqsub", description=__doc__)
     parser.add_argument("--version", action="version", version=f"seqsub {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -409,22 +403,16 @@ def _build_parser() -> _Parser:
     gen = sub.add_parser("gen", help="generate a random instance file")
     gen.add_argument("--kind", choices=generators.KINDS, required=True)
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", **_FLAGS["--seed"])
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen)
 
-    run = sub.add_parser("run", help="run an algorithm and write a report")
-    run.add_argument("algo", choices=sorted(_RUNNERS))
-    _add_run_flags(run)
-    run.set_defaults(func=_cmd_run)
-
-    certify = sub.add_parser("certify", help="shortcut for `run certify`")
-    _add_run_flags(certify)
-    certify.set_defaults(func=_cmd_run, algo="certify")
-
-    orc = sub.add_parser("oracle", help="shortcut for `run oracle`")
-    _add_run_flags(orc)
-    orc.set_defaults(func=_cmd_run, algo="oracle")
+    run = sub.add_parser("run", help="run a pipeline").add_subparsers(dest="algo", required=True)
+    for (*prefix, algo), (runner, flags) in _COMMANDS.items():
+        p = (run if prefix else sub).add_parser(algo, help=f"run {algo} and write a report")
+        for flag in ("--instance", *flags, "--out", "--format"):
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=_cmd_run, algo=algo, runner=runner)
 
     rpt = sub.add_parser("report", help="re-validate a written report")
     rpt.add_argument("--report", required=True)
@@ -434,9 +422,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # raised by our error() override and --version
         return int(exc.code or 0)

@@ -34,8 +34,8 @@ class NumericalInstabilityError(SeqsubError):
     """An LP solve went numerically wrong; reported, never silent.
 
     Raised when the simplex hits its iteration cap, its basic solution loses
-    feasibility or its optimum violates a row, and when the revenue LP's
-    marginals break their bounds.
+    feasibility, or its optimum violates a row or fails its dual certificate,
+    and when the revenue LP's marginals break their bounds.
     """
 
 

@@ -7,9 +7,10 @@ phase costs and duals come from row-sense masks, and each pivot is one
 rank-1 update of the rows whose pivot-column entry is nonzero. Its two-pass
 ratio test (Harris, 1973) never pivots on less than PIVOT_TOL of the largest
 eligible entry, and an `optimal` point is re-checked against the original
-rows. The max-flow solver augments along shortest paths (Edmonds-Karp) over
-real-valued capacities and returns a min cut as witness; flow-vs-cut
-duality and flow conservation are checked on every call.
+rows and certified by its dual prices. The max-flow solver augments along
+shortest paths (Edmonds-Karp) over real-valued capacities and returns a min
+cut as witness; flow-vs-cut duality and flow conservation are checked on
+every call.
 
 Both are sized for desk-scale problems (a few thousand variables, dense rows).
 """
@@ -188,8 +189,9 @@ def simplex_solve(p: LpProblem) -> LpSolution:
     xs = x[:n]
     # x must satisfy the original rows too; its sign is the basic check above
     ax = p.A @ xs
+    abs_a = np.abs(p.A)
     excess = np.select([senses == LESS, senses == GREATER], [ax - p.b, p.b - ax], abs(ax - p.b))
-    if np.any(excess > TOL * (1.0 + np.abs(p.b) + np.abs(p.A) @ np.abs(xs))):
+    if np.any(excess > TOL * (1.0 + np.abs(p.b) + abs_a @ np.abs(xs))):
         raise NumericalInstabilityError("numerics: optimal point violates a constraint row")
     value = float(p.c @ xs)
 
@@ -199,6 +201,16 @@ def simplex_solve(p: LpProblem) -> LpSolution:
     y = cbar[np.where(has_slack, slack_col, art_col)[keep]]
     duals = np.zeros(m)
     duals[keep] = np.where((ge != flip)[keep], y, -y)
+    # the prices must certify x: >= 0 on <= rows and <= 0 on >= rows, no
+    # positive reduced cost and no duality gap, each to TOL relative to its terms
+    wrong_sign = np.select([senses == LESS, senses == GREATER], [-duals, duals], 0.0)
+    abs_y = np.abs(duals)
+    if (
+        np.any(wrong_sign > TOL * (1.0 + abs_y))
+        or np.any(p.c - p.A.T @ duals > TOL * (1.0 + abs_a.T @ abs_y + np.abs(p.c)))
+        or abs(value - p.b @ duals) > TOL * (1.0 + np.abs(p.c) @ np.abs(xs) + np.abs(p.b) @ abs_y)
+    ):
+        raise NumericalInstabilityError("numerics: optimal point fails its dual certificate")
     return LpSolution("optimal", value, xs, duals, iters)
 
 

@@ -129,6 +129,11 @@ def solve_policy_lp(model: PolicyLp) -> PolicyLpSolution:
     return PolicyLpSolution(float(res.value), marg)
 
 
+def _check_factor(factor: float) -> None:
+    if not 0.0 < factor <= 1.0:
+        raise SeqsubError(f"revenue: scale factor {factor} outside (0, 1]")
+
+
 def scale_solution(sol: PolicyLpSolution, factor: float) -> PolicyLpSolution:
     """Multiply every variable by factor in (0, 1].
 
@@ -137,8 +142,7 @@ def scale_solution(sol: PolicyLpSolution, factor: float) -> PolicyLpSolution:
     feasibility repair of the polynomial-time path; factor 1 is the default
     when the LP is solved exactly.
     """
-    if not 0.0 < factor <= 1.0:
-        raise SeqsubError(f"revenue: scale factor {factor} outside (0, 1]")
+    _check_factor(factor)
     if factor == 1.0:
         return sol
     return replace(sol, value=sol.value * factor, marginals=sol.marginals * factor)
@@ -182,10 +186,16 @@ class BiCriteriaReport:
         return self.revenue_ok and self.engagement_ok
 
 
+def evaluate_trials(inst: Instance, orders: list[Permutation]) -> list[TrialResult]:
+    """Each order's engagement and revenue; each distinct order is evaluated once."""
+    values = {o: (engagement(inst, o), revenue(inst, o)) for o in set(orders)}
+    return [TrialResult(o, *values[o]) for o in orders]
+
+
 def summarize(
     trials: list[TrialResult], lp_value: float, factor: float, threshold: float
 ) -> BiCriteriaReport:
-    """Aggregate rounding trials against the LP value and the floor, and audit.
+    """Aggregate at least one rounding trial against the LP value and the floor, and audit.
 
     The audit asserts the proven end-to-end constant: mean revenue at least
     0.25x the LP value and, when T > 0, mean engagement at least 0.25 T
@@ -193,8 +203,6 @@ def summarize(
     reported and typically sit far higher because the LP is exact.
     """
     k = len(trials)
-    if k < 1:
-        raise SeqsubError("revenue: need at least one rounding trial")
     f_vals = np.array([t.engagement for t in trials])
     g_vals = np.array([t.revenue for t in trials])
     se_f = float(f_vals.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
@@ -234,12 +242,13 @@ def run_bicriteria(
     Every trial draws from one generator in turn, so the first k trials of
     a run are the k-trial run with the same seed.
     """
+    if trials < 1:
+        raise SeqsubError("revenue: need at least one rounding trial")
+    _check_factor(factor)
     if threshold is not None:
         inst = inst.with_threshold(threshold)
     sol = solve_policy_lp(build_policy_lp(inst))
     scaled = scale_solution(sol, factor)
     rng = np.random.default_rng(seed)
     orders = [round_to_permutation(inst, scaled, rng) for _ in range(trials)]
-    values = {o: (engagement(inst, o), revenue(inst, o)) for o in set(orders)}
-    results = [TrialResult(o, *values[o]) for o in orders]
-    return summarize(results, sol.value, factor, inst.T)
+    return summarize(evaluate_trials(inst, orders), sol.value, factor, inst.T)

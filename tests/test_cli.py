@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from seqsub import core, coverage, generators, oracle, policy
+from seqsub import cli, core, coverage, generators, oracle, policy
 from seqsub.cli import main
 
 
@@ -48,9 +48,7 @@ def test_gen_coverage_sets_nonempty(tmp_path):
 
 def test_run_oracle_reports_best_revenue(appendix_c_path, tmp_path, capsys):
     out = tmp_path / "report.json"
-    code = main(
-        ["run", "oracle", "--instance", appendix_c_path, "--out", str(out)]
-    )
+    code = main(["oracle", "--instance", appendix_c_path, "--out", str(out)])
     assert code == 0
     assert "47.75" in capsys.readouterr().out
     report = json.loads(out.read_text())
@@ -242,7 +240,8 @@ def test_report_validation_roundtrip(algo, appendix_c_path, tmp_path):
         instance = str(tmp_path / "policy.json")
         policy.save_policy(generators.random_policy_mixture(6, 5, 1), instance)
     out = tmp_path / f"{algo}.json"
-    main(["run", algo, "--instance", instance, "--out", str(out)])
+    command = ["certify"] if algo == "certify" else ["run", algo]
+    main([*command, "--instance", instance, "--out", str(out)])
     assert main(["report", "--report", str(out), "--instance", instance]) == 0
     # tamper with the reported result: re-validation must fail with exit 2
     data = json.loads(out.read_text())
@@ -514,6 +513,58 @@ def test_malformed_input_is_a_one_line_error(case, tmp_path, capsys):
 
 def test_usage_error_exits_one():
     assert main(["run", "unknown-algo", "--instance", "x"]) == 1
+
+
+#: The flags each command reads beside --instance; any other flag is a usage error.
+COMMAND_FLAGS = {
+    "run greedy": {"--out", "--format"},
+    "run cg": {"--seed", "--steps", "--samples", "--out", "--format"},
+    "run revenue": {"--seed", "--trials", "--factor", "--threshold", "--out", "--format"},
+    "run coverage": {"--seed", "--trials", "--out", "--format"},
+    "oracle": {"--threshold", "--out", "--format"},
+    "certify": {"--out", "--format"},
+}
+FLAG_VALUES = {
+    "--seed": "1", "--steps": "3", "--samples": "8", "--trials": "5",
+    "--factor": "0.632", "--threshold": "0.1", "--out": "report.json", "--format": "csv",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+def test_each_command_takes_only_the_flags_it_reads(command, flag, appendix_c_path, tmp_path,
+                                                    capsys):
+    """A flag that a command reads is accepted; any other is a one-line usage
+    error, where it once was accepted and silently ignored."""
+    instance = appendix_c_path
+    if command == "run coverage":
+        instance = str(tmp_path / "cov.json")
+        main(["gen", "--kind", "coverage", "--n", "4", "--seed", "1", "--out", instance])
+    elif command == "certify":
+        instance = str(tmp_path / "policy.json")
+        policy.save_policy(generators.random_policy_mixture(4, 3, 1), instance)
+    value = str(tmp_path / FLAG_VALUES[flag]) if flag == "--out" else FLAG_VALUES[flag]
+    capsys.readouterr()
+    code = main([*command.split(), "--instance", instance, flag, value])
+    err = capsys.readouterr().err
+    if flag in COMMAND_FLAGS[command]:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (1, f"seqsub: error: unrecognized arguments: {flag} {value}\n")
+
+
+@pytest.mark.parametrize("algo", ["oracle", "certify"])
+def test_oracle_and_certify_have_one_spelling(algo, appendix_c_path, capsys):
+    assert main(["run", algo, "--instance", appendix_c_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"seqsub run: error: argument algo: invalid choice: '{algo}'"), err
+    assert len(err.splitlines()) == 1, err
+
+
+def test_the_parser_is_built_once_per_process(appendix_c_path):
+    for _ in range(3):
+        assert main(["run", "greedy", "--instance", appendix_c_path, "--format", "csv"]) == 0
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_csv_and_pretty_formats(appendix_c_path, tmp_path, capsys):

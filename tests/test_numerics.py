@@ -263,6 +263,25 @@ def test_simplex_rejects_a_point_that_violates_the_original_rows(appendix_c, mon
         simplex_solve(revenue.build_policy_lp(appendix_c).problem)
 
 
+def test_simplex_rejects_a_point_that_its_duals_do_not_certify(monkeypatch):
+    """Phase 2 stopped before its first pivot leaves a feasible point that
+    is not optimal: 0.4027 against 2.8877. It meets every row, but a
+    reduced cost stays positive, so the dual certificate rejects it."""
+    real = numerics._bland_iterate
+
+    def skip_phase_2(T, rhs, basis, cost, allowed, iters):
+        if not allowed.all():  # phase 2 may not enter the artificial columns
+            return "optimal", iters
+        return real(T, rhs, basis, cost, allowed, iters)
+
+    inst = generators.random_instance("mnl", 4, 1, with_payments=True).with_threshold(0.1)
+    p = revenue.build_policy_lp(inst).problem
+    assert simplex_solve(p).value == pytest.approx(2.8877, abs=1e-4)
+    monkeypatch.setattr(numerics, "_bland_iterate", skip_phase_2)
+    with pytest.raises(NumericalInstabilityError, match="fails its dual certificate"):
+        simplex_solve(p)
+
+
 def test_simplex_rejects_bad_shapes():
     with pytest.raises(ValidationError):
         LpProblem([1.0, 2.0], [[1.0]], [1.0], ("<=",))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from seqsub import core, oracle
+from seqsub import core, oracle, revenue
 from seqsub.core import ExplicitModel, Instance, MnlModel
 from seqsub.errors import InfeasibleError, SeqsubError
 from seqsub.generators import random_instance
@@ -149,6 +149,27 @@ def test_scale_solution_identity_and_budgets(appendix_c):
     assert layer_sums.max() <= 0.5 + 1e-9
     with pytest.raises(SeqsubError):
         scale_solution(sol, 0.0)
+
+
+@pytest.mark.parametrize(
+    "trials, factor, message",
+    [
+        (0, 1.0, "revenue: need at least one rounding trial"),
+        (-3, 1.0, "revenue: need at least one rounding trial"),
+        (20, 0.0, "revenue: scale factor 0.0 outside (0, 1]"),
+        (20, 1.5, "revenue: scale factor 1.5 outside (0, 1]"),
+    ],
+)
+def test_run_bicriteria_checks_its_arguments_before_the_lp(
+    trials, factor, message, appendix_c, monkeypatch
+):
+    def no_lp(inst):
+        raise AssertionError("built the relaxation")
+
+    monkeypatch.setattr(revenue, "build_policy_lp", no_lp)
+    with pytest.raises(SeqsubError) as exc:
+        run_bicriteria(appendix_c, trials, factor=factor)
+    assert str(exc.value) == message
 
 
 def test_scaled_engagement_term_on_worked_instance(appendix_c):
