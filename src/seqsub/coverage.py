@@ -14,11 +14,12 @@ interest incidence block for the click rows and Kronecker products for the
 row- and column-sum rows.
 
 Rounding draws one product per position from that position's row of x
-(independently across positions, possibly duplicating products), then
-repairs: every product keeps only its first occurrence, and unplaced
-products fill the vacated slots in index order. Repair never loses a click,
-because a click only depends on some interesting product appearing at or
-above position k, and first occurrences only move products up.
+(independently across positions, possibly duplicating products; all n
+positions at once, from one required seed), then repairs: every product
+keeps only its first occurrence, and unplaced products fill the vacated
+slots in index order. Repair never loses a click, because a click only
+depends on some interesting product appearing at or above position k, and
+first occurrences only move products up.
 """
 
 from __future__ import annotations
@@ -122,36 +123,31 @@ class RoundedAssignment:
     clicks: int
 
 
-def round_assignment(
-    ci: CoverageInstance, sol: AssignmentLpSolution, seed=None
-) -> RoundedAssignment:
-    """One dependent-rounding draw plus duplicate repair."""
+def round_assignment(ci: CoverageInstance, sol: AssignmentLpSolution, seed) -> RoundedAssignment:
+    """One dependent-rounding draw plus duplicate repair.
+
+    Position i takes the first product whose cumulative row mass exceeds its
+    uniform draw, i.e. the count of cumulative sums <= the draw.
+    """
     n = ci.n
-    rng = np.random.default_rng(seed)
-    chosen = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        row = np.maximum(sol.x[i], 0.0)
-        total = row.sum()
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValidationError(f"coverage: row {i} of x sums to {total}, not 1")
-        cum = np.cumsum(row / total)
-        chosen[i] = int(np.searchsorted(cum, rng.random(), side="right").clip(0, n - 1))
+    rows = np.maximum(sol.x, 0.0)
+    totals = rows.sum(axis=1)
+    bad = np.abs(totals - 1.0) > SUM_TOL
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValidationError(f"coverage: row {i} of x sums to {totals[i]}, not 1")
+    cum = np.cumsum(rows / totals[:, None], axis=1)
+    u = np.random.default_rng(seed).random(n)
+    chosen = np.minimum((cum <= u[:, None]).sum(axis=1), n - 1)
 
     y_hat = _hits(ci, chosen)
 
-    first: dict[int, int] = {}
-    for i in range(n):
-        j = int(chosen[i])
-        if j not in first:
-            first[j] = i
-    assign = [-1] * n
-    for j, i in first.items():
-        assign[i] = j
-    vacated = [i for i in range(n) if assign[i] < 0]
-    unused = [j for j in range(n) if j not in first]
-    for slot, j in zip(vacated, unused):
-        assign[slot] = j
-    order = tuple(assign)
+    # each product keeps its first position; unplaced ones fill the rest in order
+    placed, first = np.unique(chosen, return_index=True)
+    assign = np.full(n, -1)
+    assign[first] = placed
+    assign[assign < 0] = np.setdiff1d(np.arange(n), placed)
+    order = tuple(assign.tolist())
 
     y_tilde = _hits(ci, order)
     return RoundedAssignment(order, y_tilde, y_hat, int(y_tilde.sum()))
@@ -164,7 +160,7 @@ class BestOfResult:
     lp_value: float
 
 
-def coverage_best_of(ci: CoverageInstance, trials: int, seed=None) -> BestOfResult:
+def coverage_best_of(ci: CoverageInstance, trials: int, seed) -> BestOfResult:
     """Round `trials` times from one generator, keep the order with the most clicks."""
     if trials < 1:
         raise ValidationError("coverage: need at least one trial")

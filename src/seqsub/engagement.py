@@ -10,8 +10,9 @@ g is monotone submodular whenever the f_i are, permutation-shaped sets
 {(i, order[i])} satisfy g = engagement(order), and any independent R can be
 collapsed back to a permutation without losing value by sorting products on
 their earliest position in R. That makes maximizing g over the prefix
-matroid a faithful relaxation of maximizing engagement over permutations,
-solved here with continuous greedy plus pipage rounding.
+matroid of rank n a faithful relaxation of maximizing engagement over
+permutations, solved here with continuous greedy plus pipage rounding; every
+random draw comes from the one seed rank_cg requires.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ import numpy as np
 
 from .core import Instance, Permutation, _prefix_value, engagement
 from .errors import SeqsubError
-from .matroid import (
-    LaminarMatroid,
-    LiftedSet,
-    continuous_greedy,
-    estimate_multilinear,
-    pipage_round,
-)
+from .matroid import LiftedSet, continuous_greedy, estimate_multilinear, pipage_round
 from .numerics import TOL
 
 
@@ -140,12 +135,7 @@ class RankResult:
     rounded_size: int
 
 
-def rank_cg(
-    inst: Instance,
-    steps: int = 40,
-    samples: int = 200,
-    seed=None,
-) -> RankResult:
+def rank_cg(inst: Instance, steps: int = 40, samples: int = 200, *, seed) -> RankResult:
     """Lift, run continuous greedy, pipage-round, extract a permutation.
 
     Diagnostics separate Monte Carlo noise from algorithmic loss: the
@@ -153,11 +143,10 @@ def rank_cg(
     rounded set, and engagement the final permutation (always >= lifted_value).
     """
     obj = LiftedObjective(inst)
-    M = LaminarMatroid(inst.n)
     rng = np.random.default_rng(seed)
-    y = continuous_greedy(obj, M, steps=steps, samples_per_step=samples, seed=rng)
+    y = continuous_greedy(obj, inst.n, steps=steps, samples_per_step=samples, seed=rng)
     est = estimate_multilinear(obj, y, samples=max(samples, 64), seed=rng)
-    rounded = pipage_round(M, y, seed=rng)
+    rounded = pipage_round(inst.n, y, seed=rng)
     order = extract_permutation(rounded, inst.n)
     g_val = obj.value(rounded)
     f_val = engagement(inst, order)

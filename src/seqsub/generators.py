@@ -22,7 +22,7 @@ from .util import iter_bits, mask_of
 KINDS = ("explicit", "coverage", "mnl")
 
 
-def random_coverage_model(n: int, seed=None) -> CoverageModel:
+def random_coverage_model(n: int, seed) -> CoverageModel:
     rng = np.random.default_rng(seed)
     universe = int(rng.integers(n, 2 * n + 1))
     weights = tuple(rng.uniform(0.2, 1.0, size=universe))
@@ -34,7 +34,7 @@ def random_coverage_model(n: int, seed=None) -> CoverageModel:
     return CoverageModel(n, weights, tuple(covers), normalize=True)
 
 
-def random_mnl_model(n: int, seed=None) -> MnlModel:
+def random_mnl_model(n: int, seed) -> MnlModel:
     rng = np.random.default_rng(seed)
     return MnlModel(n, tuple(rng.uniform(0.05, 1.5, size=n)), float(rng.uniform(0.5, 2.0)))
 
@@ -52,7 +52,7 @@ def _concave_cardinality_table(n: int, rng) -> dict[int, float]:
     return {m: (bin(m).count("1") / n) ** gamma for m in range(1 << n)}
 
 
-def random_explicit_model(n: int, seed=None) -> ExplicitModel:
+def random_explicit_model(n: int, seed) -> ExplicitModel:
     """Tabulated mixture of submodular families, normalized to peak at <= 1."""
     if n > MAX_VERIFY_N:
         raise TooLargeError(f"generators: explicit n={n} exceeds verification cap {MAX_VERIFY_N}")
@@ -78,7 +78,7 @@ def random_explicit_model(n: int, seed=None) -> ExplicitModel:
     return model
 
 
-def random_models(kind: str, n: int, seed=None):
+def random_models(kind: str, n: int, seed):
     """One click model per patience level; explicit tables vary per level
     half the time, coverage/mnl are shared."""
     rng = np.random.default_rng(seed)
@@ -93,7 +93,7 @@ def random_models(kind: str, n: int, seed=None):
     raise GenerationError(f"generators: unknown kind {kind!r}")
 
 
-def random_lambda(n: int, seed=None, full_mass: bool | None = None) -> tuple[float, ...]:
+def random_lambda(n: int, seed, full_mass: bool | None = None) -> tuple[float, ...]:
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.05, 1.0, size=n)
     if full_mass is None:
@@ -103,7 +103,7 @@ def random_lambda(n: int, seed=None, full_mass: bool | None = None) -> tuple[flo
     return tuple(float(v) for v in lam)
 
 
-def random_payments(n: int, seed=None, scale: float = 1.0):
+def random_payments(n: int, seed, scale: float = 1.0):
     """Placement payments, nonincreasing down each column."""
     rng = np.random.default_rng(seed)
     r = np.sort(rng.uniform(0.0, scale, size=(n, n)), axis=0)[::-1]
@@ -113,7 +113,7 @@ def random_payments(n: int, seed=None, scale: float = 1.0):
 def random_instance(
     kind: str,
     n: int,
-    seed=None,
+    seed,
     *,
     full_mass: bool | None = None,
     with_payments: bool = False,
@@ -128,7 +128,7 @@ def random_instance(
     return Instance(n, lam, models, r, K=K)
 
 
-def random_coverage_instance(n: int, seed=None) -> CoverageInstance:
+def random_coverage_instance(n: int, seed) -> CoverageInstance:
     """Interest sets for the assignment-LP pipeline; never empty."""
     rng = np.random.default_rng(seed)
     sets = []
@@ -138,7 +138,7 @@ def random_coverage_instance(n: int, seed=None) -> CoverageInstance:
     return CoverageInstance(n, tuple(sets))
 
 
-def random_policy_mixture(n: int, components: int, seed=None) -> PolicyVector:
+def random_policy_mixture(n: int, components: int, seed) -> PolicyVector:
     """Implementable-by-construction mixture of permutation point masses."""
     rng = np.random.default_rng(seed)
     orders = [tuple(int(p) for p in rng.permutation(n)) for _ in range(components)]

@@ -1,16 +1,16 @@
-"""Laminar matroid over position-product pairs, and generic rounding machinery.
+"""The prefix (laminar) matroid over position-product pairs, and its rounding.
 
 The ground set has n^2 elements (i, j) = "product j occupies position i",
-both 0-based. Independence is capacity-constrained on the nested prefix sets
-A_k = {(i, j) : i < k} with capacity k for k = 1..n, so a set is independent
-iff it never crowds more elements into the top k positions than k. The
-matroid has rank n and its polytope (within the unit box) is exactly the
-family of prefix-sum constraints.
+both 0-based. A set is independent iff it never crowds more than k elements
+into the top k positions, for k = 1..n: the prefix sets
+A_k = {(i, j) : i < k} are nested, each with capacity k. That rank n is the
+whole matroid, so every function here takes n first. Within the unit box
+the prefix-sum constraints describe its polytope exactly.
 
 The Monte Carlo routines take an objective g that evaluates boolean
 membership tensors of shape (B, n, n): `g.batch_value(incl)` gives g of each
 of the B sets, and `g.batch_marginal_weights(incl)` the per-element marginals
-g(R\\e + e) - g(R\\e). Every randomized operation takes a seed or a numpy
+g(R\\e + e) - g(R\\e). Every randomized operation requires a seed or a numpy
 Generator (anything np.random.default_rng accepts) and is reproducible; a
 pipeline passes one Generator through all of its draws.
 """
@@ -29,30 +29,15 @@ from .numerics import TOL
 LiftedSet = frozenset  # of (position, product) pairs
 
 
-@dataclass(frozen=True)
-class LaminarMatroid:
-    """Prefix-capacity matroid: |R restricted to positions < k| <= k."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("matroid: n must be positive")
-
-
-def is_independent(M: LaminarMatroid, R: Iterable[tuple[int, int]]) -> bool:
+def is_independent(n: int, R: Iterable[tuple[int, int]]) -> bool:
     """True iff every prefix-capacity constraint holds."""
-    counts = [0] * M.n
-    total = 0
+    counts = [0] * n
     for i, j in R:
-        if not (0 <= i < M.n and 0 <= j < M.n):
+        if not (0 <= i < n and 0 <= j < n):
             raise ValidationError(f"matroid: element {(i, j)} outside ground set")
         counts[i] += 1
-        total += 1
-    if total > M.n:
-        return False
     c = 0
-    for k in range(M.n):
+    for k in range(n):
         c += counts[k]
         if c > k + 1:
             return False
@@ -75,29 +60,29 @@ def _keep_independent(n: int, elems: Iterable[tuple[int, int]]) -> list[tuple[in
     return kept
 
 
-def max_weight_base(M: LaminarMatroid, w) -> LiftedSet:
+def max_weight_base(n: int, w) -> LiftedSet:
     """Greedy maximum-weight base; ties broken by (position, product).
 
-    Elements are scanned in descending weight; negative-weight elements are
+    Elements are scanned in descending weight (a stable sort of the
+    row-major weights, so -0.0 ties 0.0); negative-weight elements are
     taken only when needed to complete a base, which the exchange property
     makes optimal among bases.
     """
-    n = M.n
     w = np.asarray(w, dtype=float)
     if w.shape != (n, n) or not np.all(np.isfinite(w)):
         raise ValidationError("matroid: weights must be a finite n x n matrix")
-    order = sorted(((i, j) for i in range(n) for j in range(n)), key=lambda e: (-w[e], e))
-    return frozenset(_keep_independent(n, order))
+    order = np.argsort(-w, axis=None, kind="stable").tolist()
+    return frozenset(_keep_independent(n, (divmod(e, n) for e in order)))
 
 
-def in_matroid_polytope(M: LaminarMatroid, x) -> bool:
+def in_matroid_polytope(n: int, x) -> bool:
     """Prefix-sum test: sum over the top k positions <= k + TOL for all k.
 
     For this laminar matroid the prefix constraints (with entries already in
     [0, 1]) describe the full independent-set polytope.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (M.n, M.n):
+    if x.shape != (n, n):
         raise ValidationError("matroid: point must be an n x n matrix")
     prefix = x.sum(axis=1).cumsum().tolist()
     return all(p <= k + TOL for k, p in enumerate(prefix, 1))
@@ -116,18 +101,21 @@ def _check_unit_box(x: np.ndarray) -> np.ndarray:
     return x if lo >= 0.0 and hi <= 1.0 else np.clip(x, 0.0, 1.0)
 
 
+def _polytope_point(n: int, x, what: str) -> np.ndarray:
+    """A float copy of x clipped to the unit box; PolytopeError off the polytope."""
+    x = _check_unit_box(np.array(x, dtype=float))
+    if not in_matroid_polytope(n, x):
+        raise PolytopeError(f"matroid: {what} outside the matroid polytope")
+    return x
+
+
 @dataclass
 class MultilinearEstimate:
     mean: float
     stderr: float
 
 
-def estimate_multilinear(
-    g,
-    x,
-    samples: int,
-    seed=None,
-) -> MultilinearEstimate:
+def estimate_multilinear(g, x, samples: int, seed) -> MultilinearEstimate:
     """Monte Carlo estimate of E[g(R(x))] under independent inclusion."""
     if samples < 1:
         raise ValidationError("matroid: need at least one sample")
@@ -141,11 +129,7 @@ def estimate_multilinear(
 
 
 def continuous_greedy(
-    g,
-    M: LaminarMatroid,
-    steps: int = 40,
-    samples_per_step: int = 200,
-    seed=None,
+    g, n: int, steps: int = 40, samples_per_step: int = 200, *, seed
 ) -> np.ndarray:
     """Continuous greedy for monotone g: ascend along max-weight bases.
 
@@ -158,20 +142,19 @@ def continuous_greedy(
     """
     if steps < 1 or samples_per_step < 1:
         raise ValidationError("matroid: steps and samples_per_step must be >= 1")
-    n = M.n
     rng = np.random.default_rng(seed)
     y = np.zeros((n, n))
     for _ in range(steps):
         incl = rng.random((samples_per_step, n, n)) < y
         w = np.asarray(g.batch_marginal_weights(incl), dtype=float).mean(axis=0)
-        base = max_weight_base(M, w)
+        base = max_weight_base(n, w)
         for i, j in base:
             y[i, j] += 1.0 / steps
     np.clip(y, 0.0, 1.0, out=y)
     return y
 
 
-def sample_independent_point(x, seed=None) -> LiftedSet:
+def sample_independent_point(x, seed) -> LiftedSet:
     """Include each element independently with probability x[i, j].
 
     The draw is statistically independent per coordinate; the result need
@@ -182,7 +165,7 @@ def sample_independent_point(x, seed=None) -> LiftedSet:
     return set_from_matrix(rng.random(x.shape) < x)
 
 
-def pipage_round(M: LaminarMatroid, x, seed=None) -> LiftedSet:
+def pipage_round(n: int, x, seed) -> LiftedSet:
     """Round a polytope point to an independent integral set.
 
     Repeatedly takes the two lexicographically smallest fractional
@@ -193,32 +176,23 @@ def pipage_round(M: LaminarMatroid, x, seed=None) -> LiftedSet:
     point, so E[g(output)] >= E[g(R(x))] for submodular g. A final lone
     fractional coordinate is rounded up with its own probability, which
     capacity integrality keeps feasible. Integral inputs are returned
-    unchanged.
+    unchanged. Only a move changes a coordinate's fractional status, so the
+    row-major list of fractional coordinates is built once and each move
+    re-tests just the two it touched.
     """
-    x = np.asarray(x, dtype=float)
-    if not in_matroid_polytope(M, _check_unit_box(x)):
-        raise PolytopeError("matroid: pipage input outside the matroid polytope")
-    x = np.clip(x.copy(), 0.0, 1.0)
-    n = M.n
+    x = _polytope_point(n, x, "pipage input")
     rng = np.random.default_rng(seed)
-
-    def fractional():
-        idx = np.argwhere((x > TOL) & (x < 1.0 - TOL))
-        return [(int(i), int(j)) for i, j in idx]
-
+    frac = [tuple(e) for e in np.argwhere((x > TOL) & (x < 1.0 - TOL)).tolist()]
     rounds = 0
-    while True:
-        frac = fractional()
-        if not frac:
-            break
+    while frac:
         rounds += 1
         if rounds > 2 * n * n + 8:  # pragma: no cover - defensive
             raise SeqsubError("matroid: pipage failed to make progress")
+        a = frac[0]
         if len(frac) == 1:
-            a = frac[0]
             x[a] = 1.0 if rng.random() < x[a] else 0.0
-            continue
-        a, b = frac[0], frac[1]
+            break
+        b = frac[1]
         pa, pb = a[0], b[0]
         d_plus = min(1.0 - x[a], x[b])
         if pa != pb:
@@ -240,14 +214,15 @@ def pipage_round(M: LaminarMatroid, x, seed=None) -> LiftedSet:
             x[b] += d_minus
         x[x < TOL] = 0.0
         x[x > 1.0 - TOL] = 1.0
+        frac[:2] = [e for e in (a, b) if TOL < x[e] < 1.0 - TOL]
 
     result = set_from_matrix(x > 0.5)
-    if not is_independent(M, result):  # pragma: no cover - structural guarantee
+    if not is_independent(n, result):  # pragma: no cover - structural guarantee
         raise SeqsubError("matroid: pipage produced a dependent set")
     return result
 
 
-def crs_round(M: LaminarMatroid, x, A: Iterable[tuple[int, int]], seed=None) -> LiftedSet:
+def crs_round(n: int, x, A: Iterable[tuple[int, int]], seed) -> LiftedSet:
     """Random-order greedy contention resolution.
 
     Iterates the elements of A that carry positive mass in x in a uniformly
@@ -256,14 +231,11 @@ def crs_round(M: LaminarMatroid, x, A: Iterable[tuple[int, int]], seed=None) -> 
     survives a superset A only if it survives A). Its per-element retention
     constant is measured empirically by the test suite rather than assumed.
     """
-    x = _check_unit_box(np.asarray(x, dtype=float))
-    if not in_matroid_polytope(M, x):
-        raise PolytopeError("matroid: contention resolution needs x in the polytope")
+    rows = _polytope_point(n, x, "contention resolution input").tolist()
     rng = np.random.default_rng(seed)
-    rows = x.tolist()
     elems = sorted(e for e in A if rows[e[0]][e[1]] > 0.0)
     order = rng.permutation(len(elems)).tolist()
-    result = frozenset(_keep_independent(M.n, (elems[idx] for idx in order)))
-    if not is_independent(M, result):  # pragma: no cover - structural guarantee
+    result = frozenset(_keep_independent(n, (elems[idx] for idx in order)))
+    if not is_independent(n, result):  # pragma: no cover - structural guarantee
         raise SeqsubError("matroid: contention resolution produced a dependent set")
     return result

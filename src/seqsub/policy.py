@@ -148,7 +148,7 @@ def check_implementable(pv: PolicyVector) -> ImplementabilityReport:
     return ImplementabilityReport(True, certs)
 
 
-def sample_policy(pv: PolicyVector, certs: Sequence[LayerFlowCert], seed=None) -> Permutation:
+def sample_policy(pv: PolicyVector, certs: Sequence[LayerFlowCert], seed) -> Permutation:
     """Draw one permutation from the policy the certificates describe.
 
     From prefix S at layer k the next product follows the conditional

@@ -21,8 +21,8 @@ its bound and is not needed. The optimum upper-bounds the revenue of every
 feasible (even randomized) policy meeting the engagement floor. At desk
 scale (n <= 12) the subset variables are enumerated explicitly and the LP is
 solved exactly, which upper-bounds what the polynomial-time path achieves;
-scale_solution (`run revenue --factor`) applies the multiply-by-(1 - 1/e)
-feasibility repair that path needs. Rounding samples each lifted
+run_bicriteria's factor (`run revenue --factor`) scales the marginals by the
+(1 - 1/e) feasibility repair that path needs. Rounding samples each lifted
 element (i, j) with its marginal probability (the marginals always lie in
 the prefix-matroid polytope), prunes to an independent set by contention
 resolution, and sorts products by earliest position.
@@ -34,14 +34,14 @@ product, subset) incidence array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .core import Instance, Permutation, engagement, revenue
 from .errors import InfeasibleError, NumericalInstabilityError, SeqsubError, TooLargeError
-from .matroid import LaminarMatroid, crs_round, sample_independent_point
+from .matroid import crs_round, sample_independent_point
 from .engagement import extract_permutation
 from .numerics import SUM_TOL, TOL, LpProblem, simplex_solve
 from .util import mask_of
@@ -129,30 +129,11 @@ def solve_policy_lp(model: PolicyLp) -> PolicyLpSolution:
     return PolicyLpSolution(float(res.value), marg)
 
 
-def _check_factor(factor: float) -> None:
-    if not 0.0 < factor <= 1.0:
-        raise SeqsubError(f"revenue: scale factor {factor} outside (0, 1]")
-
-
-def scale_solution(sol: PolicyLpSolution, factor: float) -> PolicyLpSolution:
-    """Multiply every variable by factor in (0, 1].
-
-    All relaxation constraints survive except the engagement floor, which
-    the scaled point meets at factor * T. Factor 1 - 1/e emulates the
-    feasibility repair of the polynomial-time path; factor 1 is the default
-    when the LP is solved exactly.
-    """
-    _check_factor(factor)
-    if factor == 1.0:
-        return sol
-    return replace(sol, value=sol.value * factor, marginals=sol.marginals * factor)
-
-
-def round_to_permutation(inst: Instance, sol: PolicyLpSolution, seed=None) -> Permutation:
-    """Sample at the LP marginals, resolve contention (checks the polytope), extract."""
+def round_to_permutation(inst: Instance, x: np.ndarray, seed) -> Permutation:
+    """Sample at the marginals x, resolve contention (checks the polytope), extract."""
     rng = np.random.default_rng(seed)
-    sampled = sample_independent_point(sol.marginals, rng)
-    kept = crs_round(LaminarMatroid(inst.n), sol.marginals, sampled, rng)
+    sampled = sample_independent_point(x, rng)
+    kept = crs_round(inst.n, x, sampled, rng)
     return extract_permutation(kept, inst.n)
 
 
@@ -235,20 +216,25 @@ def run_bicriteria(
     *,
     factor: float = 1.0,
     threshold: float | None = None,
-    seed=0,
+    seed,
 ) -> BiCriteriaReport:
     """Full pipeline: build, solve, scale, round `trials` times, summarize.
 
-    Every trial draws from one generator in turn, so the first k trials of
-    a run are the k-trial run with the same seed.
+    The marginals are multiplied by factor in (0, 1]. Every relaxation
+    constraint survives that except the engagement floor, which the scaled
+    point meets at factor * T; factor 1 - 1/e emulates the feasibility repair
+    of the polynomial-time path. Every trial draws from one generator in
+    turn, so the first k trials of a run are the k-trial run with the same
+    seed.
     """
     if trials < 1:
         raise SeqsubError("revenue: need at least one rounding trial")
-    _check_factor(factor)
+    if not 0.0 < factor <= 1.0:
+        raise SeqsubError(f"revenue: scale factor {factor} outside (0, 1]")
     if threshold is not None:
         inst = inst.with_threshold(threshold)
     sol = solve_policy_lp(build_policy_lp(inst))
-    scaled = scale_solution(sol, factor)
+    marginals = sol.marginals * factor
     rng = np.random.default_rng(seed)
-    orders = [round_to_permutation(inst, scaled, rng) for _ in range(trials)]
+    orders = [round_to_permutation(inst, marginals, rng) for _ in range(trials)]
     return summarize(evaluate_trials(inst, orders), sol.value, factor, inst.T)

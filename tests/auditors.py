@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from seqsub.errors import TooLargeError, ValidationError
-from seqsub.matroid import LaminarMatroid, LiftedSet
+from seqsub.matroid import LiftedSet
 from seqsub.oracle import MAX_VERIFY_N, OracleReport
 from seqsub.policy import PolicyVector
 from seqsub.util import iter_bits
@@ -46,16 +46,17 @@ def _sets_for_counts(n: int, counts: tuple[int, ...]) -> Iterator[LiftedSet]:
         yield frozenset((p, j) for p, js in enumerate(chosen) for j in js)
 
 
-def iter_independent_sets(M: LaminarMatroid) -> Iterator[LiftedSet]:
-    """All independent sets, grouped by per-position pick counts."""
-    for counts in _prefix_compositions(M.n, None):
-        yield from _sets_for_counts(M.n, counts)
+def iter_independent_sets(n: int) -> Iterator[LiftedSet]:
+    """All independent sets of the rank-n prefix matroid, grouped by
+    per-position pick counts."""
+    for counts in _prefix_compositions(n, None):
+        yield from _sets_for_counts(n, counts)
 
 
-def iter_bases(M: LaminarMatroid) -> Iterator[LiftedSet]:
+def iter_bases(n: int) -> Iterator[LiftedSet]:
     """All bases (independent sets of full rank n)."""
-    for counts in _prefix_compositions(M.n, M.n):
-        yield from _sets_for_counts(M.n, counts)
+    for counts in _prefix_compositions(n, n):
+        yield from _sets_for_counts(n, counts)
 
 
 def exact_multilinear(g: Callable[[frozenset], float], x: Mapping) -> float:
@@ -121,16 +122,16 @@ def correlation_gap_ratio(
 
 def max_independent_value(
     g: Callable[[LiftedSet], float],
-    matroid: LaminarMatroid,
+    n: int,
     bases_only: bool = True,
 ) -> OracleReport:
-    """Exhaustive max of g over the matroid's independence family.
+    """Exhaustive max of g over the rank-n prefix matroid's independence family.
 
     With bases_only=True only bases are enumerated, which is exact whenever
     g is monotone (every independent set extends to a base without losing
     value) and far cheaper. Ties resolve to the first set in the DFS order.
     """
-    sets = iter_bases(matroid) if bases_only else iter_independent_sets(matroid)
+    sets = iter_bases(n) if bases_only else iter_independent_sets(n)
     best, witness, count = -math.inf, None, 0
     for R in sets:
         count += 1

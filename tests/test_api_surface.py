@@ -92,6 +92,24 @@ def test_no_seed_tree_in_src():
     assert not offenders, offenders
 
 
+def test_every_seed_is_required():
+    """No src function gives a parameter named seed a default, so every
+    randomized operation is called with an explicit seed."""
+    defaulted = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                with_default = positional[len(positional) - len(args.defaults):]
+                with_default += [
+                    a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                ]
+                if any(a.arg == "seed" for a in with_default):
+                    defaulted.append(f"{path.stem}.{node.name}")
+    assert not defaulted, defaulted
+
+
 # The README's "Size limits" table: each stage's row and the constant it names.
 README_CAPS = {
     "exact optima (prefix-set DP)": oracle.MAX_BRUTE_N,

@@ -204,6 +204,26 @@ def test_seeded_ranking_reports_are_pinned(algo, kind, n, tmp_path):
     assert _report_digest(out) == PINNED_RANKING_DIGESTS[algo, kind, n]
 
 
+#: sha256 of the `run coverage --trials 100 --seed 3` report on
+#: random_coverage_instance(n, 1), hashed as the revenue reports above. The
+#: n = 20 assignment LP has a fractional optimum, so its rounding draws count.
+PINNED_COVERAGE_DIGESTS = {
+    8: "1216457f41296dfb96ee0010e42a4951520ce9409dc22e4457941c118225f543",
+    15: "1a4b2899294d0808c47b9dfe808cde6ae10ef0d027cea0038df64ae8c3c63fbd",
+    20: "9209bceb11f03867c602fb606408547aaecd1e3db47dbaa74ad30d8adda87296",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_COVERAGE_DIGESTS))
+def test_seeded_coverage_reports_are_pinned(n, tmp_path):
+    path, out = tmp_path / "cov.json", tmp_path / "cov_report.json"
+    coverage.save_coverage(generators.random_coverage_instance(n, 1), path)
+    args = ["run", "coverage", "--instance", str(path), "--trials", "100", "--seed", "3",
+            "--out", str(out)]
+    assert main(args) == 0
+    assert _report_digest(out) == PINNED_COVERAGE_DIGESTS[n]
+
+
 def test_run_certify_prints_failing_layer(tmp_path, worked_policy_vector, capsys):
     pv_path = tmp_path / "pv.json"
     policy.save_policy(worked_policy_vector, pv_path)

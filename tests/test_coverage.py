@@ -1,5 +1,6 @@
 """Assignment LP and dependent rounding for the interest-set model."""
 
+import hashlib
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from seqsub import core, coverage, oracle
 from seqsub.coverage import (
+    AssignmentLpSolution,
     CoverageInstance,
     as_instance,
     clicks,
@@ -108,6 +110,27 @@ def test_repair_never_loses_clicks_and_outputs_permutations():
             assert sorted(rounded.order) == list(range(8))
             assert np.all(rounded.y_tilde >= rounded.y_hat)
             assert rounded.clicks == clicks(ci, rounded.order)
+
+
+#: sha256 of the order and y_hat of 300 successive round_assignment draws
+#: from default_rng(5), cycling through three fractional points: for n = 5,
+#: 10 and 20, x mixes four random permutation matrices with Dirichlet weights
+#: (all from default_rng(n)), on the interest sets of random_coverage_instance(n, 1).
+PINNED_ROUNDING_DIGEST = "85307753de42535837e5fb281f076a73a777e0095075983c11a5e4b21f551a11"
+
+
+def test_rounding_draws_are_pinned():
+    cases = []
+    for n in (5, 10, 20):
+        rng = np.random.default_rng(n)
+        x = sum(w * np.eye(n)[rng.permutation(n)] for w in rng.dirichlet(np.ones(4)))
+        cases.append((random_coverage_instance(n, 1), AssignmentLpSolution(x, np.zeros(n), 0.0)))
+    rng = np.random.default_rng(5)
+    draws = []
+    for t in range(300):
+        rounded = round_assignment(*cases[t % 3], rng)
+        draws.append((rounded.order, rounded.y_hat.tolist()))
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == PINNED_ROUNDING_DIGEST
 
 
 def test_rounding_mean_clears_lp_fraction():

@@ -17,7 +17,7 @@ from seqsub.engagement import (
     rank_cg,
 )
 from seqsub.generators import random_explicit_model, random_instance
-from seqsub.matroid import LaminarMatroid, is_independent, set_from_matrix
+from seqsub.matroid import is_independent, set_from_matrix
 from seqsub.util import iter_bits, mask_of
 
 from auditors import iter_independent_sets
@@ -192,7 +192,6 @@ def test_extraction_never_loses_lifted_value():
         n = int(rng.integers(2, 7))
         inst = random_instance("coverage" if trial % 2 else "explicit", n, rng)
         obj = LiftedObjective(inst)
-        M = LaminarMatroid(n)
         elements = [(i, j) for i in range(n) for j in range(n)]
         for _ in range(250):
             rng.shuffle(elements)
@@ -201,7 +200,7 @@ def test_extraction_never_loses_lifted_value():
             for e in elements:
                 if len(R) >= budget:
                     break
-                if is_independent(M, R | {e}):
+                if is_independent(n, R | {e}):
                     R.add(e)
             R = frozenset(R)
             order = extract_permutation(R, n)
@@ -229,7 +228,7 @@ def test_exhaustive_lift_equality_n4():
     rng = np.random.default_rng(25)
     inst = random_instance("coverage", 4, rng)
     obj = LiftedObjective(inst)
-    best = max(obj.value(R) for R in iter_independent_sets(LaminarMatroid(4)))
+    best = max(obj.value(R) for R in iter_independent_sets(4))
     opt = oracle.brute_force_engagement_opt(inst)
     assert best == pytest.approx(opt.best_value, abs=1e-9)
 

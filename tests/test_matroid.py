@@ -1,5 +1,6 @@
 """Prefix matroid structure and the randomized rounding machinery."""
 
+import hashlib
 import itertools
 import math
 
@@ -12,7 +13,6 @@ from seqsub.engagement import LiftedObjective
 from seqsub.errors import PolytopeError, ValidationError
 from seqsub.generators import random_instance
 from seqsub.matroid import (
-    LaminarMatroid,
     continuous_greedy,
     crs_round,
     estimate_multilinear,
@@ -27,9 +27,6 @@ from seqsub.numerics import TOL
 
 from auditors import exact_multilinear, iter_bases, iter_independent_sets
 from conftest import matrix_of
-
-M4 = LaminarMatroid(4)
-
 
 class Modular:
     """Batched modular objective g(R) = c + sum of w[e] over e in R."""
@@ -47,26 +44,24 @@ class Modular:
 def test_permutation_shaped_sets_are_independent():
     for order in itertools.permutations(range(4)):
         R = frozenset((i, order[i]) for i in range(4))
-        assert is_independent(M4, R)
+        assert is_independent(4, R)
 
 
 def test_two_elements_at_the_top_position_are_dependent():
-    assert not is_independent(LaminarMatroid(2), {(0, 0), (0, 1)})
+    assert not is_independent(2, {(0, 0), (0, 1)})
 
 
 def test_capacity_check_example_n3():
-    M = LaminarMatroid(3)
-    assert is_independent(M, {(1, 0), (1, 1), (2, 2)})
-    assert not is_independent(M, {(1, 0), (1, 1), (1, 2)})
+    assert is_independent(3, {(1, 0), (1, 1), (2, 2)})
+    assert not is_independent(3, {(1, 0), (1, 1), (1, 2)})
 
 
 def test_downward_closure_exhaustive_n3():
-    M = LaminarMatroid(3)
-    for R in iter_independent_sets(M):
+    for R in iter_independent_sets(3):
         elems = sorted(R)
         for r in range(len(elems) + 1):
             for sub in itertools.combinations(elems, r):
-                assert is_independent(M, frozenset(sub))
+                assert is_independent(3, frozenset(sub))
 
 
 @settings(max_examples=200, deadline=None)
@@ -76,82 +71,98 @@ def test_downward_closure_exhaustive_n3():
     )
 )
 def test_downward_closure_one_step(R):
-    M = LaminarMatroid(5)
-    if is_independent(M, R):
+    if is_independent(5, R):
         for e in R:
-            assert is_independent(M, R - {e})
+            assert is_independent(5, R - {e})
 
 
 def test_independent_set_and_base_counts_small():
     # n = 2: by direct count there are 2 + 4 + 6 = 12 nonempty independent
     # sets plus the empty one; bases split as one-per-position (4 choices
     # of position-0 element x 2 remaining... enumerated by hand: 10)
-    M2 = LaminarMatroid(2)
-    sets = list(iter_independent_sets(M2))
+    sets = list(iter_independent_sets(2))
     assert len(sets) == len(set(sets))  # no duplicates
     ground = list(itertools.product(range(2), repeat=2))
     by_hand = [R for r in range(5) for R in itertools.combinations(ground, r)
-               if is_independent(M2, frozenset(R))]
+               if is_independent(2, frozenset(R))]
     assert len(sets) == len(by_hand)
-    bases = list(iter_bases(M2))
-    assert all(len(B) == 2 and is_independent(M2, B) for B in bases)
+    bases = list(iter_bases(2))
+    assert all(len(B) == 2 and is_independent(2, B) for B in bases)
     assert set(bases) == {R for R in sets if len(R) == 2}
 
 
 def test_max_weight_base_equal_weights_deterministic():
     w = np.ones((3, 3))
-    base = max_weight_base(LaminarMatroid(3), w)
+    base = max_weight_base(3, w)
     # lexicographic scan admits product 0 at every position
     assert base == frozenset({(0, 0), (1, 0), (2, 0)})
-    assert base == max_weight_base(LaminarMatroid(3), w)
+    assert base == max_weight_base(3, w)
 
 
 def test_max_weight_base_picks_the_heavy_element():
     w = np.zeros((2, 2))
     w[0, 0] = 5.0
-    assert (0, 0) in max_weight_base(LaminarMatroid(2), w)
+    assert (0, 0) in max_weight_base(2, w)
 
 
 def test_max_weight_base_matches_exhaustive_search():
     rng = np.random.default_rng(11)
     for _ in range(10):
         w = rng.uniform(-0.5, 1.0, size=(4, 4))
-        greedy_val = sum(w[e] for e in max_weight_base(M4, w))
-        best = max(sum(w[e] for e in B) for B in iter_bases(M4))
+        greedy_val = sum(w[e] for e in max_weight_base(4, w))
+        best = max(sum(w[e] for e in B) for B in iter_bases(4))
         assert greedy_val == pytest.approx(best, abs=1e-12)
+
+
+#: sha256 of the sorted max_weight_base outputs on 1,000 tie-heavy weights:
+#: for seed s, n in 1..8 and standard normals rounded to 0 or 1 decimals
+#: (so with many ties, and -0.0 beside 0.0), all drawn from default_rng(s).
+PINNED_MAX_WEIGHT_BASE_DIGEST = "19b1a2fbe1b216e926f6e9fc9ed522abbb0038e116d33358817b1b557492a31f"
+
+
+def _digest(outputs) -> str:
+    return hashlib.sha256(repr(outputs).encode()).hexdigest()
+
+
+def test_max_weight_base_ties_are_pinned():
+    outputs = []
+    for s in range(1000):
+        rng = np.random.default_rng(s)
+        n = int(rng.integers(1, 9))
+        w = np.round(rng.normal(size=(n, n)), int(rng.integers(0, 2)))
+        outputs.append(sorted(max_weight_base(n, w)))
+    assert _digest(outputs) == PINNED_MAX_WEIGHT_BASE_DIGEST
 
 
 def test_polytope_membership():
     x = np.full((4, 4), 0.25)  # doubly stochastic: prefix sums hit k exactly
-    assert in_matroid_polytope(M4, x)
+    assert in_matroid_polytope(4, x)
     bad = x.copy()
     bad[0] = [0.5, 0.5, 0.25, 0.25]
-    assert not in_matroid_polytope(M4, bad)
+    assert not in_matroid_polytope(4, bad)
 
 
 @pytest.mark.parametrize("n", [3, 12])
 def test_polytope_prefix_tolerance(n):
     """Prefix sums TOL/2 over capacity pass and 2 TOL over fail, also at
     n = 12 where numpy's row sums add their terms pairwise."""
-    M = LaminarMatroid(n)
     x = np.full((n, n), 1.0 / n)  # every prefix sum sits at its capacity k
     x[0, 0] += TOL / 2
-    assert in_matroid_polytope(M, x)
+    assert in_matroid_polytope(n, x)
     x[0, 0] += 1.5 * TOL
-    assert not in_matroid_polytope(M, x)
+    assert not in_matroid_polytope(n, x)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_coordinates_are_rejected(bad):
     """A NaN coordinate must not read as probability 0."""
-    M = LaminarMatroid(2)
     x = np.full((2, 2), 0.25)
     x[1, 0] = bad
     calls = [
         lambda: sample_independent_point(x, seed=0),
         lambda: estimate_multilinear(Modular(np.ones((2, 2))), x, samples=8, seed=0),
-        lambda: crs_round(M, x, frozenset({(0, 0), (1, 0)}), seed=0),
-        lambda: pipage_round(M, x, seed=0),
+        lambda: crs_round(2, x, frozenset({(0, 0), (1, 0)}), seed=0),
+        lambda: pipage_round(2, x, seed=0),
     ]
     for call in calls:
         with pytest.raises(ValidationError, match="finite"):
@@ -190,20 +201,20 @@ def test_estimate_multilinear_matches_exact_extension(matching_instance, matchin
 def test_continuous_greedy_single_step_is_one_base():
     rng = np.random.default_rng(5)
     w = rng.uniform(0, 1, size=(3, 3))
-    y = continuous_greedy(Modular(w), LaminarMatroid(3), steps=1, samples_per_step=20, seed=2)
+    y = continuous_greedy(Modular(w), 3, steps=1, samples_per_step=20, seed=2)
     assert sorted(y.flatten())[-3:] == [1.0, 1.0, 1.0]
     assert y.sum() == pytest.approx(3.0)
-    assert is_independent(LaminarMatroid(3), set_from_matrix(y > 0.5))
+    assert is_independent(3, set_from_matrix(y > 0.5))
 
 
 def test_continuous_greedy_solves_modular_objectives():
     rng = np.random.default_rng(0)
     for trial in range(5):
         w = rng.uniform(0, 1, size=(4, 4))
-        opt = sum(w[e] for e in max_weight_base(M4, w))
-        y = continuous_greedy(Modular(w), M4, steps=40, samples_per_step=30, seed=trial)
+        opt = sum(w[e] for e in max_weight_base(4, w))
+        y = continuous_greedy(Modular(w), 4, steps=40, samples_per_step=30, seed=trial)
         assert float((w * y).sum()) >= (1.0 - 1e-2) * opt
-        assert in_matroid_polytope(M4, y)
+        assert in_matroid_polytope(4, y)
 
 
 def test_continuous_greedy_output_in_polytope_batched():
@@ -211,16 +222,15 @@ def test_continuous_greedy_output_in_polytope_batched():
     for trial in range(5):
         inst = random_instance("mnl", 5, rng, full_mass=False)
         y = continuous_greedy(
-            LiftedObjective(inst), LaminarMatroid(5), steps=15, samples_per_step=60,
-            seed=trial,
+            LiftedObjective(inst), 5, steps=15, samples_per_step=60, seed=trial
         )
-        assert in_matroid_polytope(LaminarMatroid(5), y)
+        assert in_matroid_polytope(5, y)
         assert y.min() >= 0.0 and y.max() <= 1.0
 
 
 def test_continuous_greedy_beats_fraction_of_optimum_on_worked_instance(appendix_c):
     g = LiftedObjective(appendix_c)
-    y = continuous_greedy(g, M4, steps=40, samples_per_step=200, seed=3)
+    y = continuous_greedy(g, 4, steps=40, samples_per_step=200, seed=3)
     x = {(i, j): y[i, j] for i in range(4) for j in range(4) if y[i, j] > 0}
     exact = exact_multilinear(g.value, x)
     # the fractional point must already clear the guarantee for OPT = 0.4775
@@ -229,14 +239,14 @@ def test_continuous_greedy_beats_fraction_of_optimum_on_worked_instance(appendix
 
 def test_pipage_returns_integral_input_unchanged():
     x = matrix_of({(0, 2), (1, 0), (3, 3)}, 4)
-    assert pipage_round(M4, x, seed=0) == {(0, 2), (1, 0), (3, 3)}
+    assert pipage_round(4, x, seed=0) == {(0, 2), (1, 0), (3, 3)}
 
 
 def test_pipage_rejects_points_outside_polytope():
     x = np.zeros((3, 3))
     x[0] = [0.9, 0.9, 0.0]
     with pytest.raises(PolytopeError):
-        pipage_round(LaminarMatroid(3), x, seed=0)
+        pipage_round(3, x, seed=0)
 
 
 def test_pipage_preserves_expectation_on_two_base_mixture(
@@ -247,7 +257,7 @@ def test_pipage_preserves_expectation_on_two_base_mixture(
     exact = 11.0 / 32.0
     vals = []
     for t in range(2000):
-        R = pipage_round(M4, x, seed=t)
+        R = pipage_round(4, x, seed=t)
         vals.append(g.value(R))
     vals = np.asarray(vals)
     stderr = vals.std(ddof=1) / math.sqrt(len(vals))
@@ -256,12 +266,11 @@ def test_pipage_preserves_expectation_on_two_base_mixture(
 
 def random_polytope_point(n, rng):
     """Convex combination of a few bases, optionally shrunk."""
-    M = LaminarMatroid(n)
     k = int(rng.integers(1, 4))
     weights = rng.dirichlet(np.ones(k))
     x = np.zeros((n, n))
     for t in range(k):
-        x += weights[t] * matrix_of(max_weight_base(M, rng.uniform(0, 1, (n, n))), n)
+        x += weights[t] * matrix_of(max_weight_base(n, rng.uniform(0, 1, (n, n))), n)
     if rng.random() < 0.3:
         x *= rng.uniform(0.4, 1.0)
     return x
@@ -272,8 +281,32 @@ def test_pipage_output_always_independent_sweep():
     for trial in range(10_000):
         n = int(rng.integers(2, 7))
         x = random_polytope_point(n, rng)
-        R = pipage_round(LaminarMatroid(n), x, seed=rng.integers(2**63))
-        assert is_independent(LaminarMatroid(n), R)
+        R = pipage_round(n, x, seed=rng.integers(2**63))
+        assert is_independent(n, R)
+
+
+#: sha256 of the sorted pipage_round outputs on 500 polytope points: for
+#: seed s, n in 2..8 and x = random_polytope_point(n, default_rng(s)), with
+#: dust in (-TOL, TOL) added to every coordinate of every third point,
+#: rounded with seed s. None marks a point that the dust pushed out of the
+#: polytope. Dust on the integral coordinates reaches only the prefix sums
+#: of the first move, before the first snap to 0 and 1.
+PINNED_PIPAGE_DIGEST = "96548ee85805d8ae77680f19b19f03b3c521938a58fb7e0f59a991879b10e987"
+
+
+def test_pipage_draws_are_pinned():
+    outputs = []
+    for s in range(500):
+        rng = np.random.default_rng(s)
+        n = int(rng.integers(2, 9))
+        x = random_polytope_point(n, rng)
+        if s % 3 == 0:
+            x = x + rng.uniform(-TOL, TOL, size=(n, n))
+        try:
+            outputs.append(sorted(pipage_round(n, x, seed=s)))
+        except PolytopeError:
+            outputs.append(None)
+    assert _digest(outputs) == PINNED_PIPAGE_DIGEST
 
 
 def test_pipage_coordinate_means_match_input():
@@ -283,7 +316,7 @@ def test_pipage_coordinate_means_match_input():
     acc = np.zeros((3, 3))
     trials = 4000
     for t in range(trials):
-        acc += matrix_of(pipage_round(LaminarMatroid(3), x, seed=t), 3)
+        acc += matrix_of(pipage_round(3, x, seed=t), 3)
     np.testing.assert_allclose(acc / trials, x, atol=0.035)
 
 
@@ -308,17 +341,16 @@ def test_sample_independent_point_frequencies():
 def test_crs_keeps_independent_inputs():
     x = np.full((3, 3), 1.0 / 3.0)
     A = frozenset({(0, 1), (1, 0), (2, 2)})
-    assert crs_round(LaminarMatroid(3), x, A, seed=9) == A
+    assert crs_round(3, x, A, seed=9) == A
 
 
 def test_crs_breaks_symmetric_tie_evenly():
-    M = LaminarMatroid(2)
     x = np.array([[0.5, 0.5], [0.0, 0.0]])
     A = frozenset({(0, 0), (0, 1)})
     keep0 = 0
     trials = 10_000
     for i, s in enumerate(np.random.SeedSequence(3).spawn(trials)):
-        kept = crs_round(M, x, A, seed=s)
+        kept = crs_round(2, x, A, seed=s)
         assert len(kept) == 1
         keep0 += (0, 0) in kept
     assert abs(keep0 / trials - 0.5) < 0.02
@@ -328,18 +360,17 @@ def test_crs_composed_with_sampling_is_always_independent():
     rng = np.random.default_rng(31)
     for trial in range(2000):
         n = int(rng.integers(2, 6))
-        M = LaminarMatroid(n)
         x = random_polytope_point(n, rng)
         A = sample_independent_point(x, rng.integers(2**63))
-        kept = crs_round(M, x, A, seed=rng.integers(2**63))
-        assert is_independent(M, kept)
+        kept = crs_round(n, x, A, seed=rng.integers(2**63))
+        assert is_independent(n, kept)
         assert kept <= A
 
 
 def test_crs_requires_polytope_membership():
     x = np.ones((2, 2))  # prefix sum 2 > 1 at the first position
     with pytest.raises(PolytopeError):
-        crs_round(LaminarMatroid(2), x, frozenset({(0, 0)}), seed=0)
+        crs_round(2, x, frozenset({(0, 0)}), seed=0)
 
 
 def test_crs_per_element_retention_at_least_half():
@@ -350,7 +381,6 @@ def test_crs_per_element_retention_at_least_half():
     rng = np.random.default_rng(41)
     for trial in range(2):
         n = int(rng.integers(4, 6))
-        M = LaminarMatroid(n)
         x = random_polytope_point(n, rng)
         support = [(i, j) for i in range(n) for j in range(n) if x[i, j] > 1e-9]
         sampled = {e: 0 for e in support}
@@ -360,7 +390,7 @@ def test_crs_per_element_retention_at_least_half():
         for s in seeds:
             a, b = s.spawn(2)
             A = sample_independent_point(x, a)
-            kept = crs_round(M, x, A, seed=b)
+            kept = crs_round(n, x, A, seed=b)
             for e in A:
                 sampled[e] += 1
             for e in kept:

@@ -10,15 +10,13 @@ from seqsub import core, oracle, revenue
 from seqsub.core import ExplicitModel, Instance, MnlModel
 from seqsub.errors import InfeasibleError, SeqsubError
 from seqsub.generators import random_instance
-from seqsub.matroid import LaminarMatroid, in_matroid_polytope
+from seqsub.matroid import in_matroid_polytope
 from seqsub.numerics import simplex_solve
 from seqsub.policy import PolicyVector
 from seqsub.revenue import (
-    PolicyLpSolution,
     build_policy_lp,
     round_to_permutation,
     run_bicriteria,
-    scale_solution,
     solve_policy_lp,
 )
 
@@ -96,7 +94,7 @@ def test_relaxation_marginals_live_in_polytope(appendix_c):
     ]
     for inst in instances:
         sol = solve_policy_lp(build_policy_lp(inst))
-        assert in_matroid_polytope(LaminarMatroid(inst.n), sol.marginals)
+        assert in_matroid_polytope(inst.n, sol.marginals)
         assert np.all(sol.marginals >= 0.0) and np.all(sol.marginals <= 1.0)
 
 
@@ -132,23 +130,18 @@ def test_linear_only_relaxation_upper_bounds_assignment():
     assert sol.value >= best_assignment - 1e-9
 
 
-def test_scale_solution_identity_and_budgets(appendix_c):
+def test_scaled_marginals_and_budgets(appendix_c):
     lp = build_policy_lp(appendix_c)
     sol = solve_policy_lp(lp)
-    assert scale_solution(sol, 1.0) is sol
-    scaled = scale_solution(sol, ONE_MINUS_INV_E)
     # the scaled marginals are those of the scaled point
     x = ONE_MINUS_INV_E * simplex_solve(lp.problem).x
     np.testing.assert_allclose(
-        scaled.marginals, -(lp.problem.A[:16] @ x).reshape(4, 4), rtol=0.0, atol=1e-12
+        sol.marginals * ONE_MINUS_INV_E, -(lp.problem.A[:16] @ x).reshape(4, 4),
+        rtol=0.0, atol=1e-12,
     )
-    assert scaled.value == pytest.approx(ONE_MINUS_INV_E * sol.value)
-    half = scale_solution(sol, 0.5)
     # prefix i of the marginals holds i + 1 times layer i's mass
-    layer_sums = np.cumsum(half.marginals.sum(axis=1)) / np.arange(1, 5)
+    layer_sums = np.cumsum((sol.marginals * 0.5).sum(axis=1)) / np.arange(1, 5)
     assert layer_sums.max() <= 0.5 + 1e-9
-    with pytest.raises(SeqsubError):
-        scale_solution(sol, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -168,7 +161,7 @@ def test_run_bicriteria_checks_its_arguments_before_the_lp(
 
     monkeypatch.setattr(revenue, "build_policy_lp", no_lp)
     with pytest.raises(SeqsubError) as exc:
-        run_bicriteria(appendix_c, trials, factor=factor)
+        run_bicriteria(appendix_c, trials, factor=factor, seed=0)
     assert str(exc.value) == message
 
 
@@ -186,19 +179,15 @@ def test_round_point_mass_returns_that_permutation():
     model = MnlModel(3, (1.0, 0.5, 0.2), 1.0)
     inst = Instance(3, (1 / 3,) * 3, (model,) * 3, tuple((0.0,) * 3 for _ in range(3)))
     order0 = (2, 0, 1)
-    sol = PolicyLpSolution(
-        value=1.0,
-        marginals=matrix_of({(i, order0[i]) for i in range(3)}, 3),
-    )
+    x = matrix_of({(i, order0[i]) for i in range(3)}, 3)
     for s in range(5):
-        assert round_to_permutation(inst, sol, seed=s) == order0
+        assert round_to_permutation(inst, x, seed=s) == order0
 
 
 def test_round_zero_assignment_is_identity():
     model = MnlModel(3, (1.0, 1.0, 1.0), 1.0)
     inst = Instance(3, (1 / 3,) * 3, (model,) * 3, tuple((0.0,) * 3 for _ in range(3)))
-    sol = PolicyLpSolution(1.0, np.zeros((3, 3)))
-    assert round_to_permutation(inst, sol, seed=4) == (0, 1, 2)
+    assert round_to_permutation(inst, np.zeros((3, 3)), seed=4) == (0, 1, 2)
 
 
 def test_rounding_sweep_always_permutes(appendix_c):
@@ -206,7 +195,7 @@ def test_rounding_sweep_always_permutes(appendix_c):
     total_f = 0.0
     trials = 10_000
     for s in range(trials):
-        order = round_to_permutation(appendix_c, sol, seed=s)
+        order = round_to_permutation(appendix_c, sol.marginals, seed=s)
         assert sorted(order) == [0, 1, 2, 3]
         total_f += core.engagement(appendix_c, order)
     assert total_f / trials > 0.0
@@ -217,7 +206,7 @@ def test_round_rejects_marginals_outside_polytope():
 
     model = MnlModel(2, (1.0, 1.0), 1.0)
     inst = Instance(2, (0.5, 0.5), (model,) * 2, ZEROS2)
-    bad = PolicyLpSolution(1.0, np.array([[0.9, 0.9], [0.0, 0.0]]))
+    bad = np.array([[0.9, 0.9], [0.0, 0.0]])
     with pytest.raises(PolytopeError):
         round_to_permutation(inst, bad, seed=0)
 
@@ -235,11 +224,10 @@ def test_impression_accounting(appendix_c):
     from seqsub.matroid import crs_round, sample_independent_point
     from seqsub.engagement import extract_permutation
 
-    M = LaminarMatroid(4)
     draws = np.random.default_rng(0)  # one stream for every trial, as the pipeline draws
     for _ in range(500):
         A = sample_independent_point(sol.marginals, draws)
-        kept = crs_round(M, sol.marginals, A, draws)
+        kept = crs_round(4, sol.marginals, A, draws)
         order = extract_permutation(kept, 4)
         position_of = {j: i for i, j in enumerate(order)}
         for i, j in kept:
@@ -304,7 +292,7 @@ def test_bicriteria_trials_carry_exact_values_per_order():
     inst = random_instance("mnl", 5, 1, full_mass=True, with_payments=True)
     seed, trials = 5, 300
     report = run_bicriteria(inst, trials=trials, factor=ONE_MINUS_INV_E, seed=seed)
-    scaled = scale_solution(solve_policy_lp(build_policy_lp(inst)), ONE_MINUS_INV_E)
+    scaled = solve_policy_lp(build_policy_lp(inst)).marginals * ONE_MINUS_INV_E
     rng = np.random.default_rng(seed)
     orders = [round_to_permutation(inst, scaled, rng) for _ in range(trials)]
     assert [t.order for t in report.trials] == orders
