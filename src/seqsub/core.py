@@ -149,10 +149,7 @@ class CoverageModel:
                 raise ValidationError("core: cover references unknown universe element")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "covers", cov)
-        masks = np.zeros(self.n, dtype=np.int64)
-        for j, c in enumerate(cov):
-            masks[j] = mask_of(c)
-        object.__setattr__(self, "_cover_masks", tuple(int(m) for m in masks))
+        object.__setattr__(self, "_cover_masks", tuple(mask_of(c) for c in cov))
         # 0/1 cover matrix in the smallest signed type that counts up to n
         mat = np.zeros((self.n, len(w)), dtype=np.min_scalar_type(-self.n - 1))
         for j, c in enumerate(cov):

@@ -1,7 +1,7 @@
 """Exhaustive auditors that only the tests call: exact multilinear
 extensions, correlation-gap ratios, enumeration of the prefix matroid's
-independent sets and bases, and a policy vector's marginals. Test modules
-import them as they import the helpers in conftest."""
+independent sets and bases, a policy vector's marginals and an LP's optimum
+from HiGHS. Test modules import them as they import the helpers in conftest."""
 
 from __future__ import annotations
 
@@ -10,9 +10,11 @@ from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+import pytest
 
 from seqsub.errors import TooLargeError, ValidationError
 from seqsub.matroid import LiftedSet
+from seqsub.numerics import LpProblem
 from seqsub.oracle import MAX_VERIFY_N, OracleReport
 from seqsub.policy import PolicyVector
 from seqsub.util import iter_bits
@@ -152,3 +154,21 @@ def marginals(pv: PolicyVector) -> np.ndarray:
     x = inside.copy()
     x[1:] -= inside[:-1]
     return x
+
+
+def highs_value(p: LpProblem) -> float:
+    """The optimum of p from scipy's HiGHS; skips the calling test without scipy."""
+    optimize = pytest.importorskip("scipy.optimize")
+    senses = np.array(p.senses)
+    sign = np.where(senses == ">=", -1.0, 1.0)
+    eq = senses == "="
+    ref = optimize.linprog(
+        -p.c,
+        A_ub=(sign[:, None] * p.A)[~eq],
+        b_ub=(sign * p.b)[~eq],
+        A_eq=p.A[eq],
+        b_eq=p.b[eq],
+        method="highs",
+    )
+    assert ref.status == 0, ref.message
+    return -ref.fun

@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from seqsub import cli, core, coverage, generators, oracle, policy
+from auditors import highs_value
+from seqsub import cli, core, coverage, generators, oracle, policy, revenue
 from seqsub.cli import main
 
 
@@ -129,12 +130,12 @@ def test_reports_are_byte_identical_for_fixed_seed(algo, appendix_c_path, tmp_pa
 #: from one generator, so a change to any draw changes the factor-0.632
 #: digests; at factor 1.0 the marginals are integral and every trial is the same.
 PINNED_REVENUE_DIGESTS = {
-    ("coverage", "0.632"): "6501380e6ff8261fe3e4e118b8d23d1ec19d63d0a7b89f86f5eb50b7528d3252",
-    ("coverage", "1.0"): "23777aeffcab9d79281fe54e1bb9d6d1888f8394c9b9825c8a78f664391d37b8",
-    ("explicit", "0.632"): "bd317f9c1982c6e440869fe2e4fb11f02abd2793e32f7965d1a83d096b445893",
-    ("explicit", "1.0"): "ee3de1b395a7f3cf44410ccefd42a4522d14518cd53f3f4a2147a10151fb87a8",
-    ("mnl", "0.632"): "7bcc29cd6931f8a3b39ad7781302f30eca07a15c63c299c6c567d63d94ec2b8b",
-    ("mnl", "1.0"): "4a36b652cfbf4647b309c61cfd8a8cd17a22213297151a085db76c6e6c43fb85",
+    ("coverage", "0.632"): "e4fb9902b4a7fdc984963e18858b354e8fc2abdc5e1c1a5c58622cb67c04ad2e",
+    ("coverage", "1.0"): "8b491794894dbe703c19c048533fac4bab33ba28467b1319dd907a3c3e78d40b",
+    ("explicit", "0.632"): "dad4859b765eae210f5c8256b4c5226e6d285752cd8d669d2826d33bfaad0c0c",
+    ("explicit", "1.0"): "bd201e93d1cd7c231ef5a8f0384c7c326dacb3447d838e978110a466f236a85b",
+    ("mnl", "0.632"): "9c80d824d049c438ce1a5eacddabee45114edbb91d8acbc2dc49863d615fe468",
+    ("mnl", "1.0"): "8d9d889b0cd55cf61a0a27f4b1bfb1f0ecb929e163d3dda9205164ce012aa299",
 }
 
 
@@ -156,15 +157,38 @@ def test_seeded_revenue_reports_are_pinned(kind, factor, tmp_path):
     assert _report_digest(out) == PINNED_REVENUE_DIGESTS[kind, factor]
 
 
-@pytest.mark.parametrize("n", [7, 8])
-def test_run_revenue_solves_generated_mnl_instances(n, tmp_path):
-    """`gen --kind mnl --seed 3` at n = 7 and 8: the relaxation solves, and
-    the report validates. A ratio test that divided by tiny pivots failed
-    both, at n = 7 on a negative marginal and at n = 8 at the iteration cap."""
+def _recorded_lps(monkeypatch, module) -> list:
+    """Every LP that `module` hands the simplex during the test."""
+    built, real = [], module.simplex_solve
+    monkeypatch.setattr(module, "simplex_solve", lambda p: built.append(p) or real(p))
+    return built
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10, 11, 12])
+def test_run_revenue_solves_generated_mnl_instances(n, tmp_path, monkeypatch):
+    """`gen --kind mnl --seed 3` up to the relaxation's cap: the LP value
+    matches HiGHS and the report validates. A ratio test that divided by
+    tiny pivots failed at n = 7 on a negative marginal and at n = 8 at the
+    iteration cap; Bland's entering rule hit the cap at n = 9 and 10."""
     path, out = str(tmp_path / "mnl.json"), str(tmp_path / "rev.json")
     assert main(["gen", "--kind", "mnl", "--n", str(n), "--seed", "3", "--out", path]) == 0
+    lps = _recorded_lps(monkeypatch, revenue)
     assert main(["run", "revenue", "--instance", path, "--out", out]) == 0
     assert main(["report", "--report", out, "--instance", path]) == 0
+    lp_value = json.loads((tmp_path / "rev.json").read_text())["lp_value"]
+    assert lp_value == pytest.approx(highs_value(lps[0]), rel=1e-9, abs=0.0)
+
+
+def test_run_coverage_solves_at_the_lp_cap(tmp_path, monkeypatch):
+    """The assignment LP at n = coverage.MAX_LP3_N = 50 matches HiGHS.
+    Bland's entering rule hit the iteration cap there."""
+    n = str(coverage.MAX_LP3_N)
+    path, out = str(tmp_path / "cov.json"), str(tmp_path / "run.json")
+    assert main(["gen", "--kind", "coverage", "--n", n, "--seed", "1", "--out", path]) == 0
+    lps = _recorded_lps(monkeypatch, coverage)
+    assert main(["run", "coverage", "--instance", path, "--out", out]) == 0
+    lp_value = json.loads((tmp_path / "run.json").read_text())["lp_value"]
+    assert lp_value == pytest.approx(highs_value(lps[0]), rel=1e-9, abs=0.0)
 
 
 #: sha256 of the `run cg --seed 3` and `run greedy` reports on
@@ -206,11 +230,11 @@ def test_seeded_ranking_reports_are_pinned(algo, kind, n, tmp_path):
 
 #: sha256 of the `run coverage --trials 100 --seed 3` report on
 #: random_coverage_instance(n, 1), hashed as the revenue reports above. The
-#: n = 20 assignment LP has a fractional optimum, so its rounding draws count.
+#: n = 15 assignment LP has a fractional optimum, so its rounding draws count.
 PINNED_COVERAGE_DIGESTS = {
-    8: "1216457f41296dfb96ee0010e42a4951520ce9409dc22e4457941c118225f543",
-    15: "1a4b2899294d0808c47b9dfe808cde6ae10ef0d027cea0038df64ae8c3c63fbd",
-    20: "9209bceb11f03867c602fb606408547aaecd1e3db47dbaa74ad30d8adda87296",
+    8: "e661074c4d24e999882e44569b89160debcde9c3e108e344de21204d3a29df0f",
+    15: "f0a365036e83d43f177a94df540ae840eef16026d63928b0a2f3fdc4bd9f6c2a",
+    20: "6773f32e2e9ca98a79003bfc6f73395cea714326e5f8cc39158e86705fa8b595",
 }
 
 

@@ -159,6 +159,35 @@ def test_coverage_counts_do_not_wrap(n):
     np.testing.assert_array_equal(model.batch_gain(members[:1]), [[0.0] * (n - 1) + [2.0]])
 
 
+def _wide_coverage_instance() -> Instance:
+    """70 universe elements; the covers name elements 63 and 69, past int64."""
+    weights = tuple(1.0 + 0.01 * e for e in range(70))
+    model = CoverageModel(3, weights, ((0, 63), (1, 69), (63, 69)))
+    return Instance(3, (0.5, 0.3, 0.2), (model,) * 3, tuple((0.0,) * 3 for _ in range(3)))
+
+
+def test_coverage_past_63_universe_elements_matches_the_cover_matrix():
+    model = _wide_coverage_instance().models[0]
+    members = np.array([[(m >> j) & 1 for j in range(3)] for m in range(8)], bool)
+    np.testing.assert_allclose(
+        model.batch_value(members), [model.value(m) for m in range(8)], rtol=1e-15
+    )
+    assert model.value(0b111) == pytest.approx(sum(1.0 + 0.01 * e for e in (0, 1, 63, 69)))
+
+
+def test_run_greedy_on_coverage_past_63_universe_elements(tmp_path):
+    from seqsub.cli import main
+
+    path = tmp_path / "wide.json"
+    core.save_instance(_wide_coverage_instance(), path)
+    assert main(["run", "greedy", "--instance", str(path), "--out", str(tmp_path / "g.json")]) == 0
+
+
+def test_random_coverage_model_with_a_wide_universe_constructs():
+    inst = random_instance("coverage", 50, 3000)
+    assert max(max(c, default=0) for c in inst.models[0].covers) >= 63
+
+
 def test_engagement_on_worked_instance(appendix_c):
     val = core.engagement(appendix_c, (0, 1, 2, 3))
     assert val == pytest.approx(0.25 * (0.20 + 0.39 + 0.58 + 0.74), abs=1e-12)

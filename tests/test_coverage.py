@@ -174,9 +174,12 @@ def test_best_of_single_trial_matches_single_rounding():
 
 def test_best_of_keeps_the_best_of_successive_draws():
     """Trial t is draw t of one generator: the first k trials of an N-trial
-    run are the k-trial run, and a Generator seed is drawn from as-is."""
-    ci = random_coverage_instance(10, 0)
+    run are the k-trial run, and a Generator seed is drawn from as-is. The
+    instance is the first seed at n = 10 whose LP vertex is fractional and
+    whose first draw falls below its best of 30."""
+    ci = random_coverage_instance(10, 1)
     sol = solve_assignment_lp(ci)
+    assert np.any((sol.x > 0.01) & (sol.x < 0.99))
     rng = np.random.default_rng(11)
     draws = [round_assignment(ci, sol, rng) for _ in range(30)]
     bests = []

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from auditors import highs_value
 from seqsub import core, coverage, engagement, generators, numerics, revenue
 from seqsub.errors import NumericalInstabilityError, ValidationError
 from seqsub.numerics import FlowNetwork, LpProblem, max_flow, simplex_solve
@@ -108,7 +109,7 @@ def test_simplex_equality_and_negative_rhs():
     assert res.value == pytest.approx(2.0, abs=1e-9)
 
 
-def test_simplex_degenerate_bland_terminates():
+def test_simplex_degenerate_terminates():
     # classic degenerate vertex: several redundant rows through the origin
     p = LpProblem(
         [1.0, 1.0],
@@ -119,6 +120,27 @@ def test_simplex_degenerate_bland_terminates():
     res = simplex_solve(p)
     assert res.status == "optimal"
     assert res.value == pytest.approx(1.0, abs=1e-9)
+
+
+def test_simplex_does_not_cycle_on_beales_lp():
+    """Beale's LP (1955) cycles under Dantzig pricing with the smallest
+    basic index leaving; the lexicographic ratio test ends at 1.25 at once."""
+    p = LpProblem(
+        [0.75, -20.0, 0.5, -6.0],
+        [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+        [0.0, 0.0, 1.0],
+        ("<=", "<=", "<="),
+    )
+    res = simplex_solve(p)
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(1.25, abs=1e-12)
+    assert res.iterations <= 10
+
+
+def test_simplex_iteration_cap_raises(appendix_c, monkeypatch):
+    monkeypatch.setattr(numerics, "_MAX_ITERS", 3)
+    with pytest.raises(NumericalInstabilityError, match="simplex iteration cap exceeded"):
+        simplex_solve(revenue.build_policy_lp(appendix_c).problem)
 
 
 def test_simplex_matches_vertex_oracle_quick():
@@ -191,10 +213,10 @@ def _pinned_lp(name, appendix_c, monkeypatch) -> LpProblem:
 # order of a pivot shows here. The bits also follow the summation order of
 # numpy's matrix-vector product, so another BLAS build may need a re-record.
 PINNED_PIVOT_RECORDS = {
-    "appendix-c": ("21ca7d582444413f", 39, "0x1.7efffffffffffp+5", "2ba41585ae18340f"),
-    "mnl5-floor": ("a51394fb41368970", 185, "0x1.8448f4226e8abp+0", "b5808a769f9f9020"),
-    "mnl6": ("48e079c0cd115459", 902, "0x1.15ef1b2463e44p+2", "312de08d89a8ca6e"),
-    "coverage10": ("4fbf77a703b86ac9", 183, "0x1.4000000000000p+3", "0afd2c7db695069a"),
+    "appendix-c": ("21ca7d582444413f", 9, "0x1.7f00000000000p+5", "5bcce9aee17eb523"),
+    "mnl5-floor": ("a51394fb41368970", 15, "0x1.8448f4226e8b1p+0", "3ebc5e0df04a7874"),
+    "mnl6": ("48e079c0cd115459", 21, "0x1.15ef1b2463e4bp+2", "a9356e63c33782b0"),
+    "coverage10": ("4fbf77a703b86ac9", 59, "0x1.4000000000000p+3", "64003b30f3d2dedf"),
     "negative-rhs": ("dab2e780171217f5", 4, "0x1.7ffffffffffffp+1", "11592f093902bb66"),
 }
 
@@ -211,32 +233,15 @@ def test_simplex_pivot_records_are_pinned(name, appendix_c, monkeypatch):
 @pytest.mark.parametrize("name", sorted(PINNED_PIVOT_RECORDS))
 def test_pinned_lps_match_highs(name, appendix_c, monkeypatch):
     p = _pinned_lp(name, appendix_c, monkeypatch)
-    assert simplex_solve(p).value == pytest.approx(_highs_value(p), rel=1e-9, abs=0.0)
-
-
-def _highs_value(p: LpProblem) -> float:
-    optimize = pytest.importorskip("scipy.optimize")
-    senses = np.array(p.senses)
-    sign = np.where(senses == ">=", -1.0, 1.0)
-    eq = senses == "="
-    ref = optimize.linprog(
-        -p.c,
-        A_ub=(sign[:, None] * p.A)[~eq],
-        b_ub=(sign * p.b)[~eq],
-        A_eq=p.A[eq],
-        b_eq=p.b[eq],
-        method="highs",
-    )
-    assert ref.status == 0, ref.message
-    return -ref.fun
+    assert simplex_solve(p).value == pytest.approx(highs_value(p), rel=1e-9, abs=0.0)
 
 
 def test_revenue_lps_match_highs():
-    """Revenue relaxations with and without a binding floor: every solve is
-    optimal and within 1e-9 of HiGHS. A ratio test that divides by any pivot
-    above TOL ends at a wrong optimum on some of them (mnl, n = 6)."""
+    """Revenue relaxations at n = 3-8 with and without a binding floor: every
+    solve is optimal and within 1e-9 of HiGHS. A ratio test that divides by
+    any pivot above TOL ends at a wrong optimum on some of them (mnl, n = 6)."""
     for kind in ("mnl", "coverage", "explicit"):
-        for n in range(3, 7):
+        for n in range(3, 9):
             for s in range(5):
                 inst = generators.random_instance(kind, n, 1000 + s, with_payments=True)
                 greedy = core.engagement(inst, engagement.greedy_rank(inst))
@@ -244,7 +249,7 @@ def test_revenue_lps_match_highs():
                     p = revenue.build_policy_lp(inst.with_threshold(floor)).problem
                     res = simplex_solve(p)
                     assert res.status == "optimal", (kind, n, s, floor)
-                    assert res.value == pytest.approx(_highs_value(p), rel=1e-9, abs=0.0)
+                    assert res.value == pytest.approx(highs_value(p), rel=1e-9, abs=0.0)
 
 
 def test_simplex_rejects_a_point_that_violates_the_original_rows(appendix_c, monkeypatch):
@@ -267,17 +272,17 @@ def test_simplex_rejects_a_point_that_its_duals_do_not_certify(monkeypatch):
     """Phase 2 stopped before its first pivot leaves a feasible point that
     is not optimal: 0.4027 against 2.8877. It meets every row, but a
     reduced cost stays positive, so the dual certificate rejects it."""
-    real = numerics._bland_iterate
+    real = numerics._iterate
 
-    def skip_phase_2(T, rhs, basis, cost, allowed, iters):
+    def skip_phase_2(T, rhs, basis, cost, allowed, inv, iters):
         if not allowed.all():  # phase 2 may not enter the artificial columns
             return "optimal", iters
-        return real(T, rhs, basis, cost, allowed, iters)
+        return real(T, rhs, basis, cost, allowed, inv, iters)
 
     inst = generators.random_instance("mnl", 4, 1, with_payments=True).with_threshold(0.1)
     p = revenue.build_policy_lp(inst).problem
     assert simplex_solve(p).value == pytest.approx(2.8877, abs=1e-4)
-    monkeypatch.setattr(numerics, "_bland_iterate", skip_phase_2)
+    monkeypatch.setattr(numerics, "_iterate", skip_phase_2)
     with pytest.raises(NumericalInstabilityError, match="fails its dual certificate"):
         simplex_solve(p)
 
