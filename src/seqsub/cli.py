@@ -15,14 +15,13 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import sys
 
 from . import __version__, core, coverage, engagement, generators, oracle, policy, revenue
 from .errors import InfeasibleError, SeqsubError, ValidationError
 from .numerics import TOL
-from .util import json_field, read_json
+from .util import dumps, json_field, read_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,7 +51,7 @@ def _flatten(obj, prefix=""):
 
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return dumps(report)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -68,15 +67,20 @@ def _render(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _maybe_opt(inst: core.Instance, f_val: float) -> dict:
-    """Oracle comparison fields for engagement f_val, up to the oracle's size cap."""
-    if inst.n > oracle.MAX_BRUTE_N:
-        return {}
-    opt = oracle.brute_force_engagement_opt(inst)
+def _ranking_report(inst: core.Instance, order: core.Permutation, f_val: float) -> dict:
+    """The fields of a `run greedy` or `run cg` report for `order`, whose
+    engagement is f_val, with the exact optimum up to the oracle's size cap."""
     out = {
-        "opt_engagement": opt.best_value,
-        "opt_permutation": core.order_to_external(opt.best_witness),
+        "n": inst.n,
+        "permutation": core.order_to_external(order),
+        "engagement": f_val,
+        "revenue": core.revenue(inst, order),
     }
+    if inst.n > oracle.MAX_BRUTE_N:
+        return out
+    opt = oracle.brute_force_engagement_opt(inst)
+    out["opt_engagement"] = opt.best_value
+    out["opt_permutation"] = core.order_to_external(opt.best_witness)
     if opt.best_value > 0:
         out["engagement_ratio"] = f_val / opt.best_value
     return out
@@ -101,16 +105,8 @@ def _cmd_gen(args) -> int:
 def _run_greedy(args) -> tuple[dict, str, int]:
     inst = core.load_instance(args.instance)
     order = engagement.greedy_rank(inst)
-    f_val = core.engagement(inst, order)
-    g_val = core.revenue(inst, order)
-    report = {
-        "n": inst.n,
-        "permutation": core.order_to_external(order),
-        "engagement": f_val,
-        "revenue": g_val,
-    }
-    report.update(_maybe_opt(inst, f_val))
-    summary = f"greedy: permutation {report['permutation']} engagement {f_val:.6f}"
+    report = _ranking_report(inst, order, core.engagement(inst, order))
+    summary = f"greedy: permutation {report['permutation']} engagement {report['engagement']:.6f}"
     if "engagement_ratio" in report:
         summary += f" (ratio {report['engagement_ratio']:.4f} of optimum)"
     return report, summary, 0
@@ -121,14 +117,11 @@ def _run_cg(args) -> tuple[dict, str, int]:
     res = engagement.rank_cg(inst, steps=args.steps, samples=args.samples, seed=args.seed)
     report = {
         **{k: v for k, v in vars(res).items() if k != "order"},
-        "n": inst.n,
+        **_ranking_report(inst, res.order, res.engagement),
         "seed": args.seed,
         "steps": args.steps,
         "samples": args.samples,
-        "permutation": core.order_to_external(res.order),
-        "revenue": core.revenue(inst, res.order),
     }
-    report.update(_maybe_opt(inst, res.engagement))
     summary = (
         f"cg: permutation {report['permutation']} engagement {res.engagement:.6f}"
         f" (rounded lifted value {res.lifted_value:.6f})"

@@ -84,30 +84,27 @@ def greedy_rank(inst: Instance) -> Permutation:
     """Fill positions in order, each time adding the unused product with the
     largest marginal gain to the remaining engagement terms.
 
-    Ties break toward the smallest product index. Only unused products are
-    considered: with monotone click functions a repeat is never strictly
-    better, and the output must be a permutation.
+    The gains come from the batch_gain kernel that continuous greedy reads:
+    one call per distinct click model per position, weighted by the lam
+    that model still carries. Gains within TOL of the best tie, since the
+    kernel may round an exact tie to a few ulps, and ties break toward the
+    smallest product index. Only unused products are considered: with
+    monotone click functions a repeat is never strictly better, and the
+    output must be a permutation.
     """
     n = inst.n
+    prefix = np.zeros((1, n), dtype=bool)
     order: list[int] = []
-    used = [False] * n
-    mask = 0
     for pos in range(n):
-        suffix = [i for i in range(pos, n) if inst.lam[i] > 0.0]
-        best_gain, best_p = -np.inf, -1
-        for p in range(n):
-            if used[p]:
-                continue
-            m2 = mask | (1 << p)
-            gain = sum(
-                inst.lam[i] * (inst.models[i].value(m2) - inst.models[i].value(mask))
-                for i in suffix
-            )
-            if gain > best_gain:
-                best_gain, best_p = gain, p
-        order.append(best_p)
-        used[best_p] = True
-        mask |= 1 << best_p
+        gain = np.zeros(n)
+        for f in {id(f): f for f in inst.models[pos:]}.values():
+            w = sum(inst.lam[i] for i in range(pos, n) if inst.models[i] is f)
+            if w > 0.0:
+                gain += w * f.batch_gain(prefix)[0]
+        gain[prefix[0]] = -np.inf
+        best = int(np.flatnonzero(gain >= gain.max() - TOL)[0])
+        order.append(best)
+        prefix[0, best] = True
     return tuple(order)
 
 

@@ -45,8 +45,13 @@ def read_json(path):
             raise ValidationError(f"malformed JSON in {path}: {exc}") from None
 
 
+def dumps(data) -> str:
+    """`data` as indented JSON with sorted keys and a final newline: the text
+    of every file the package writes and of every JSON report."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path, data) -> None:
-    """Write `data` to `path` as indented JSON with sorted keys and a final newline."""
+    """Write dumps(data) to `path`, in one write."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(dumps(data))

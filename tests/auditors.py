@@ -1,7 +1,8 @@
 """Exhaustive auditors that only the tests call: exact multilinear
 extensions, correlation-gap ratios, enumeration of the prefix matroid's
-independent sets and bases, a policy vector's marginals and an LP's optimum
-from HiGHS. Test modules import them as they import the helpers in conftest."""
+independent sets and bases, a policy vector's marginals, an LP's optimum
+from HiGHS and greedy's order from per-set values. Test modules import them
+as they import the helpers in conftest."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 import pytest
 
+from seqsub.core import Instance, Permutation
 from seqsub.errors import TooLargeError, ValidationError
 from seqsub.matroid import LiftedSet
 from seqsub.numerics import LpProblem
@@ -172,3 +174,30 @@ def highs_value(p: LpProblem) -> float:
     )
     assert ref.status == 0, ref.message
     return -ref.fun
+
+
+def greedy_by_value(inst: Instance) -> Permutation:
+    """engagement.greedy_rank from the click models' value() alone: for each
+    position, each unused product's gain sum_{i >= pos} lam[i] (f_i(T + p) -
+    f_i(T)) from two value() calls per level, the first strict maximum kept."""
+    n = inst.n
+    order: list[int] = []
+    used = [False] * n
+    mask = 0
+    for pos in range(n):
+        suffix = [i for i in range(pos, n) if inst.lam[i] > 0.0]
+        best_gain, best_p = -np.inf, -1
+        for p in range(n):
+            if used[p]:
+                continue
+            m2 = mask | (1 << p)
+            gain = sum(
+                inst.lam[i] * (inst.models[i].value(m2) - inst.models[i].value(mask))
+                for i in suffix
+            )
+            if gain > best_gain:
+                best_gain, best_p = gain, p
+        order.append(best_p)
+        used[best_p] = True
+        mask |= 1 << best_p
+    return tuple(order)

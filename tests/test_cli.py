@@ -47,6 +47,34 @@ def test_gen_coverage_sets_nonempty(tmp_path):
     assert all(0 < s < 1 << 8 for s in ci.interest_sets)
 
 
+#: sha256 of the file bytes that `gen --kind K --n 6 --seed 1` writes: the
+#: indentation, key order and final newline are part of the file format.
+PINNED_GEN_DIGESTS = {
+    "coverage": "78b4a29fc77b9dca6e23e0d93287fd68d977632f35373864ed1471750b4fe31b",
+    "explicit": "4c8a11897c9a82d43c79f42b8bb8d689708a47b31aa8985ff213a69cb13ffa03",
+    "mnl": "6b907126505100f3b2b08965a9bfd02306609bfed2ebdf52ae6effabf963b75c",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_GEN_DIGESTS))
+def test_gen_file_bytes_are_pinned(kind, tmp_path):
+    out = tmp_path / f"{kind}.json"
+    assert main(["gen", "--kind", kind, "--n", "6", "--seed", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_GEN_DIGESTS[kind]
+
+
+def test_gen_explicit_at_the_verification_cap(tmp_path):
+    """`gen --kind explicit` reaches n = oracle.MAX_VERIFY_N, where the
+    generator checks the whole 2^12-entry table before writing it."""
+    n = oracle.MAX_VERIFY_N
+    out = tmp_path / "explicit.json"
+    args = ["gen", "--kind", "explicit", "--n", str(n), "--seed", "1", "--out", str(out)]
+    assert main(args) == 0
+    inst = core.load_instance(out)
+    assert inst.n == n and len(inst.models[0].table) == 1 << n
+    assert oracle.verify_monotone_submodular(inst.models[0], n).ok
+
+
 def test_run_oracle_reports_best_revenue(appendix_c_path, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["oracle", "--instance", appendix_c_path, "--out", str(out)])

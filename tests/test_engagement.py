@@ -20,7 +20,7 @@ from seqsub.generators import random_explicit_model, random_instance
 from seqsub.matroid import is_independent, set_from_matrix
 from seqsub.util import iter_bits, mask_of
 
-from auditors import iter_independent_sets
+from auditors import greedy_by_value, iter_independent_sets
 
 ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
 
@@ -37,6 +37,63 @@ def test_greedy_picks_the_myopic_head(example_1):
 def test_greedy_single_product():
     inst = Instance(1, (1.0,), (MnlModel(1, (1.0,), 1.0),), ((0.0,),))
     assert greedy_rank(inst) == (0,)
+
+
+@pytest.mark.parametrize("kind", ["mnl", "coverage", "explicit"])
+def test_greedy_matches_the_per_set_reference(kind):
+    """greedy_rank reads its gains from batch_gain, greedy_by_value from
+    value() alone; the orders agree on seeds 1000-1003 at every n up to 12,
+    with and without payments. Coverage at n = 6, seed 1002, with payments
+    saturates by position 3: every remaining gain is 0, but the kernel gives
+    products 3 and 4 -1.0e-16, so a plain argmax would put product 5 first."""
+    for n in range(1, 13):
+        for with_payments in (False, True):
+            for seed in range(1000, 1004):
+                inst = random_instance(kind, n, seed, with_payments=with_payments)
+                assert greedy_rank(inst) == greedy_by_value(inst), (n, with_payments, seed)
+    tie = random_instance("coverage", 6, 1002, with_payments=True)
+    assert greedy_rank(tie) == (0, 1, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("kind, n", [("mnl", 50), ("coverage", 30)])
+def test_greedy_matches_the_per_set_reference_at_scale(kind, n):
+    for seed in range(2):
+        inst = random_instance(kind, n, seed, full_mass=True, with_payments=True)
+        assert greedy_rank(inst) == greedy_by_value(inst), seed
+
+
+class CountingModel:
+    """A click model that records the calls made to it: the prefix size of
+    each batch_gain row, and how many value() calls."""
+
+    def __init__(self, model):
+        self.model, self.n = model, model.n
+        self.value_calls, self.gain_prefixes = 0, []
+
+    def value(self, mask):
+        self.value_calls += 1
+        return self.model.value(mask)
+
+    def batch_gain(self, members):
+        self.gain_prefixes += [int(row.sum()) for row in members]
+        return self.model.batch_gain(members)
+
+
+def test_greedy_calls_each_model_once_per_position():
+    """Two explicit tables shared across five levels, one level with no
+    patience mass: no value() call, and each distinct model sees at most one
+    batch_gain row per prefix size."""
+    rng = np.random.default_rng(5)
+    n = 5
+    a, b = random_explicit_model(n, rng), random_explicit_model(n, rng)
+    lam = (0.3, 0.2, 0.0, 0.25, 0.15)
+    inst = Instance(n, lam, (a, b, a, b, a), tuple((0.0,) * n for _ in range(n)))
+    ca, cb = CountingModel(a), CountingModel(b)
+    counted = replace(inst, models=(ca, cb, ca, cb, ca))
+    assert greedy_rank(counted) == greedy_by_value(inst)
+    for model in (ca, cb):
+        assert model.value_calls == 0
+        assert len(set(model.gain_prefixes)) == len(model.gain_prefixes) <= n
 
 
 @pytest.mark.parametrize("kind", ["mnl", "coverage", "explicit"])

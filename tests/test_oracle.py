@@ -223,6 +223,22 @@ def test_verify_mnl_passes():
     assert oracle.verify_monotone_submodular(model, 6).ok
 
 
+def test_verify_reaches_its_cap():
+    """At n = MAX_VERIFY_N every one of the 4,096 subsets is scanned: an mnl
+    model passes, and raising its full-set value is caught as a submodularity
+    violation at a set two products short of full."""
+    n = oracle.MAX_VERIFY_N
+    rng = np.random.default_rng(12)
+    model = MnlModel(n, tuple(rng.uniform(0, 2, size=n)), 0.7)
+    assert oracle.verify_monotone_submodular(model, n).ok
+    full = (1 << n) - 1
+    vals = [model.value(m) for m in range(1 << n)]
+    vals[full] += 0.5
+    check = oracle.verify_monotone_submodular(vals.__getitem__, n)
+    assert not check.ok and check.kind == "submodular"
+    assert check.mask | 1 << check.x | 1 << check.y == full
+
+
 def test_verify_catches_monotonicity_violation():
     fn = {0: 0.0, 1: 0.5, 2: 0.2, 3: 0.4}.__getitem__
     check = oracle.verify_monotone_submodular(fn, 2)
