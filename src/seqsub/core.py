@@ -45,10 +45,6 @@ def validate_permutation(order: Sequence[int], n: int) -> Permutation:
     return order
 
 
-def _pow2(n: int) -> np.ndarray:
-    return 1 << np.arange(n, dtype=np.int64)
-
-
 def _gain(members: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """f(T + j) - f(T - j) for each row T of members and product j, from the
     values of f at T, T xor product 0, ..., T xor product n-1 per row."""
@@ -66,6 +62,12 @@ def _finite(values, what: str) -> tuple[float, ...]:
     return out
 
 
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class ExplicitModel:
     """Click function given as a subset -> value table over all 2^n subsets.
@@ -80,6 +82,8 @@ class ExplicitModel:
     n: int
     table: Mapping[int, float]
     _dense: np.ndarray = field(init=False, repr=False, compare=False)
+    _pow2: np.ndarray = field(init=False, repr=False, compare=False)
+    _flip: np.ndarray = field(init=False, repr=False, compare=False)  # 0, then each product's bit
 
     def __post_init__(self):
         if self.n < 1:
@@ -108,20 +112,22 @@ class ExplicitModel:
                 raise ValidationError(f"core: negative table value {tbl[m]} at mask {m:#x}")
             j = next(j for j in iter_bits(m) if tbl[m] < tbl[m & ~(1 << j)] - TOL)
             raise ValidationError(f"core: table not monotone at mask {m:#x} minus product {j}")
-        dense.setflags(write=False)
-        object.__setattr__(self, "_dense", dense)
+        pow2 = 1 << np.arange(self.n, dtype=np.int64)
+        flip = np.append(0, pow2)
+        for name, arr in (("_dense", dense), ("_pow2", pow2), ("_flip", flip)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def value(self, mask: int) -> float:
         return self.table[mask]
 
     def batch_value(self, members: np.ndarray) -> np.ndarray:
-        return self._dense[members.astype(np.int64) @ _pow2(self.n)]
+        return self._dense[members.astype(np.int64) @ self._pow2]
 
     def batch_gain(self, members: np.ndarray) -> np.ndarray:
         """f(T + j) - f(T - j) for each row T of members and product j: (R, n)."""
-        pow2 = _pow2(self.n)
-        masks = members.astype(np.int64) @ pow2
-        return _gain(members, self._dense[masks[:, None] ^ np.append(0, pow2)])
+        masks = members.astype(np.int64) @ self._pow2
+        return _gain(members, self._dense[masks[:, None] ^ self._flip])
 
 
 @dataclass(frozen=True)
@@ -136,6 +142,7 @@ class CoverageModel:
     weights: tuple[float, ...]
     covers: tuple[tuple[int, ...], ...]
     normalize: bool = False
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = _finite(self.weights, "universe weight")
@@ -148,6 +155,7 @@ class CoverageModel:
             if any(not 0 <= e < len(w) for e in c):
                 raise ValidationError("core: cover references unknown universe element")
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_weights", _frozen_array(w))
         object.__setattr__(self, "covers", cov)
         object.__setattr__(self, "_cover_masks", tuple(mask_of(c) for c in cov))
         # 0/1 cover matrix in the smallest signed type that counts up to n
@@ -171,7 +179,7 @@ class CoverageModel:
         return members.astype(self._cover_matrix.dtype) @ self._cover_matrix
 
     def _weigh(self, covered: np.ndarray) -> np.ndarray:
-        return (covered @ np.asarray(self.weights)) * self._scale
+        return (covered @ self._weights) * self._scale
 
     def batch_value(self, members: np.ndarray) -> np.ndarray:
         return self._weigh(self._counts(members) > 0)
@@ -193,6 +201,7 @@ class MnlModel:
     n: int
     weights: tuple[float, ...]
     w0: float
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = _finite(self.weights, "mnl weight")
@@ -204,6 +213,7 @@ class MnlModel:
         if not w0 > 0:
             raise ValidationError("core: mnl outside-option weight must be positive")
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_weights", _frozen_array(w))
         object.__setattr__(self, "w0", w0)
 
     def value(self, mask: int) -> float:
@@ -211,7 +221,7 @@ class MnlModel:
         return ws / (ws + self.w0) if ws > 0 else 0.0
 
     def batch_value(self, members: np.ndarray) -> np.ndarray:
-        ws = members.astype(float) @ np.asarray(self.weights)
+        ws = members.astype(float) @ self._weights
         return ws / (ws + self.w0)
 
     def batch_gain(self, members: np.ndarray) -> np.ndarray:

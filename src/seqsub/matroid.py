@@ -178,7 +178,9 @@ def pipage_round(n: int, x, seed) -> LiftedSet:
     capacity integrality keeps feasible. Integral inputs are returned
     unchanged. Only a move changes a coordinate's fractional status, so the
     row-major list of fractional coordinates is built once and each move
-    re-tests just the two it touched.
+    snaps and re-tests just the two it touched. Only the first move snaps
+    the whole point, clearing the input's sub-TOL dust after that move's
+    prefix sums have read it.
     """
     x = _polytope_point(n, x, "pipage input")
     rng = np.random.default_rng(seed)
@@ -212,8 +214,12 @@ def pipage_round(n: int, x, seed) -> LiftedSet:
         else:
             x[a] -= d_minus
             x[b] += d_minus
-        x[x < TOL] = 0.0
-        x[x > 1.0 - TOL] = 1.0
+        if rounds == 1:  # clears the input's sub-TOL dust; after it only a and b move
+            x[x < TOL] = 0.0
+            x[x > 1.0 - TOL] = 1.0
+        else:
+            for e in (a, b):
+                x[e] = 0.0 if x[e] < TOL else 1.0 if x[e] > 1.0 - TOL else x[e]
         frac[:2] = [e for e in (a, b) if TOL < x[e] < 1.0 - TOL]
 
     result = set_from_matrix(x > 0.5)

@@ -17,7 +17,7 @@ from seqsub.engagement import (
     rank_cg,
 )
 from seqsub.generators import random_explicit_model, random_instance
-from seqsub.matroid import is_independent, set_from_matrix
+from seqsub.matroid import continuous_greedy, is_independent, set_from_matrix
 from seqsub.util import iter_bits, mask_of
 
 from auditors import greedy_by_value, iter_independent_sets
@@ -63,18 +63,19 @@ def test_greedy_matches_the_per_set_reference_at_scale(kind, n):
 
 
 class CountingModel:
-    """A click model that records the calls made to it: the prefix size of
-    each batch_gain row, and how many value() calls."""
+    """A click model that records the calls made to it: the rows of each
+    batch_gain call, their prefix sizes, and how many value() calls."""
 
     def __init__(self, model):
         self.model, self.n = model, model.n
-        self.value_calls, self.gain_prefixes = 0, []
+        self.value_calls, self.gain_prefixes, self.gain_calls = 0, [], []
 
     def value(self, mask):
         self.value_calls += 1
         return self.model.value(mask)
 
     def batch_gain(self, members):
+        self.gain_calls.append(members.copy())
         self.gain_prefixes += [int(row.sum()) for row in members]
         return self.model.batch_gain(members)
 
@@ -193,6 +194,88 @@ def test_batch_marginal_weights_match_two_sided_reference(kind):
                     assert np.array_equal(got, want), (n, B)
                 else:
                     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+class RecordingObjective(LiftedObjective):
+    """The lifted objective, keeping the sample tensor of each gradient call."""
+
+    def __init__(self, inst):
+        super().__init__(inst)
+        self.incls = []
+
+    def batch_marginal_weights(self, incl):
+        self.incls.append(incl.copy())
+        return super().batch_marginal_weights(incl)
+
+
+def test_gradient_evaluates_each_distinct_prefix_once():
+    """Each continuous-greedy step makes one batch_gain call per distinct
+    click model, on that model's distinct prefix rows over all its levels
+    with patience mass, padded to a multiple of 8 rows."""
+    rng = np.random.default_rng(13)
+    n, steps = 6, 5
+    a, b = random_explicit_model(n, rng), random_explicit_model(n, rng)
+    lam = (0.2, 0.2, 0.0, 0.2, 0.15, 0.1)
+    ca, cb = CountingModel(a), CountingModel(b)
+    inst = Instance(n, lam, (ca, cb, ca, cb, ca, ca), tuple((0.0,) * n for _ in range(n)))
+    obj = RecordingObjective(inst)
+    continuous_greedy(obj, n, steps=steps, samples_per_step=50, seed=3)
+    assert len(obj.incls) == len(ca.gain_calls) == len(cb.gain_calls) == steps
+    for model, levels in ((ca, (0, 4, 5)), (cb, (1, 3))):
+        for incl, rows in zip(obj.incls, model.gain_calls):
+            cum = np.logical_or.accumulate(incl, axis=1)
+            want = {tuple(row) for i in levels for row in cum[:, i, :]}
+            k = len(want)
+            assert len(rows) == k + (-k % 8)
+            assert {tuple(row) for row in rows[:k]} == want
+
+
+def per_level_value(obj, incl):
+    """batch_value as first written: one batch_value call per level on all
+    B prefix rows, summed level by level."""
+    cum = np.logical_or.accumulate(incl, axis=1)
+    total = np.zeros(incl.shape[0])
+    for i in range(obj.n):
+        if obj.inst.lam[i] > 0.0:
+            total += obj.inst.lam[i] * obj.inst.models[i].batch_value(cum[:, i, :])
+    return total
+
+
+@pytest.mark.parametrize("kind", ["mnl", "coverage", "explicit"])
+def test_batch_value_matches_per_level_reference(kind):
+    """Deduplicated prefix rows give the same floats as one call per level
+    on every row, whenever B is a multiple of 4 (see the two-sided test)."""
+    rng = np.random.default_rng(89)
+    for n in range(1, 13):
+        inst = random_instance(kind, n, rng, full_mass=False)
+        lam = list(inst.lam)
+        lam[n // 2] = 0.0
+        obj = LiftedObjective(replace(inst, lam=tuple(lam)))
+        for B in (200, 64, 7):
+            incl = rng.random((B, n, n)) < rng.random((B, 1, 1))
+            got, want = obj.batch_value(incl), per_level_value(obj, incl)
+            if B % 4 == 0:
+                assert np.array_equal(got, want), (n, B)
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["mnl", "coverage"])
+def test_batch_marginal_weights_past_one_key_word(kind):
+    """At n = 70 a prefix row spans two 63-bit key words. Sample 1 copies
+    sample 0 but for product 66 at level 3, so their prefix rows differ only
+    past bit 63, and a key that lost those bits would merge them."""
+    rng = np.random.default_rng(71)
+    n, B = 70, 8
+    obj = LiftedObjective(random_instance(kind, n, rng, full_mass=False))
+    incl = rng.random((B, n, n)) < rng.random((B, 1, 1)) / n
+    incl[:2, :, 63:] = False
+    incl[1, 3, 66] = True
+    got = obj.batch_marginal_weights(incl)
+    assert np.array_equal(got, two_sided_marginal_weights(obj, incl))
+    assert not np.array_equal(got[0], got[1])
+    res = rank_cg(obj.inst, steps=2, samples=8, seed=0)
+    assert sorted(res.order) == list(range(n))
 
 
 def independent_prefix_products(R, n):
