@@ -174,18 +174,17 @@ def greedy_rank(inst: Instance) -> Permutation:
     return tuple(order)
 
 
-def extract_permutation(R: LiftedSet, n: int) -> Permutation:
-    """Sort products by their earliest position in R (ties by product index).
+def extract_permutation(R, n: int) -> np.ndarray:
+    """Order products by their earliest position in R (ties by product index).
 
-    Products absent from R rank last. When R is independent, the capacity
-    constraints force each product to land at or above its earliest position,
-    so engagement(result) >= g(R).
+    R is a boolean (..., n, n) array of lifted sets, and the result holds one
+    (n,) order per set. Products absent from a set rank last. When R is
+    independent, the capacity constraints force each product to land at or
+    above its earliest position, so engagement(result) >= g(R).
     """
-    earliest = [n] * n
-    for i, j in R:
-        if i < earliest[j]:
-            earliest[j] = i
-    return tuple(sorted(range(n), key=lambda j: (earliest[j], j)))
+    R = np.asarray(R, dtype=bool)
+    earliest = np.where(R.any(axis=-2), R.argmax(axis=-2), n)
+    return np.argsort(earliest, axis=-1, kind="stable")
 
 
 @dataclass
@@ -210,7 +209,10 @@ def rank_cg(inst: Instance, steps: int = 40, samples: int = 200, *, seed) -> Ran
     y = continuous_greedy(obj, inst.n, steps=steps, samples_per_step=samples, seed=rng)
     est = estimate_multilinear(obj, y, samples=max(samples, 64), seed=rng)
     rounded = pipage_round(inst.n, y, seed=rng)
-    order = extract_permutation(rounded, inst.n)
+    members = np.zeros((inst.n, inst.n), dtype=bool)
+    for e in rounded:
+        members[e] = True
+    order = tuple(extract_permutation(members, inst.n).tolist())
     g_val = obj.value(rounded)
     f_val = engagement(inst, order)
     if f_val < g_val - TOL:  # pragma: no cover - structural guarantee

@@ -12,7 +12,9 @@ membership tensors of shape (B, n, n): `g.batch_value(incl)` gives g of each
 of the B sets, and `g.batch_marginal_weights(incl)` the per-element marginals
 g(R\\e + e) - g(R\\e). Every randomized operation requires a seed or a numpy
 Generator (anything np.random.default_rng accepts) and is reproducible; a
-pipeline passes one Generator through all of its draws.
+pipeline passes one Generator through all of its draws. Sampling and
+contention resolution take their uniform draws instead, and work on a batch
+of boolean (B, n, n) lifted sets at once.
 """
 
 from __future__ import annotations
@@ -119,9 +121,9 @@ def estimate_multilinear(g, x, samples: int, seed) -> MultilinearEstimate:
     """Monte Carlo estimate of E[g(R(x))] under independent inclusion."""
     if samples < 1:
         raise ValidationError("matroid: need at least one sample")
-    x = _check_unit_box(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(seed)
-    incl = rng.random((samples,) + x.shape) < x
+    incl = sample_independent_point(x, rng.random((samples,) + x.shape))
     vals = np.asarray(g.batch_value(incl), dtype=float)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
@@ -154,15 +156,17 @@ def continuous_greedy(
     return y
 
 
-def sample_independent_point(x, seed) -> LiftedSet:
-    """Include each element independently with probability x[i, j].
+def sample_independent_point(x, u: np.ndarray) -> np.ndarray:
+    """Boolean membership u < x: with u uniform on [0, 1), each element is
+    included independently with probability x[i, j].
 
-    The draw is statistically independent per coordinate; the result need
-    not be matroid-independent.
+    u has shape (..., n, n), one lifted set per leading index, and x is
+    checked against the unit box once for all of them. The draw is
+    statistically independent per coordinate; the result need not be
+    matroid-independent.
     """
     x = _check_unit_box(np.asarray(x, dtype=float))
-    rng = np.random.default_rng(seed)
-    return set_from_matrix(rng.random(x.shape) < x)
+    return u < x
 
 
 def pipage_round(n: int, x, seed) -> LiftedSet:
@@ -228,20 +232,52 @@ def pipage_round(n: int, x, seed) -> LiftedSet:
     return result
 
 
-def crs_round(n: int, x, A: Iterable[tuple[int, int]], seed) -> LiftedSet:
-    """Random-order greedy contention resolution.
+def _independent(R: np.ndarray) -> np.ndarray:
+    """Per lifted set of a boolean (..., n, n) array: every prefix capacity holds."""
+    n = R.shape[-1]
+    return (np.cumsum(R.sum(axis=-1), axis=-1) <= np.arange(1, n + 1)).all(axis=-1)
 
-    Iterates the elements of A that carry positive mass in x in a uniformly
-    random order, keeping an element iff the kept set stays independent.
-    The output is always independent and the scheme is monotone (an element
-    survives a superset A only if it survives A). Its per-element retention
-    constant is measured empirically by the test suite rather than assumed.
+
+def _scan_contended(live: np.ndarray, priority: np.ndarray) -> np.ndarray:
+    """Random-order greedy on each (n, n) set of live: elements in increasing
+    priority (ties row-major), each kept iff the kept set stays independent.
+
+    Step s offers every set its s-th element at once. slack[b, k] is
+    k + 1 minus the elements kept at positions <= k, and an element at
+    position i fits iff the slack from i on is at least 1.
     """
-    rows = _polytope_point(n, x, "contention resolution input").tolist()
-    rng = np.random.default_rng(seed)
-    elems = sorted(e for e in A if rows[e[0]][e[1]] > 0.0)
-    order = rng.permutation(len(elems)).tolist()
-    result = frozenset(_keep_independent(n, (elems[idx] for idx in order)))
-    if not is_independent(n, result):  # pragma: no cover - structural guarantee
+    B, n = live.shape[0], live.shape[-1]
+    flat = live.reshape(B, n * n)
+    order = np.argsort(np.where(flat, priority.reshape(B, n * n), np.inf), axis=1, kind="stable")
+    slack = np.tile(np.arange(1, n + 1), (B, 1))
+    kept = np.zeros_like(flat)
+    rows, pos = np.arange(B), np.arange(n)
+    for e in order[:, : flat.sum(axis=1).max()].T:
+        i = e // n
+        room = np.minimum.accumulate(slack[:, ::-1], axis=1)[rows, n - 1 - i]
+        take = flat[rows, e] & (room >= 1)
+        kept[rows, e] = take
+        slack -= take[:, None] & (pos >= i[:, None])
+    return kept.reshape(live.shape)
+
+
+def crs_round(n: int, x, A: np.ndarray, priority: np.ndarray) -> np.ndarray:
+    """Random-order greedy contention resolution for a batch of B sets.
+
+    A is a boolean (B, n, n) array of sampled sets and priority a (B, n, n)
+    array of i.i.d. uniform draws. For each set, the elements of A that carry
+    positive mass in x are scanned in increasing priority, a uniformly random
+    order, and an element is kept iff the kept set stays independent; a set
+    whose live elements are already independent is kept whole. The output is
+    always independent and the scheme is monotone (an element survives a
+    superset A only if it survives A). Its per-element retention constant is
+    measured empirically by the test suite rather than assumed.
+    """
+    x = _polytope_point(n, x, "contention resolution input")
+    kept = np.asarray(A, dtype=bool) & (x > 0.0)
+    contended = np.flatnonzero(~_independent(kept))
+    if contended.size:
+        kept[contended] = _scan_contended(kept[contended], priority[contended])
+    if not _independent(kept).all():  # pragma: no cover - structural guarantee
         raise SeqsubError("matroid: contention resolution produced a dependent set")
-    return result
+    return kept

@@ -1,7 +1,8 @@
 """Exhaustive auditors that only the tests call: exact multilinear
 extensions, correlation-gap ratios, enumeration of the prefix matroid's
-independent sets and bases, a policy vector's marginals, an LP's optimum
-from HiGHS and greedy's order from per-set values. Test modules import them
+independent sets and bases, contention resolution one set at a time, a
+policy vector's marginals, an LP's optimum from HiGHS and greedy's order
+from per-set values. Test modules import them
 as they import the helpers in conftest."""
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 
 from seqsub.core import Instance, Permutation
 from seqsub.errors import TooLargeError, ValidationError
-from seqsub.matroid import LiftedSet
+from seqsub.matroid import LiftedSet, is_independent
 from seqsub.numerics import LpProblem
 from seqsub.oracle import MAX_VERIFY_N, OracleReport
 from seqsub.policy import PolicyVector
@@ -61,6 +62,22 @@ def iter_bases(n: int) -> Iterator[LiftedSet]:
     """All bases (independent sets of full rank n)."""
     for counts in _prefix_compositions(n, n):
         yield from _sets_for_counts(n, counts)
+
+
+def crs_by_scan(n: int, x, A: np.ndarray, priority: np.ndarray) -> np.ndarray:
+    """matroid.crs_round one set at a time: each set's elements that carry
+    positive mass in x, sorted by (priority, element), each kept iff the
+    kept set stays independent. No shortcut for sets already independent."""
+    x = np.asarray(x, dtype=float)
+    kept = np.zeros(np.shape(A), dtype=bool)
+    for b in range(len(A)):
+        live = [(int(i), int(j)) for i, j in np.argwhere(A[b] & (x > 0.0))]
+        R: list[tuple[int, int]] = []
+        for e in sorted(live, key=lambda e: (priority[b][e], e)):
+            if is_independent(n, R + [e]):
+                R.append(e)
+                kept[b][e] = True
+    return kept
 
 
 def exact_multilinear(g: Callable[[frozenset], float], x: Mapping) -> float:

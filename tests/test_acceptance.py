@@ -21,7 +21,7 @@ from seqsub.revenue import build_policy_lp, run_bicriteria, solve_policy_lp
 from seqsub.util import mask_of
 
 from auditors import correlation_gap_ratio, exact_multilinear, iter_independent_sets
-from conftest import random_subset_distribution
+from conftest import matrix_of, random_subset_distribution
 
 GAP = 1.0 - 1.0 / math.e
 
@@ -132,10 +132,11 @@ def test_criterion_5_structural_claims():
         inst = random_instance(kind, n, rng)
         obj = LiftedObjective(inst)
         best = -math.inf
-        for R in iter_independent_sets(n):
+        sets = list(iter_independent_sets(n))
+        orders = extract_permutation(np.array([matrix_of(R, n) for R in sets]), n)
+        for R, order in zip(sets, orders):
             val = obj.value(R)
             best = max(best, val)
-            order = extract_permutation(R, n)
             assert core.engagement(inst, order) >= val - 1e-9  # extraction dominance
         opt = oracle.brute_force_engagement_opt(inst)
         assert best == pytest.approx(opt.best_value, abs=1e-9)

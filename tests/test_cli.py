@@ -154,15 +154,15 @@ def test_reports_are_byte_identical_for_fixed_seed(algo, appendix_c_path, tmp_pa
 
 #: sha256 of the `run revenue --trials 200 --seed 7` report on
 #: random_instance(kind, 5, 1, full_mass=True, with_payments=True), hashed as
-#: sorted-key JSON with the `instance` path dropped. The trials draw in turn
-#: from one generator, so a change to any draw changes the factor-0.632
-#: digests; at factor 1.0 the marginals are integral and every trial is the same.
+#: sorted-key JSON with the `instance` path dropped. The trials draw their
+#: trial-major blocks from one generator, so a change to any draw changes the
+#: factor-0.632 digests; at factor 1.0 the marginals are integral and every trial is the same.
 PINNED_REVENUE_DIGESTS = {
-    ("coverage", "0.632"): "e4fb9902b4a7fdc984963e18858b354e8fc2abdc5e1c1a5c58622cb67c04ad2e",
+    ("coverage", "0.632"): "d6a180f4dc36e51ab79f583476b9c5fb4fb04b890e3b02c6b295e108d019899c",
     ("coverage", "1.0"): "8b491794894dbe703c19c048533fac4bab33ba28467b1319dd907a3c3e78d40b",
-    ("explicit", "0.632"): "dad4859b765eae210f5c8256b4c5226e6d285752cd8d669d2826d33bfaad0c0c",
+    ("explicit", "0.632"): "e87e8c964fdcd1bbff6f66ce0c59cdd571ee1bb7affdb2bd6e9db5b41b2819e6",
     ("explicit", "1.0"): "bd201e93d1cd7c231ef5a8f0384c7c326dacb3447d838e978110a466f236a85b",
-    ("mnl", "0.632"): "9c80d824d049c438ce1a5eacddabee45114edbb91d8acbc2dc49863d615fe468",
+    ("mnl", "0.632"): "3a080f838d103cda8fd936ea3b483942f4173e4460dafa62cce2596af8096afd",
     ("mnl", "1.0"): "8d9d889b0cd55cf61a0a27f4b1bfb1f0ecb929e163d3dda9205164ce012aa299",
 }
 

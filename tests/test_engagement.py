@@ -21,6 +21,7 @@ from seqsub.matroid import continuous_greedy, is_independent, set_from_matrix
 from seqsub.util import iter_bits, mask_of
 
 from auditors import greedy_by_value, iter_independent_sets
+from conftest import matrix_of
 
 ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
 
@@ -306,11 +307,25 @@ def test_lifted_prefixes_match_independent_builder():
 
 def test_extract_permutation_worked_example():
     # earliest positions: product 2 at 0, product 0 at 1, product 1 absent
-    assert extract_permutation(frozenset({(0, 2), (1, 0)}), 3) == (2, 0, 1)
+    assert extract_permutation(matrix_of({(0, 2), (1, 0)}, 3), 3).tolist() == [2, 0, 1]
 
 
 def test_extract_permutation_empty_set_is_identity():
-    assert extract_permutation(frozenset(), 4) == (0, 1, 2, 3)
+    assert extract_permutation(np.zeros((4, 4), dtype=bool), 4).tolist() == [0, 1, 2, 3]
+
+
+def test_extract_permutation_batch_matches_per_set_sort():
+    """Each (n,) order of a (..., n, n) batch sorts the products by their
+    earliest position in that set, ties by product index, absent ones last."""
+    rng = np.random.default_rng(29)
+    n = 5
+    R = rng.random((4, 50, n, n)) < rng.random((4, 50, 1, 1)) * 0.5
+    orders = extract_permutation(R, n)
+    assert orders.shape == (4, 50, n)
+    for idx in np.ndindex(4, 50):
+        earliest = [min((i for i in range(n) if R[idx][i, j]), default=n) for j in range(n)]
+        expected = sorted(range(n), key=lambda j: (earliest[j], j))
+        assert orders[idx].tolist() == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -320,8 +335,8 @@ def test_extract_permutation_empty_set_is_identity():
     )
 )
 def test_extract_permutation_is_always_a_permutation(R):
-    order = extract_permutation(R, 6)
-    assert sorted(order) == list(range(6))
+    order = extract_permutation(matrix_of(R, 6), 6)
+    assert sorted(order.tolist()) == list(range(6))
 
 
 def test_extraction_never_loses_lifted_value():
@@ -343,7 +358,7 @@ def test_extraction_never_loses_lifted_value():
                 if is_independent(n, R | {e}):
                     R.add(e)
             R = frozenset(R)
-            order = extract_permutation(R, n)
+            order = extract_permutation(matrix_of(R, n), n)
             assert core.engagement(inst, order) >= obj.value(R) - 1e-9
 
 

@@ -25,7 +25,7 @@ from seqsub.matroid import (
 )
 from seqsub.numerics import TOL
 
-from auditors import exact_multilinear, iter_bases, iter_independent_sets
+from auditors import crs_by_scan, exact_multilinear, iter_bases, iter_independent_sets
 from conftest import matrix_of
 
 class Modular:
@@ -159,9 +159,9 @@ def test_non_finite_coordinates_are_rejected(bad):
     x = np.full((2, 2), 0.25)
     x[1, 0] = bad
     calls = [
-        lambda: sample_independent_point(x, seed=0),
+        lambda: sample_independent_point(x, np.zeros((1, 2, 2))),
         lambda: estimate_multilinear(Modular(np.ones((2, 2))), x, samples=8, seed=0),
-        lambda: crs_round(2, x, frozenset({(0, 0), (1, 0)}), seed=0),
+        lambda: crs_round(2, x, matrix_of({(0, 0), (1, 0)}, 2)[None] > 0, np.zeros((1, 2, 2))),
         lambda: pipage_round(2, x, seed=0),
     ]
     for call in calls:
@@ -171,10 +171,11 @@ def test_non_finite_coordinates_are_rejected(bad):
 
 def test_unit_box_clips_only_sub_tolerance_excess():
     x = np.array([[1.0 + TOL / 2, 0.0], [-TOL / 2, 0.0]])
-    assert sample_independent_point(x, seed=0) == {(0, 0)}
+    u = np.random.default_rng(0).random((2, 2))
+    assert set_from_matrix(sample_independent_point(x, u)) == {(0, 0)}
     x[1, 0] = -2 * TOL
     with pytest.raises(ValidationError):
-        sample_independent_point(x, seed=0)
+        sample_independent_point(x, u)
 
 
 def test_estimate_multilinear_integral_is_exact():
@@ -321,39 +322,33 @@ def test_pipage_coordinate_means_match_input():
 
 
 def test_sample_independent_point_degenerate():
-    assert sample_independent_point(np.ones((3, 3)), seed=0) == set(
-        itertools.product(range(3), repeat=2)
-    )
-    assert sample_independent_point(np.zeros((3, 3)), seed=0) == frozenset()
+    u = np.random.default_rng(0).random((5, 3, 3))
+    assert sample_independent_point(np.ones((3, 3)), u).all()
+    assert not sample_independent_point(np.zeros((3, 3)), u).any()
 
 
 def test_sample_independent_point_frequencies():
     x = np.full((4, 4), 0.5)
-    counts = np.zeros((4, 4))
     trials = 100_000
-    rng_seeds = np.random.SeedSequence(77).spawn(trials)
-    for s in rng_seeds:
-        for e in sample_independent_point(x, s):
-            counts[e] += 1.0
+    u = np.random.default_rng(77).random((trials, 4, 4))
+    counts = sample_independent_point(x, u).sum(axis=0)
     np.testing.assert_allclose(counts / trials, x, atol=0.005)
 
 
 def test_crs_keeps_independent_inputs():
     x = np.full((3, 3), 1.0 / 3.0)
-    A = frozenset({(0, 1), (1, 0), (2, 2)})
-    assert crs_round(3, x, A, seed=9) == A
+    A = matrix_of({(0, 1), (1, 0), (2, 2)}, 3)[None] > 0
+    priority = np.random.default_rng(9).random((1, 3, 3))
+    assert (crs_round(3, x, A, priority) == A).all()
 
 
 def test_crs_breaks_symmetric_tie_evenly():
     x = np.array([[0.5, 0.5], [0.0, 0.0]])
-    A = frozenset({(0, 0), (0, 1)})
-    keep0 = 0
     trials = 10_000
-    for i, s in enumerate(np.random.SeedSequence(3).spawn(trials)):
-        kept = crs_round(2, x, A, seed=s)
-        assert len(kept) == 1
-        keep0 += (0, 0) in kept
-    assert abs(keep0 / trials - 0.5) < 0.02
+    A = np.broadcast_to(matrix_of({(0, 0), (0, 1)}, 2) > 0, (trials, 2, 2))
+    kept = crs_round(2, x, A, np.random.default_rng(3).random((trials, 2, 2)))
+    assert (kept.sum(axis=(1, 2)) == 1).all()
+    assert abs(kept[:, 0, 0].mean() - 0.5) < 0.02
 
 
 def test_crs_composed_with_sampling_is_always_independent():
@@ -361,16 +356,40 @@ def test_crs_composed_with_sampling_is_always_independent():
     for trial in range(2000):
         n = int(rng.integers(2, 6))
         x = random_polytope_point(n, rng)
-        A = sample_independent_point(x, rng.integers(2**63))
-        kept = crs_round(n, x, A, seed=rng.integers(2**63))
-        assert is_independent(n, kept)
-        assert kept <= A
+        u = rng.random((4, 2, n, n))
+        A = sample_independent_point(x, u[:, 0])
+        kept = crs_round(n, x, A, u[:, 1])
+        assert not (kept & ~A).any()
+        for R in kept:
+            assert is_independent(n, set_from_matrix(R))
+
+
+def test_crs_round_matches_the_scan_reference():
+    """The batched scan keeps, set by set, exactly what one scan per set in
+    priority order keeps, on 10,000 sampled sets of which at least 5%
+    contend (their sampled elements are dependent)."""
+    rng = np.random.default_rng(53)
+    trials = contended = 0
+    for point in range(100):
+        n = int(rng.integers(2, 9))
+        x = random_polytope_point(n, rng)
+        u = rng.random((100, 2, n, n))
+        A = sample_independent_point(x, u[:, 0])
+        kept = crs_round(n, x, A, u[:, 1])
+        np.testing.assert_array_equal(kept, crs_by_scan(n, x, A, u[:, 1]))
+        assert not (kept & ~A).any()
+        for a, R in zip(A, kept):
+            assert is_independent(n, set_from_matrix(R))
+            contended += not is_independent(n, set_from_matrix(a))
+        trials += len(A)
+    assert trials == 10_000
+    assert contended >= 0.05 * trials
 
 
 def test_crs_requires_polytope_membership():
     x = np.ones((2, 2))  # prefix sum 2 > 1 at the first position
     with pytest.raises(PolytopeError):
-        crs_round(2, x, frozenset({(0, 0)}), seed=0)
+        crs_round(2, x, matrix_of({(0, 0)}, 2)[None] > 0, np.zeros((1, 2, 2)))
 
 
 def test_crs_per_element_retention_at_least_half():
@@ -383,18 +402,11 @@ def test_crs_per_element_retention_at_least_half():
         n = int(rng.integers(4, 6))
         x = random_polytope_point(n, rng)
         support = [(i, j) for i in range(n) for j in range(n) if x[i, j] > 1e-9]
-        sampled = {e: 0 for e in support}
-        kept_count = {e: 0 for e in support}
         trials = 100_000
-        seeds = np.random.SeedSequence(trial).spawn(trials)
-        for s in seeds:
-            a, b = s.spawn(2)
-            A = sample_independent_point(x, a)
-            kept = crs_round(n, x, A, seed=b)
-            for e in A:
-                sampled[e] += 1
-            for e in kept:
-                kept_count[e] += 1
+        u = np.random.default_rng(trial).random((trials, 2, n, n))
+        A = sample_independent_point(x, u[:, 0])
+        sampled = A.sum(axis=0)
+        kept_count = crs_round(n, x, A, u[:, 1]).sum(axis=0)
         for e in support:
             if sampled[e] >= 500:
                 assert kept_count[e] / sampled[e] >= 0.5

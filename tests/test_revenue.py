@@ -14,6 +14,7 @@ from seqsub.matroid import in_matroid_polytope
 from seqsub.numerics import simplex_solve
 from seqsub.policy import PolicyVector
 from seqsub.revenue import (
+    ROUND_BLOCK,
     build_policy_lp,
     round_to_permutation,
     run_bicriteria,
@@ -181,21 +182,22 @@ def test_round_point_mass_returns_that_permutation():
     order0 = (2, 0, 1)
     x = matrix_of({(i, order0[i]) for i in range(3)}, 3)
     for s in range(5):
-        assert round_to_permutation(inst, x, seed=s) == order0
+        assert round_to_permutation(inst, x, 5, seed=s) == [order0] * 5
 
 
 def test_round_zero_assignment_is_identity():
     model = MnlModel(3, (1.0, 1.0, 1.0), 1.0)
     inst = Instance(3, (1 / 3,) * 3, (model,) * 3, tuple((0.0,) * 3 for _ in range(3)))
-    assert round_to_permutation(inst, np.zeros((3, 3)), seed=4) == (0, 1, 2)
+    assert round_to_permutation(inst, np.zeros((3, 3)), 1, seed=4) == [(0, 1, 2)]
 
 
 def test_rounding_sweep_always_permutes(appendix_c):
     sol = solve_policy_lp(build_policy_lp(appendix_c))
     total_f = 0.0
     trials = 10_000
-    for s in range(trials):
-        order = round_to_permutation(appendix_c, sol.marginals, seed=s)
+    orders = round_to_permutation(appendix_c, sol.marginals, trials, seed=0)
+    assert len(orders) == trials
+    for order in orders:
         assert sorted(order) == [0, 1, 2, 3]
         total_f += core.engagement(appendix_c, order)
     assert total_f / trials > 0.0
@@ -208,7 +210,7 @@ def test_round_rejects_marginals_outside_polytope():
     inst = Instance(2, (0.5, 0.5), (model,) * 2, ZEROS2)
     bad = np.array([[0.9, 0.9], [0.0, 0.0]])
     with pytest.raises(PolytopeError):
-        round_to_permutation(inst, bad, seed=0)
+        round_to_permutation(inst, bad, 1, seed=0)
 
 
 def test_impression_accounting(appendix_c):
@@ -224,11 +226,11 @@ def test_impression_accounting(appendix_c):
     from seqsub.matroid import crs_round, sample_independent_point
     from seqsub.engagement import extract_permutation
 
-    draws = np.random.default_rng(0)  # one stream for every trial, as the pipeline draws
-    for _ in range(500):
-        A = sample_independent_point(sol.marginals, draws)
-        kept = crs_round(4, sol.marginals, A, draws)
-        order = extract_permutation(kept, 4)
+    u = np.random.default_rng(0).random((500, 2, 4, 4))  # the pipeline's draw layout
+    A = sample_independent_point(sol.marginals, u[:, 0])
+    kept_sets = crs_round(4, sol.marginals, A, u[:, 1])
+    for kept, order in zip(kept_sets, extract_permutation(kept_sets, 4).tolist()):
+        kept = list(zip(*np.nonzero(kept)))
         position_of = {j: i for i, j in enumerate(order)}
         for i, j in kept:
             assert position_of[j] <= i
@@ -293,8 +295,7 @@ def test_bicriteria_trials_carry_exact_values_per_order():
     seed, trials = 5, 300
     report = run_bicriteria(inst, trials=trials, factor=ONE_MINUS_INV_E, seed=seed)
     scaled = solve_policy_lp(build_policy_lp(inst)).marginals * ONE_MINUS_INV_E
-    rng = np.random.default_rng(seed)
-    orders = [round_to_permutation(inst, scaled, rng) for _ in range(trials)]
+    orders = round_to_permutation(inst, scaled, trials, seed)
     assert [t.order for t in report.trials] == orders
     assert 1 < len(set(orders)) < trials  # values are shared between trials
     for t in report.trials:
@@ -313,3 +314,18 @@ def test_first_trials_are_the_shorter_run():
         assert short == full[:k]
     rng = np.random.default_rng(4)
     assert run_bicriteria(inst, trials=60, factor=ONE_MINUS_INV_E, seed=rng).trials == full
+
+
+def test_round_blocks_join_seamlessly():
+    """Around the block size, the first k trials are the k-trial rounding,
+    and a Generator passed as the seed is drawn from as-is, block after
+    block."""
+    inst = random_instance("explicit", 4, 2, full_mass=True, with_payments=True)
+    x = solve_policy_lp(build_policy_lp(inst)).marginals * ONE_MINUS_INV_E
+    full = round_to_permutation(inst, x, ROUND_BLOCK + 1, seed=6)
+    assert len(set(full)) > 1
+    for k in (ROUND_BLOCK - 1, ROUND_BLOCK, ROUND_BLOCK + 1):
+        assert round_to_permutation(inst, x, k, seed=6) == full[:k]
+    rng = np.random.default_rng(6)
+    head = round_to_permutation(inst, x, ROUND_BLOCK - 1, seed=rng)
+    assert head + round_to_permutation(inst, x, 2, seed=rng) == full
