@@ -1,8 +1,9 @@
 """Engagement maximizers: suffix-marginal greedy and the lifted pipeline.
 
-The lifted objective g assigns to a set R of (position, product) pairs the
-engagement of the "best case" prefix structure it induces: T_i collects every
-product that appears in R at position i or earlier, and
+The lifted objective g assigns to a set R of (position, product) pairs, a
+boolean (n, n) array as everywhere in the matroid module, the engagement of
+the "best case" prefix structure it induces: T_i collects every product that
+appears in R at position i or earlier, and
 
     g(R) = sum_i lam[i] * f_i(T_i).
 
@@ -23,8 +24,10 @@ import numpy as np
 
 from .core import Instance, Permutation, _prefix_value, engagement
 from .errors import SeqsubError
-from .matroid import LiftedSet, continuous_greedy, estimate_multilinear, pipage_round
+from .matroid import continuous_greedy, estimate_multilinear, pipage_round
 from .numerics import TOL
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # a bool's byte as a binary digit
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -72,11 +75,13 @@ class LiftedObjective:
             by_model.setdefault(id(inst.models[i]), []).append(i)
         self._groups = [(inst.models[ls[0]], np.array(ls)) for ls in by_model.values()]
 
-    def value(self, R: LiftedSet) -> float:
-        levels = [0] * self.n
-        for i, j in R:
-            levels[i] |= 1 << j
-        return _prefix_value(self.inst, levels)
+    def value(self, R: np.ndarray) -> float:
+        """g of one lifted set, from the product mask of each of its rows."""
+        n = self.n
+        # R's bytes, last first, read as binary digits: bit i * n + j is R[i, j]
+        bits = int(np.asarray(R, dtype=bool).tobytes()[::-1].translate(_DIGITS), 2)
+        row = (1 << n) - 1
+        return _prefix_value(self.inst, [(bits >> n * i) & row for i in range(n)])
 
     def _level_terms(self, cum: np.ndarray, kernel: str, out: np.ndarray) -> np.ndarray:
         """out[i] = lam_i * f_i.kernel(cum[i]) at each active level i.
@@ -209,12 +214,9 @@ def rank_cg(inst: Instance, steps: int = 40, samples: int = 200, *, seed) -> Ran
     y = continuous_greedy(obj, inst.n, steps=steps, samples_per_step=samples, seed=rng)
     est = estimate_multilinear(obj, y, samples=max(samples, 64), seed=rng)
     rounded = pipage_round(inst.n, y, seed=rng)
-    members = np.zeros((inst.n, inst.n), dtype=bool)
-    for e in rounded:
-        members[e] = True
-    order = tuple(extract_permutation(members, inst.n).tolist())
+    order = tuple(extract_permutation(rounded, inst.n).tolist())
     g_val = obj.value(rounded)
     f_val = engagement(inst, order)
     if f_val < g_val - TOL:  # pragma: no cover - structural guarantee
         raise SeqsubError("engagement: extraction lost lifted value")
-    return RankResult(order, f_val, g_val, est.mean, est.stderr, len(rounded))
+    return RankResult(order, f_val, g_val, est.mean, est.stderr, int(rounded.sum()))

@@ -1,11 +1,13 @@
 """The prefix (laminar) matroid over position-product pairs, and its rounding.
 
 The ground set has n^2 elements (i, j) = "product j occupies position i",
-both 0-based. A set is independent iff it never crowds more than k elements
-into the top k positions, for k = 1..n: the prefix sets
-A_k = {(i, j) : i < k} are nested, each with capacity k. That rank n is the
-whole matroid, so every function here takes n first. Within the unit box
-the prefix-sum constraints describe its polytope exactly.
+both 0-based. A lifted set is a boolean (n, n) array, or a (..., n, n) batch
+of them, with R[i, j] true iff (i, j) is in the set. A set is independent iff
+it never crowds more than k elements into the top k positions, for
+k = 1..n: the prefix sets A_k = {(i, j) : i < k} are nested, each with
+capacity k. Equivalently it is a scheduling matroid: element (i, j) needs a
+slot of its own among 0..i. Within the unit box the prefix-sum constraints
+describe its polytope exactly.
 
 The Monte Carlo routines take an objective g that evaluates boolean
 membership tensors of shape (B, n, n): `g.batch_value(incl)` gives g of each
@@ -14,67 +16,65 @@ g(R\\e + e) - g(R\\e). Every randomized operation requires a seed or a numpy
 Generator (anything np.random.default_rng accepts) and is reproducible; a
 pipeline passes one Generator through all of its draws. Sampling and
 contention resolution take their uniform draws instead, and work on a batch
-of boolean (B, n, n) lifted sets at once.
+of lifted sets at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .errors import PolytopeError, SeqsubError, ValidationError
 from .numerics import TOL
 
-LiftedSet = frozenset  # of (position, product) pairs
+
+def is_independent(R: np.ndarray) -> np.ndarray:
+    """Per lifted set of a boolean (..., n, n) array: every prefix capacity holds."""
+    n = R.shape[-1]
+    return (np.cumsum(R.sum(axis=-1), axis=-1) <= np.arange(1, n + 1)).all(axis=-1)
 
 
-def is_independent(n: int, R: Iterable[tuple[int, int]]) -> bool:
-    """True iff every prefix-capacity constraint holds."""
-    counts = [0] * n
-    for i, j in R:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValidationError(f"matroid: element {(i, j)} outside ground set")
-        counts[i] += 1
-    c = 0
-    for k in range(n):
-        c += counts[k]
-        if c > k + 1:
-            return False
-    return True
+def _greedy_scan(n: int, elems) -> np.ndarray:
+    """The lifted set kept by scanning elems, row-major indices i * n + j,
+    in order and keeping each one iff the kept set stays independent.
 
-
-def _keep_independent(n: int, elems: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Scan elems in order, keeping each one iff the kept set stays independent.
-
-    Stops at rank n, when every prefix capacity is used up.
+    Element (i, j) fits iff one of the slots 0..i is still free, and taking
+    the latest free one never turns a later element away. A union-find finds
+    it: latest[s] leads to the latest free slot below s, as slot number + 1
+    (0 when none is free). The scan stops at rank n, when no slot is free.
     """
-    slack = list(range(1, n + 1))  # k - |R restricted to A_k|; lists beat numpy at this size
+    latest = list(range(n + 1))
     kept = []
-    for i, j in elems:
-        if min(slack[i:]) >= 1:
-            kept.append((i, j))
-            slack[i:] = [s - 1 for s in slack[i:]]
+    for e in elems:
+        s = e // n + 1
+        while latest[s] != s:
+            latest[s] = latest[latest[s]]
+            s = latest[s]
+        if s:
+            latest[s] = s - 1
+            kept.append(e)
             if len(kept) == n:
                 break
-    return kept
+    R = np.zeros(n * n, dtype=bool)
+    R[kept] = True
+    return R.reshape(n, n)
 
 
-def max_weight_base(n: int, w) -> LiftedSet:
-    """Greedy maximum-weight base; ties broken by (position, product).
+def max_weight_base(n: int, w) -> np.ndarray:
+    """Greedy maximum-weight base, a boolean (n, n) array; ties broken by
+    (position, product).
 
-    Elements are scanned in descending weight (a stable sort of the
-    row-major weights, so -0.0 ties 0.0); negative-weight elements are
-    taken only when needed to complete a base, which the exchange property
-    makes optimal among bases.
+    The union-find scan takes elements in descending weight (a stable sort
+    of the row-major weights, so -0.0 ties 0.0); negative-weight elements
+    are taken only when needed to complete a base, which the exchange
+    property makes optimal among bases.
     """
     w = np.asarray(w, dtype=float)
     if w.shape != (n, n) or not np.all(np.isfinite(w)):
         raise ValidationError("matroid: weights must be a finite n x n matrix")
-    order = np.argsort(-w, axis=None, kind="stable").tolist()
-    return frozenset(_keep_independent(n, (divmod(e, n) for e in order)))
+    return _greedy_scan(n, np.argsort(-w, axis=None, kind="stable").tolist())
 
 
 def in_matroid_polytope(n: int, x) -> bool:
@@ -88,11 +88,6 @@ def in_matroid_polytope(n: int, x) -> bool:
         raise ValidationError("matroid: point must be an n x n matrix")
     prefix = x.sum(axis=1).cumsum().tolist()
     return all(p <= k + TOL for k, p in enumerate(prefix, 1))
-
-
-def set_from_matrix(members: np.ndarray) -> LiftedSet:
-    rows, cols = np.nonzero(members)
-    return frozenset(zip(rows.tolist(), cols.tolist()))
 
 
 def _check_unit_box(x: np.ndarray) -> np.ndarray:
@@ -149,9 +144,7 @@ def continuous_greedy(
     for _ in range(steps):
         incl = rng.random((samples_per_step, n, n)) < y
         w = np.asarray(g.batch_marginal_weights(incl), dtype=float).mean(axis=0)
-        base = max_weight_base(n, w)
-        for i, j in base:
-            y[i, j] += 1.0 / steps
+        y[max_weight_base(n, w)] += 1.0 / steps
     np.clip(y, 0.0, 1.0, out=y)
     return y
 
@@ -169,8 +162,9 @@ def sample_independent_point(x, u: np.ndarray) -> np.ndarray:
     return u < x
 
 
-def pipage_round(n: int, x, seed) -> LiftedSet:
-    """Round a polytope point to an independent integral set.
+def pipage_round(n: int, x, seed) -> np.ndarray:
+    """Round a polytope point to an independent lifted set, a boolean (n, n)
+    array.
 
     Repeatedly takes the two lexicographically smallest fractional
     coordinates; they always admit movement along +/-(e_a - e_b) within the
@@ -226,39 +220,10 @@ def pipage_round(n: int, x, seed) -> LiftedSet:
                 x[e] = 0.0 if x[e] < TOL else 1.0 if x[e] > 1.0 - TOL else x[e]
         frac[:2] = [e for e in (a, b) if TOL < x[e] < 1.0 - TOL]
 
-    result = set_from_matrix(x > 0.5)
-    if not is_independent(n, result):  # pragma: no cover - structural guarantee
+    result = x > 0.5
+    if not is_independent(result):  # pragma: no cover - structural guarantee
         raise SeqsubError("matroid: pipage produced a dependent set")
     return result
-
-
-def _independent(R: np.ndarray) -> np.ndarray:
-    """Per lifted set of a boolean (..., n, n) array: every prefix capacity holds."""
-    n = R.shape[-1]
-    return (np.cumsum(R.sum(axis=-1), axis=-1) <= np.arange(1, n + 1)).all(axis=-1)
-
-
-def _scan_contended(live: np.ndarray, priority: np.ndarray) -> np.ndarray:
-    """Random-order greedy on each (n, n) set of live: elements in increasing
-    priority (ties row-major), each kept iff the kept set stays independent.
-
-    Step s offers every set its s-th element at once. slack[b, k] is
-    k + 1 minus the elements kept at positions <= k, and an element at
-    position i fits iff the slack from i on is at least 1.
-    """
-    B, n = live.shape[0], live.shape[-1]
-    flat = live.reshape(B, n * n)
-    order = np.argsort(np.where(flat, priority.reshape(B, n * n), np.inf), axis=1, kind="stable")
-    slack = np.tile(np.arange(1, n + 1), (B, 1))
-    kept = np.zeros_like(flat)
-    rows, pos = np.arange(B), np.arange(n)
-    for e in order[:, : flat.sum(axis=1).max()].T:
-        i = e // n
-        room = np.minimum.accumulate(slack[:, ::-1], axis=1)[rows, n - 1 - i]
-        take = flat[rows, e] & (room >= 1)
-        kept[rows, e] = take
-        slack -= take[:, None] & (pos >= i[:, None])
-    return kept.reshape(live.shape)
 
 
 def crs_round(n: int, x, A: np.ndarray, priority: np.ndarray) -> np.ndarray:
@@ -268,16 +233,18 @@ def crs_round(n: int, x, A: np.ndarray, priority: np.ndarray) -> np.ndarray:
     array of i.i.d. uniform draws. For each set, the elements of A that carry
     positive mass in x are scanned in increasing priority, a uniformly random
     order, and an element is kept iff the kept set stays independent; a set
-    whose live elements are already independent is kept whole. The output is
+    whose live elements are already independent is kept whole, and the
+    others go through max_weight_base's scan one at a time. The output is
     always independent and the scheme is monotone (an element survives a
     superset A only if it survives A). Its per-element retention constant is
     measured empirically by the test suite rather than assumed.
     """
     x = _polytope_point(n, x, "contention resolution input")
     kept = np.asarray(A, dtype=bool) & (x > 0.0)
-    contended = np.flatnonzero(~_independent(kept))
-    if contended.size:
-        kept[contended] = _scan_contended(kept[contended], priority[contended])
-    if not _independent(kept).all():  # pragma: no cover - structural guarantee
+    for b in np.flatnonzero(~is_independent(kept)):
+        live = np.flatnonzero(kept[b])  # row-major, so the stable sort ties by element
+        order = live[np.argsort(priority[b].ravel()[live], kind="stable")]
+        kept[b] = _greedy_scan(n, order.tolist())
+    if not is_independent(kept).all():  # pragma: no cover - structural guarantee
         raise SeqsubError("matroid: contention resolution produced a dependent set")
     return kept

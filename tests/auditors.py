@@ -1,14 +1,15 @@
 """Exhaustive auditors that only the tests call: exact multilinear
 extensions, correlation-gap ratios, enumeration of the prefix matroid's
-independent sets and bases, contention resolution one set at a time, a
-policy vector's marginals, an LP's optimum from HiGHS and greedy's order
-from per-set values. Test modules import them
-as they import the helpers in conftest."""
+independent sets and bases, the matroid greedy scans (max-weight base and
+contention resolution) one element at a time, a policy vector's marginals,
+an LP's optimum from HiGHS and greedy's order from per-set values. Test
+modules import them as they import the helpers in conftest. Lifted sets are
+boolean (n, n) arrays, as in the package."""
 
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 
 from seqsub.core import Instance, Permutation
 from seqsub.errors import TooLargeError, ValidationError
-from seqsub.matroid import LiftedSet, is_independent
+from seqsub.matroid import is_independent
 from seqsub.numerics import LpProblem
 from seqsub.oracle import MAX_VERIFY_N, OracleReport
 from seqsub.policy import PolicyVector
@@ -45,23 +46,44 @@ def _prefix_compositions(n: int, total: int | None) -> Iterator[tuple[int, ...]]
     yield from rec(0, 0)
 
 
-def _sets_for_counts(n: int, counts: tuple[int, ...]) -> Iterator[LiftedSet]:
-    pools = [combinations(range(n), s) for s in counts]
-    for chosen in product(*pools):
-        yield frozenset((p, j) for p, js in enumerate(chosen) for j in js)
+def _sets_for_counts(n: int, counts: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """Each lifted set with counts[p] products at position p, in the order
+    of itertools.product over each position's combinations, all built as
+    one array."""
+    pools = [np.array([np.isin(np.arange(n), js) for js in combinations(range(n), s)])
+             for s in counts]
+    picks = np.indices([len(pool) for pool in pools]).reshape(n, -1)
+    yield from np.stack([pool[k] for pool, k in zip(pools, picks)], axis=1)
 
 
-def iter_independent_sets(n: int) -> Iterator[LiftedSet]:
+def iter_independent_sets(n: int) -> Iterator[np.ndarray]:
     """All independent sets of the rank-n prefix matroid, grouped by
     per-position pick counts."""
     for counts in _prefix_compositions(n, None):
         yield from _sets_for_counts(n, counts)
 
 
-def iter_bases(n: int) -> Iterator[LiftedSet]:
+def iter_bases(n: int) -> Iterator[np.ndarray]:
     """All bases (independent sets of full rank n)."""
     for counts in _prefix_compositions(n, n):
         yield from _sets_for_counts(n, counts)
+
+
+def scan_independent(n: int, elems: Iterable[tuple[int, int]]) -> np.ndarray:
+    """The matroid greedy scan in its plainest form: elems in order, each
+    added and kept iff the set still passes is_independent's prefix counts."""
+    R = np.zeros((n, n), dtype=bool)
+    for e in elems:
+        R[e] = True
+        R[e] = is_independent(R)
+    return R
+
+
+def max_weight_base_by_scan(n: int, w) -> np.ndarray:
+    """matroid.max_weight_base from a sort of the elements by (-weight,
+    element), so ties go to the smaller (position, product) and -0.0 ties
+    0.0."""
+    return scan_independent(n, sorted(np.ndindex(n, n), key=lambda e: (-w[e], e)))
 
 
 def crs_by_scan(n: int, x, A: np.ndarray, priority: np.ndarray) -> np.ndarray:
@@ -72,11 +94,7 @@ def crs_by_scan(n: int, x, A: np.ndarray, priority: np.ndarray) -> np.ndarray:
     kept = np.zeros(np.shape(A), dtype=bool)
     for b in range(len(A)):
         live = [(int(i), int(j)) for i, j in np.argwhere(A[b] & (x > 0.0))]
-        R: list[tuple[int, int]] = []
-        for e in sorted(live, key=lambda e: (priority[b][e], e)):
-            if is_independent(n, R + [e]):
-                R.append(e)
-                kept[b][e] = True
+        kept[b] = scan_independent(n, sorted(live, key=lambda e: (priority[b][e], e)))
     return kept
 
 
@@ -142,7 +160,7 @@ def correlation_gap_ratio(
 
 
 def max_independent_value(
-    g: Callable[[LiftedSet], float],
+    g: Callable[[np.ndarray], float],
     n: int,
     bases_only: bool = True,
 ) -> OracleReport:

@@ -121,7 +121,7 @@ def test_criterion_5_structural_claims():
         obj = LiftedObjective(inst)
 
         def fn(mask):
-            return obj.value(frozenset((b // 3, b % 3) for b in iter_bits(mask)))
+            return obj.value(matrix_of(((b // 3, b % 3) for b in iter_bits(mask)), 3) > 0)
 
         assert oracle.verify_monotone_submodular(fn, 9).ok
 
@@ -133,14 +133,14 @@ def test_criterion_5_structural_claims():
         obj = LiftedObjective(inst)
         best = -math.inf
         sets = list(iter_independent_sets(n))
-        orders = extract_permutation(np.array([matrix_of(R, n) for R in sets]), n)
+        orders = extract_permutation(np.array(sets), n)
         for R, order in zip(sets, orders):
             val = obj.value(R)
             best = max(best, val)
             assert core.engagement(inst, order) >= val - 1e-9  # extraction dominance
         opt = oracle.brute_force_engagement_opt(inst)
         assert best == pytest.approx(opt.best_value, abs=1e-9)
-        shaped = frozenset((i, opt.best_witness[i]) for i in range(n))
+        shaped = matrix_of(((i, opt.best_witness[i]) for i in range(n)), n) > 0
         assert obj.value(shaped) == pytest.approx(best, abs=1e-9)
     budget.done("monotone+submodular lift (512 subsets), lift equality and extraction dominance exhaustive at n <= 4")
 
@@ -206,17 +206,18 @@ def test_criterion_8_coverage_rounding():
 def test_criterion_9_matching_point(matching_instance, matching_point):
     budget = Budget("9 fractional matching point", 1.0)
     g = LiftedObjective(matching_instance)
+    value = lambda R: g.value(matrix_of(R, 4) > 0)
     orders = matching_point["orders"]
     m1 = frozenset((i, orders[0][i]) for i in range(4))
     m2 = frozenset((i, orders[1][i]) for i in range(4))
-    g1, g2 = g.value(m1), g.value(m2)
+    g1, g2 = value(m1), value(m2)
     x = {
         (i, j): matching_point["x"][i][j]
         for i in range(4)
         for j in range(4)
         if matching_point["x"][i][j] > 0
     }
-    frac = exact_multilinear(g.value, x)
+    frac = exact_multilinear(value, x)
     # independent-inclusion expectation, derived by hand from coverage odds
     closed_form = ((1 - 0.5**3) + 0.5) / 4
     assert frac == pytest.approx(closed_form, abs=1e-12)

@@ -1,7 +1,11 @@
 """Greedy ranking, the lifted objective, extraction, and the full pipeline."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from seqsub.engagement import (
     rank_cg,
 )
 from seqsub.generators import random_explicit_model, random_instance
-from seqsub.matroid import continuous_greedy, is_independent, set_from_matrix
+from seqsub.matroid import continuous_greedy, is_independent
 from seqsub.util import iter_bits, mask_of
 
 from auditors import greedy_by_value, iter_independent_sets
@@ -115,10 +119,35 @@ def test_lifted_value_of_permutation_shape_equals_engagement():
         inst = random_instance("mnl", 5, rng, full_mass=False)
         obj = LiftedObjective(inst)
         order = tuple(int(p) for p in rng.permutation(5))
-        shaped = frozenset((i, order[i]) for i in range(5))
+        shaped = matrix_of(((i, order[i]) for i in range(5)), 5) > 0
         assert obj.value(shaped) == pytest.approx(
             core.engagement(inst, order), abs=1e-12
         )
+
+
+def test_lifted_value_past_one_mask_word():
+    """At n = 70 the product masks of the rows pass 63 bits: a
+    permutation-shaped set is worth its engagement bit for bit, a sparse set
+    what its prefix sets give, and the empty set the empty prefix's value."""
+    rng = np.random.default_rng(71)
+    n = 70
+    inst = random_instance("mnl", n, rng, full_mass=False)
+    obj = LiftedObjective(inst)
+    for _ in range(3):
+        order = tuple(int(p) for p in rng.permutation(n))
+        shaped = matrix_of(((i, order[i]) for i in range(n)), n) > 0
+        assert obj.value(shaped) == core.engagement(inst, order)
+        members = rng.random((n, n)) < 1.0 / n
+        prefixes = independent_prefix_products(np.argwhere(members).tolist(), n)
+        total = sum(
+            inst.lam[i] * inst.models[i].value(mask_of(prefixes[i])) for i in range(n)
+        )
+        assert obj.value(members) == pytest.approx(total, rel=1e-12)
+    empty = 0.0
+    for i in range(n):
+        if inst.lam[i]:
+            empty += inst.lam[i] * inst.models[i].value(0)
+    assert obj.value(np.zeros((n, n), dtype=bool)) == empty
 
 
 def test_lifted_value_of_empty_set():
@@ -126,7 +155,7 @@ def test_lifted_value_of_empty_set():
     model = core.ExplicitModel(2, table)
     inst = Instance(2, (0.5, 0.25), (model,) * 2, ((0.0, 0.0), (0.0, 0.0)))
     obj = LiftedObjective(inst)
-    assert obj.value(frozenset()) == pytest.approx(0.75 * 0.1)
+    assert obj.value(np.zeros((2, 2), dtype=bool)) == pytest.approx(0.75 * 0.1)
 
 
 @pytest.mark.parametrize("kind", ["mnl", "coverage", "explicit"])
@@ -140,11 +169,12 @@ def test_batch_kernels_match_value_definition(kind):
     values = obj.batch_value(incl)
     weights = obj.batch_marginal_weights(incl)
     for b in range(B):
-        R = set_from_matrix(incl[b])
+        R = incl[b]
         assert values[b] == pytest.approx(obj.value(R), abs=1e-12)
         for e in np.ndindex(n, n):
-            rest = R - {e}
-            gain = obj.value(rest | {e}) - obj.value(rest)
+            rest, with_e = R.copy(), R.copy()
+            rest[e], with_e[e] = False, True
+            gain = obj.value(with_e) - obj.value(rest)
             assert weights[b][e] == pytest.approx(gain, abs=1e-12), (b, e)
 
 
@@ -302,7 +332,7 @@ def test_lifted_prefixes_match_independent_builder():
         total = sum(
             inst.lam[i] * inst.models[i].value(mask_of(prefixes[i])) for i in range(4)
         )
-        assert obj.value(R) == pytest.approx(total, abs=1e-12)
+        assert obj.value(members) == pytest.approx(total, abs=1e-12)
 
 
 def test_extract_permutation_worked_example():
@@ -355,10 +385,10 @@ def test_extraction_never_loses_lifted_value():
             for e in elements:
                 if len(R) >= budget:
                     break
-                if is_independent(n, R | {e}):
+                if is_independent(matrix_of(R | {e}, n) > 0):
                     R.add(e)
-            R = frozenset(R)
-            order = extract_permutation(matrix_of(R, n), n)
+            R = matrix_of(R, n) > 0
+            order = extract_permutation(R, n)
             assert core.engagement(inst, order) >= obj.value(R) - 1e-9
 
 
@@ -370,7 +400,7 @@ def test_lifted_objective_is_monotone_submodular_small():
         obj = LiftedObjective(inst)
 
         def as_mask_function(mask):
-            R = frozenset((b // 3, b % 3) for b in iter_bits(mask))
+            R = matrix_of(((b // 3, b % 3) for b in iter_bits(mask)), 3) > 0
             return obj.value(R)
 
         check = oracle.verify_monotone_submodular(as_mask_function, 9)
@@ -415,6 +445,34 @@ def test_rank_cg_deterministic_given_seed(appendix_c):
     r2 = rank_cg(appendix_c, steps=10, samples=50, seed=123)
     r3 = rank_cg(appendix_c, steps=10, samples=50, seed=np.random.default_rng(123))
     assert r1 == r2 == r3
+
+
+BLAS_THREADS_CHILD = """
+from seqsub.engagement import rank_cg
+from seqsub.generators import random_instance
+for kind in ("mnl", "coverage"):
+    for n in (16, 20):
+        r = rank_cg(random_instance(kind, n, 1, full_mass=True), steps=20, samples=64, seed=2)
+        print(repr((kind, n, r.order, r.engagement, r.fractional_estimate, r.fractional_stderr)))
+"""
+
+
+def test_rank_cg_does_not_depend_on_the_blas_thread_count():
+    """The click models' kernels run BLAS matrix-vector products, whose row
+    sums could depend on how BLAS splits the rows between threads. Two
+    processes, one under one OpenBLAS thread and one under four, give the
+    same seeded results on mnl and coverage at n = 16 and 20."""
+    path = os.pathsep.join([str(Path(core.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    outputs = []
+    for threads in ("1", "4"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        run = subprocess.run(
+            [sys.executable, "-c", BLAS_THREADS_CHILD],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(run.stdout)
+    assert outputs[0].count("\n") == 4
+    assert outputs[0] == outputs[1]
 
 
 def test_rank_cg_mean_clears_guarantee_on_worked_instance(appendix_c):

@@ -21,11 +21,16 @@ from seqsub.matroid import (
     max_weight_base,
     pipage_round,
     sample_independent_point,
-    set_from_matrix,
 )
 from seqsub.numerics import TOL
 
-from auditors import crs_by_scan, exact_multilinear, iter_bases, iter_independent_sets
+from auditors import (
+    crs_by_scan,
+    exact_multilinear,
+    iter_bases,
+    iter_independent_sets,
+    max_weight_base_by_scan,
+)
 from conftest import matrix_of
 
 class Modular:
@@ -43,25 +48,25 @@ class Modular:
 
 def test_permutation_shaped_sets_are_independent():
     for order in itertools.permutations(range(4)):
-        R = frozenset((i, order[i]) for i in range(4))
-        assert is_independent(4, R)
+        R = matrix_of(((i, order[i]) for i in range(4)), 4) > 0
+        assert is_independent(R)
 
 
 def test_two_elements_at_the_top_position_are_dependent():
-    assert not is_independent(2, {(0, 0), (0, 1)})
+    assert not is_independent(matrix_of({(0, 0), (0, 1)}, 2) > 0)
 
 
 def test_capacity_check_example_n3():
-    assert is_independent(3, {(1, 0), (1, 1), (2, 2)})
-    assert not is_independent(3, {(1, 0), (1, 1), (1, 2)})
+    assert is_independent(matrix_of({(1, 0), (1, 1), (2, 2)}, 3) > 0)
+    assert not is_independent(matrix_of({(1, 0), (1, 1), (1, 2)}, 3) > 0)
 
 
 def test_downward_closure_exhaustive_n3():
     for R in iter_independent_sets(3):
-        elems = sorted(R)
+        elems = np.argwhere(R).tolist()
         for r in range(len(elems) + 1):
             for sub in itertools.combinations(elems, r):
-                assert is_independent(3, frozenset(sub))
+                assert is_independent(matrix_of(sub, 3) > 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -71,46 +76,46 @@ def test_downward_closure_exhaustive_n3():
     )
 )
 def test_downward_closure_one_step(R):
-    if is_independent(5, R):
+    if is_independent(matrix_of(R, 5) > 0):
         for e in R:
-            assert is_independent(5, R - {e})
+            assert is_independent(matrix_of(R - {e}, 5) > 0)
 
 
 def test_independent_set_and_base_counts_small():
     # n = 2: by direct count there are 2 + 4 + 6 = 12 nonempty independent
     # sets plus the empty one; bases split as one-per-position (4 choices
     # of position-0 element x 2 remaining... enumerated by hand: 10)
-    sets = list(iter_independent_sets(2))
+    sets = [R.tobytes() for R in iter_independent_sets(2)]
     assert len(sets) == len(set(sets))  # no duplicates
     ground = list(itertools.product(range(2), repeat=2))
     by_hand = [R for r in range(5) for R in itertools.combinations(ground, r)
-               if is_independent(2, frozenset(R))]
+               if is_independent(matrix_of(R, 2) > 0)]
     assert len(sets) == len(by_hand)
     bases = list(iter_bases(2))
-    assert all(len(B) == 2 and is_independent(2, B) for B in bases)
-    assert set(bases) == {R for R in sets if len(R) == 2}
+    assert all(B.sum() == 2 and is_independent(B) for B in bases)
+    assert {B.tobytes() for B in bases} == {R for R in sets if R.count(1) == 2}
 
 
 def test_max_weight_base_equal_weights_deterministic():
     w = np.ones((3, 3))
     base = max_weight_base(3, w)
     # lexicographic scan admits product 0 at every position
-    assert base == frozenset({(0, 0), (1, 0), (2, 0)})
-    assert base == max_weight_base(3, w)
+    assert (base == (matrix_of({(0, 0), (1, 0), (2, 0)}, 3) > 0)).all()
+    assert (base == max_weight_base(3, w)).all()
 
 
 def test_max_weight_base_picks_the_heavy_element():
     w = np.zeros((2, 2))
     w[0, 0] = 5.0
-    assert (0, 0) in max_weight_base(2, w)
+    assert max_weight_base(2, w)[0, 0]
 
 
 def test_max_weight_base_matches_exhaustive_search():
     rng = np.random.default_rng(11)
     for _ in range(10):
         w = rng.uniform(-0.5, 1.0, size=(4, 4))
-        greedy_val = sum(w[e] for e in max_weight_base(4, w))
-        best = max(sum(w[e] for e in B) for B in iter_bases(4))
+        greedy_val = w[max_weight_base(4, w)].sum()
+        best = max(w[B].sum() for B in iter_bases(4))
         assert greedy_val == pytest.approx(best, abs=1e-12)
 
 
@@ -130,8 +135,21 @@ def test_max_weight_base_ties_are_pinned():
         rng = np.random.default_rng(s)
         n = int(rng.integers(1, 9))
         w = np.round(rng.normal(size=(n, n)), int(rng.integers(0, 2)))
-        outputs.append(sorted(max_weight_base(n, w)))
+        outputs.append(sorted(map(tuple, np.argwhere(max_weight_base(n, w)).tolist())))
     assert _digest(outputs) == PINNED_MAX_WEIGHT_BASE_DIGEST
+
+
+@pytest.mark.parametrize("n", [20, 50])
+def test_max_weight_base_matches_the_scan_reference(n):
+    """The union-find scan keeps what adding one element at a time and
+    re-checking the prefix counts keeps, on tie-heavy weights drawn as for
+    the pinned digest, at sizes past its n <= 8."""
+    for s in range(10):
+        rng = np.random.default_rng(s)
+        w = np.round(rng.normal(size=(n, n)), int(rng.integers(0, 2)))
+        base = max_weight_base(n, w)
+        assert (base == max_weight_base_by_scan(n, w)).all(), s
+        assert base.sum() == n
 
 
 def test_polytope_membership():
@@ -172,7 +190,7 @@ def test_non_finite_coordinates_are_rejected(bad):
 def test_unit_box_clips_only_sub_tolerance_excess():
     x = np.array([[1.0 + TOL / 2, 0.0], [-TOL / 2, 0.0]])
     u = np.random.default_rng(0).random((2, 2))
-    assert set_from_matrix(sample_independent_point(x, u)) == {(0, 0)}
+    assert (sample_independent_point(x, u) == (matrix_of({(0, 0)}, 2) > 0)).all()
     x[1, 0] = -2 * TOL
     with pytest.raises(ValidationError):
         sample_independent_point(x, u)
@@ -205,14 +223,14 @@ def test_continuous_greedy_single_step_is_one_base():
     y = continuous_greedy(Modular(w), 3, steps=1, samples_per_step=20, seed=2)
     assert sorted(y.flatten())[-3:] == [1.0, 1.0, 1.0]
     assert y.sum() == pytest.approx(3.0)
-    assert is_independent(3, set_from_matrix(y > 0.5))
+    assert is_independent(y > 0.5)
 
 
 def test_continuous_greedy_solves_modular_objectives():
     rng = np.random.default_rng(0)
     for trial in range(5):
         w = rng.uniform(0, 1, size=(4, 4))
-        opt = sum(w[e] for e in max_weight_base(4, w))
+        opt = w[max_weight_base(4, w)].sum()
         y = continuous_greedy(Modular(w), 4, steps=40, samples_per_step=30, seed=trial)
         assert float((w * y).sum()) >= (1.0 - 1e-2) * opt
         assert in_matroid_polytope(4, y)
@@ -233,14 +251,14 @@ def test_continuous_greedy_beats_fraction_of_optimum_on_worked_instance(appendix
     g = LiftedObjective(appendix_c)
     y = continuous_greedy(g, 4, steps=40, samples_per_step=200, seed=3)
     x = {(i, j): y[i, j] for i in range(4) for j in range(4) if y[i, j] > 0}
-    exact = exact_multilinear(g.value, x)
+    exact = exact_multilinear(lambda R: g.value(matrix_of(R, 4) > 0), x)
     # the fractional point must already clear the guarantee for OPT = 0.4775
     assert exact >= (1.0 - 1.0 / math.e) * 0.4775 - 1e-9
 
 
 def test_pipage_returns_integral_input_unchanged():
     x = matrix_of({(0, 2), (1, 0), (3, 3)}, 4)
-    assert pipage_round(4, x, seed=0) == {(0, 2), (1, 0), (3, 3)}
+    assert (pipage_round(4, x, seed=0) == (x > 0)).all()
 
 
 def test_pipage_rejects_points_outside_polytope():
@@ -271,7 +289,7 @@ def random_polytope_point(n, rng):
     weights = rng.dirichlet(np.ones(k))
     x = np.zeros((n, n))
     for t in range(k):
-        x += weights[t] * matrix_of(max_weight_base(n, rng.uniform(0, 1, (n, n))), n)
+        x += weights[t] * max_weight_base(n, rng.uniform(0, 1, (n, n)))
     if rng.random() < 0.3:
         x *= rng.uniform(0.4, 1.0)
     return x
@@ -283,7 +301,7 @@ def test_pipage_output_always_independent_sweep():
         n = int(rng.integers(2, 7))
         x = random_polytope_point(n, rng)
         R = pipage_round(n, x, seed=rng.integers(2**63))
-        assert is_independent(n, R)
+        assert is_independent(R)
 
 
 #: sha256 of the sorted pipage_round outputs on 500 polytope points: for
@@ -304,7 +322,7 @@ def test_pipage_draws_are_pinned():
         if s % 3 == 0:
             x = x + rng.uniform(-TOL, TOL, size=(n, n))
         try:
-            outputs.append(sorted(pipage_round(n, x, seed=s)))
+            outputs.append(sorted(map(tuple, np.argwhere(pipage_round(n, x, seed=s)).tolist())))
         except PolytopeError:
             outputs.append(None)
     assert _digest(outputs) == PINNED_PIPAGE_DIGEST
@@ -317,7 +335,7 @@ def test_pipage_coordinate_means_match_input():
     acc = np.zeros((3, 3))
     trials = 4000
     for t in range(trials):
-        acc += matrix_of(pipage_round(3, x, seed=t), 3)
+        acc += pipage_round(3, x, seed=t)
     np.testing.assert_allclose(acc / trials, x, atol=0.035)
 
 
@@ -361,7 +379,7 @@ def test_crs_composed_with_sampling_is_always_independent():
         kept = crs_round(n, x, A, u[:, 1])
         assert not (kept & ~A).any()
         for R in kept:
-            assert is_independent(n, set_from_matrix(R))
+            assert is_independent(R)
 
 
 def test_crs_round_matches_the_scan_reference():
@@ -379,8 +397,8 @@ def test_crs_round_matches_the_scan_reference():
         np.testing.assert_array_equal(kept, crs_by_scan(n, x, A, u[:, 1]))
         assert not (kept & ~A).any()
         for a, R in zip(A, kept):
-            assert is_independent(n, set_from_matrix(R))
-            contended += not is_independent(n, set_from_matrix(a))
+            assert is_independent(R)
+            contended += not is_independent(a)
         trials += len(A)
     assert trials == 10_000
     assert contended >= 0.05 * trials
