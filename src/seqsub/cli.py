@@ -187,11 +187,14 @@ def _run_revenue(args) -> tuple[dict, str, int]:
     rep = revenue.run_bicriteria(
         inst, args.trials, factor=args.factor, threshold=args.threshold, seed=args.seed
     )
+    # one entry per distinct order, shared by its trials: `dumps` writes it once
+    entries = {t.order: t for t in rep.trials}
+    entries = {order: _trial(t) for order, t in entries.items()}
     report = {
         **_revenue_summary(rep),
         "n": inst.n,
         "seed": args.seed,
-        "per_seed": [_trial(t) for t in rep.trials],
+        "per_seed": [entries[t.order] for t in rep.trials],
     }
     ok = rep.guarantees_ok()
     summary = (

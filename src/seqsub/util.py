@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Callable, Iterable, Iterator
 
 from .errors import ValidationError
+
+#: Types whose JSON text holds no item separator: the leaves of a report.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 def mask_of(items: Iterable[int]) -> int:
@@ -47,8 +51,41 @@ def read_json(path):
 
 def dumps(data) -> str:
     """`data` as indented JSON with sorted keys and a final newline: the text
-    of every file the package writes and of every JSON report."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    of every file the package writes and of every JSON report. It is byte for
+    byte json.dumps(data, indent=2, sort_keys=True) + "\n", but json's C
+    encoder writes each container of scalars, and a list renders each distinct
+    item object once (a revenue report's trials share one entry per order)."""
+    encoders = {}
+
+    def flat(o, level: int) -> str:  # json's compact text, with items `level` indents apart
+        if level not in encoders:
+            default, sep = json.JSONEncoder().default, ",\n" + "  " * level
+            encoders[level] = c_make_encoder(  # json.dumps(sort_keys=True)'s but for `sep`
+                None, default, encode_basestring_ascii, None, ": ", sep, True, False, True
+            )
+        return "".join(encoders[level](o, 0))
+
+    def key(k) -> str:  # json's spelling of a non-str key, or its TypeError
+        return encode_basestring_ascii(k) if isinstance(k, str) else flat({k: 0}, 0)[1:-4]
+
+    def text(o, level: int) -> str:
+        if not isinstance(o, (dict, list, tuple)):
+            return flat(o, 0)
+        inner = "\n" + "  " * (level + 1)
+        values = o.values() if isinstance(o, dict) else o
+        if _SCALARS.issuperset(map(type, values)):
+            body = flat(o, level + 1)[1:-1]
+        elif values is o:
+            texts = {id(v): v for v in o}
+            texts = {i: text(v, level + 1) for i, v in texts.items()}
+            body = ("," + inner).join([texts[id(v)] for v in o])
+        else:
+            items = sorted(o.items())
+            body = ("," + inner).join([key(k) + ": " + text(v, level + 1) for k, v in items])
+        ends = "[]" if values is o else "{}"
+        return ends[0] + inner + body + inner[:-2] + ends[1] if o else ends
+
+    return text(data, 0) + "\n"
 
 
 def write_json(path, data) -> None:

@@ -185,6 +185,74 @@ def test_seeded_revenue_reports_are_pinned(kind, factor, tmp_path):
     assert _report_digest(out) == PINNED_REVENUE_DIGESTS[kind, factor]
 
 
+#: sha256 of the raw `--out` bytes of `run revenue --seed 7 --instance inst.json`
+#: on the mnl instance above, run from the instance's directory, by format,
+#: trial count and factor: the report text itself (indentation, key order,
+#: float spelling, final newline) and the rows of csv and pretty-table.
+PINNED_REVENUE_FILE_DIGESTS = {
+    ("csv", "1000", "0.632"): "785be4acfa11cd66484635104bb957d5edfc5db634118f4343ba29fe805e699f",
+    ("json", "200", "0.632"): "677f668491b21c26d0981aa5757c859778310e3152502c7ba198ac3523e430a5",
+    ("json", "200", "1.0"): "548b2c8bfd8edc9c3048db2d6fa66682b7384cb37316f854c2628915cf968319",
+    ("pretty-table", "1000", "0.632"): (
+        "14d55a52ae2797d82369972bca65614d273e27485c5bebb851d1baf14486d9ac"
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt, trials, factor", sorted(PINNED_REVENUE_FILE_DIGESTS))
+def test_revenue_report_file_bytes_are_pinned(fmt, trials, factor, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    core.save_instance(
+        generators.random_instance("mnl", 5, 1, full_mass=True, with_payments=True), "inst.json"
+    )
+    args = ["run", "revenue", "--instance", "inst.json", "--trials", trials, "--seed", "7",
+            "--factor", factor, "--format", fmt, "--out", "rev.out"]
+    assert main(args) == 0
+    digest = hashlib.sha256((tmp_path / "rev.out").read_bytes()).hexdigest()
+    assert digest == PINNED_REVENUE_FILE_DIGESTS[fmt, trials, factor]
+
+
+def _written_files(tmp_path, worked_policy_vector) -> dict:
+    """Every kind of file the CLI writes, by name: each `gen` kind, a saved
+    policy and the JSON report of each pipeline, including an infeasible
+    oracle floor, an infeasible certificate and revenue ratios that read "inf"."""
+    paths = {}
+
+    def run(name, *argv):
+        paths[name] = str(tmp_path / f"{name}.json")
+        assert main([*argv, "--out", paths[name]]) in (0, 2)
+
+    for kind in generators.KINDS:
+        run(f"gen-{kind}", "gen", "--kind", kind, "--n", "5", "--seed", "1")
+    mnl = paths["gen-mnl"]
+    for name, pv in (("policy-feasible", generators.random_policy_mixture(6, 5, 1)),
+                     ("policy-infeasible", worked_policy_vector)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        policy.save_policy(pv, paths[name])
+        run(f"certify-{name}", "certify", "--instance", paths[name])
+    run("greedy", "run", "greedy", "--instance", mnl)
+    run("cg", "run", "cg", "--instance", mnl, "--steps", "5", "--samples", "20")
+    run("oracle", "oracle", "--instance", mnl)
+    run("oracle-infeasible", "oracle", "--instance", mnl, "--threshold", "1.0")
+    for factor in ("1.0", "0.632"):
+        run(f"revenue-{factor}", "run", "revenue", "--instance", mnl, "--trials", "50",
+            "--seed", "3", "--factor", factor)
+    run("coverage", "run", "coverage", "--instance", paths["gen-coverage"], "--trials", "20")
+    return paths
+
+
+def test_every_written_file_is_json_indent_2_text(tmp_path, worked_policy_vector, capsys):
+    paths = _written_files(tmp_path, worked_policy_vector)
+    texts = {name: open(path, encoding="utf-8").read() for name, path in paths.items()}
+    for name, text in texts.items():
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
+    reports = {name: json.loads(texts[name]) for name in paths}
+    assert reports["revenue-0.632"]["beta_ratio"] == reports["revenue-1.0"]["worst_beta"] == "inf"
+    assert set(reports["oracle-infeasible"]["revenue_opt"]) == {"infeasible"}
+    assert reports["certify-policy-feasible"]["feasible"] is True
+    assert reports["certify-policy-infeasible"]["feasible"] is False
+
+
 def _recorded_lps(monkeypatch, module) -> list:
     """Every LP that `module` hands the simplex during the test."""
     built, real = [], module.simplex_solve
