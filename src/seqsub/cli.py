@@ -20,7 +20,7 @@ import sys
 
 from . import __version__, core, coverage, engagement, generators, oracle, policy, revenue
 from .errors import InfeasibleError, SeqsubError, ValidationError
-from .numerics import TOL
+from .numerics import SUM_TOL, TOL
 from .util import dumps, json_field, read_json
 
 
@@ -307,8 +307,9 @@ def _cmd_report(args) -> int:
     a reported optimum must bound the reported engagement, an oracle's
     revenue witness must lie between its floor and the engagement optimum
     (and a floor called infeasible above that optimum), a revenue report's
-    aggregates must follow from its trials, and a certify report must match
-    a fresh certification of its policy."""
+    aggregates must follow from its trials, a coverage report's clicks and
+    LP value must not exceed the LP value and the types with an interest, and
+    a certify report must match a fresh certification of its policy."""
     rep = read_json(args.report)
     algo = _field(rep, "algo", str)
     failures = []
@@ -369,8 +370,13 @@ def _cmd_report(args) -> int:
     elif algo == "coverage":
         ci = coverage.load_coverage(args.instance)
         order = _field(rep, "permutation", core.order_from_external)
-        if coverage.clicks(ci, order) != _field(rep, "clicks"):
+        claimed_clicks, lp_value = _field(rep, "clicks"), _field(rep, "lp_value")
+        if coverage.clicks(ci, order) != claimed_clicks:
             failures.append("click count mismatch")
+        if claimed_clicks > lp_value + SUM_TOL:
+            failures.append("clicks above the LP value")
+        if lp_value > sum(map(bool, ci.interest_sets)) + SUM_TOL:  # y_k = 0 if P_k is empty
+            failures.append("LP value above the number of types with an interest")
     elif algo == "certify":
         res = policy.check_implementable(policy.load_policy(args.instance))
         claimed = [_field(rep, k, lambda v: v) for k in ("feasible", "failing_layer", "reason")]

@@ -14,8 +14,8 @@ interest incidence block for the click rows and Kronecker products for the
 row- and column-sum rows.
 
 Rounding draws one product per position from that position's row of x
-(independently across positions, possibly duplicating products; all n
-positions at once, from one required seed), then repairs: every product
+(independently across positions, possibly duplicating products; one order
+per row of a (trials, n) block of uniforms), then repairs: every product
 keeps only its first occurrence, and unplaced products fill the vacated
 slots in index order. Repair never loses a click, because a click only
 depends on some interesting product appearing at or above position k, and
@@ -32,6 +32,7 @@ import numpy as np
 from .core import CoverageModel, Instance, Permutation, validate_permutation
 from .errors import TooLargeError, ValidationError
 from .numerics import SUM_TOL, LpProblem, simplex_solve
+from .revenue import ROUND_BLOCK
 from .util import iter_bits, json_field, mask_of, read_json, write_json
 
 MAX_LP3_N = 50
@@ -56,20 +57,23 @@ class CoverageInstance:
         object.__setattr__(self, "interest_sets", sets)
 
 
-def _hits(ci: CoverageInstance, order: Sequence[int]) -> np.ndarray:
-    """hits[k] = 1 iff type k's interest set meets the first k+1 entries of order."""
-    hits = np.zeros(ci.n, dtype=np.int64)
-    seen = 0
-    for k in range(ci.n):
-        seen |= 1 << int(order[k])
-        if ci.interest_sets[k] & seen:
-            hits[k] = 1
-    return hits
+def _interest(ci: CoverageInstance) -> np.ndarray:
+    """(types, products) bool: entry [k, j] iff product j is in P_k, at any n."""
+    sets = np.array(ci.interest_sets, dtype=object)
+    return (sets[:, None] >> np.arange(ci.n) & 1).astype(bool)
+
+
+def hits(ci: CoverageInstance, orders: np.ndarray) -> np.ndarray:
+    """(trials, n) bool: [t, k] iff type k's interest set meets the first k+1
+    entries of orders[t]. A product counts from its first position on, so
+    raw draws with duplicates are scored too."""
+    seen = np.logical_or.accumulate(orders[:, :, None] == np.arange(ci.n), axis=1)
+    return (seen & _interest(ci)).any(axis=2)
 
 
 def clicks(ci: CoverageInstance, order: Sequence[int]) -> int:
     """Number of user types whose interest set meets their inspected prefix."""
-    return int(_hits(ci, validate_permutation(order, ci.n)).sum())
+    return int(hits(ci, np.array([validate_permutation(order, ci.n)])).sum())
 
 
 def as_instance(ci: CoverageInstance) -> Instance:
@@ -95,11 +99,10 @@ def solve_assignment_lp(ci: CoverageInstance) -> AssignmentLpSolution:
     if n > MAX_LP3_N:
         raise TooLargeError(f"coverage: LP capped at n = {MAX_LP3_N}")
     # variables: x row-major, then y; rows: clicks, row sums, column sums, y <= 1
-    interest = (np.array(ci.interest_sets)[:, None] >> np.arange(n) & 1).astype(float)
     prefix = np.tri(n)  # prefix[k, i] = 1 iff position i <= k
     eye, ones, zeros = np.eye(n), np.ones(n), np.zeros((n, n))
     A = np.block([
-        [(prefix[:, :, None] * interest[:, None, :]).reshape(n, n * n), np.diag(-ones)],
+        [(prefix[:, :, None] * _interest(ci)[:, None, :]).reshape(n, n * n), np.diag(-ones)],
         [np.kron(eye, ones), zeros],
         [np.kron(ones, eye), zeros],
         [np.zeros((n, n * n)), eye],
@@ -115,19 +118,13 @@ def solve_assignment_lp(ci: CoverageInstance) -> AssignmentLpSolution:
     return AssignmentLpSolution(x, y, float(res.value))
 
 
-@dataclass
-class RoundedAssignment:
-    order: Permutation
-    y_tilde: np.ndarray  # clicks realized by the repaired assignment
-    y_hat: np.ndarray  # clicks realized by the raw (possibly duplicated) draw
-    clicks: int
-
-
-def round_assignment(ci: CoverageInstance, sol: AssignmentLpSolution, seed) -> RoundedAssignment:
-    """One dependent-rounding draw plus duplicate repair.
+def round_assignment(ci: CoverageInstance, sol: AssignmentLpSolution, u: np.ndarray) -> np.ndarray:
+    """The (trials, n) repaired orders, one per row of the uniforms u.
 
     Position i takes the first product whose cumulative row mass exceeds its
-    uniform draw, i.e. the count of cumulative sums <= the draw.
+    draw u[t, i], i.e. the count of cumulative sums <= the draw. Vacated
+    slots (a product's later positions) and unplaced products both run in
+    ascending order row by row, so one row-major fill pairs them up.
     """
     n = ci.n
     rows = np.maximum(sol.x, 0.0)
@@ -137,20 +134,11 @@ def round_assignment(ci: CoverageInstance, sol: AssignmentLpSolution, seed) -> R
         i = int(bad.argmax())
         raise ValidationError(f"coverage: row {i} of x sums to {totals[i]}, not 1")
     cum = np.cumsum(rows / totals[:, None], axis=1)
-    u = np.random.default_rng(seed).random(n)
-    chosen = np.minimum((cum <= u[:, None]).sum(axis=1), n - 1)
-
-    y_hat = _hits(ci, chosen)
-
-    # each product keeps its first position; unplaced ones fill the rest in order
-    placed, first = np.unique(chosen, return_index=True)
-    assign = np.full(n, -1)
-    assign[first] = placed
-    assign[assign < 0] = np.setdiff1d(np.arange(n), placed)
-    order = tuple(assign.tolist())
-
-    y_tilde = _hits(ci, order)
-    return RoundedAssignment(order, y_tilde, y_hat, int(y_tilde.sum()))
+    orders = np.minimum((cum <= u[:, :, None]).sum(axis=2), n - 1)
+    dup = ((orders[:, :, None] == orders[:, None, :]) & np.tri(n, k=-1, dtype=bool)).any(axis=2)
+    unplaced = ~(orders[:, :, None] == np.arange(n)).any(axis=1)
+    orders[dup] = np.nonzero(unplaced)[1]
+    return orders
 
 
 @dataclass
@@ -161,16 +149,20 @@ class BestOfResult:
 
 
 def coverage_best_of(ci: CoverageInstance, trials: int, seed) -> BestOfResult:
-    """Round `trials` times from one generator, keep the order with the most clicks."""
+    """Round `trials` times from one generator, keep the first order with the
+    most clicks. Trial t rounds the t-th rng.random(n), drawn in blocks of at
+    most ROUND_BLOCK trials."""
     if trials < 1:
         raise ValidationError("coverage: need at least one trial")
     sol = solve_assignment_lp(ci)
     rng = np.random.default_rng(seed)
     best_order, best_clicks = None, -1
-    for _ in range(trials):
-        rounded = round_assignment(ci, sol, rng)
-        if rounded.clicks > best_clicks:
-            best_order, best_clicks = rounded.order, rounded.clicks
+    for start in range(0, trials, ROUND_BLOCK):
+        orders = round_assignment(ci, sol, rng.random((min(ROUND_BLOCK, trials - start), ci.n)))
+        counts = hits(ci, orders).sum(axis=1)
+        t = int(counts.argmax())
+        if counts[t] > best_clicks:
+            best_order, best_clicks = tuple(orders[t].tolist()), int(counts[t])
     return BestOfResult(best_order, best_clicks, sol.value)
 
 

@@ -2,7 +2,8 @@
 extensions, correlation-gap ratios, enumeration of the prefix matroid's
 independent sets and bases, the matroid greedy scans (max-weight base and
 contention resolution) one element at a time, a policy vector's marginals,
-an LP's optimum from HiGHS and greedy's order from per-set values. Test
+an LP's optimum from HiGHS, greedy's order from per-set values, and the
+coverage rounding's raw draw and click walk one position at a time. Test
 modules import them as they import the helpers in conftest. Lifted sets are
 boolean (n, n) arrays, as in the package."""
 
@@ -236,3 +237,31 @@ def greedy_by_value(inst: Instance) -> Permutation:
         used[best_p] = True
         mask |= 1 << best_p
     return tuple(order)
+
+
+def seeded_uniforms(seeds: Iterable, n: int) -> np.ndarray:
+    """One row of default_rng(seed).random(n) per seed: the (trials, n)
+    block that rounds each seed's draw."""
+    return np.array([np.random.default_rng(s).random(n) for s in seeds])
+
+
+def raw_draw(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The coverage rounding's draws before repair: position i of row t takes
+    the count of cumulative sums of x's normalised row i that are <= u[t, i],
+    capped at n - 1, one position at a time."""
+    n = len(x)
+    rows = np.maximum(x, 0.0)
+    cum = np.cumsum(rows / rows.sum(axis=1)[:, None], axis=1)
+    counts = [(cum[i] <= u[:, i, None]).sum(axis=1) for i in range(n)]
+    return np.minimum(np.stack(counts, axis=1), n - 1)
+
+
+def walk_hits(interest_sets: Sequence[int], order: Sequence[int]) -> np.ndarray:
+    """hits[k] = 1 iff bitmask interest_sets[k] meets the first k+1 entries
+    of order, walked one position at a time with a Python-int seen set."""
+    hits = np.zeros(len(order), dtype=np.int64)
+    seen = 0
+    for k, p in enumerate(order):
+        seen |= 1 << int(p)
+        hits[k] = bool(interest_sets[k] & seen)
+    return hits

@@ -13,14 +13,20 @@ import numpy as np
 import pytest
 
 from seqsub import core, oracle
-from seqsub.coverage import round_assignment, solve_assignment_lp
+from seqsub.coverage import hits, round_assignment, solve_assignment_lp
 from seqsub.engagement import LiftedObjective, extract_permutation, greedy_rank, rank_cg
 from seqsub.generators import random_coverage_instance, random_instance, random_policy_mixture
 from seqsub.policy import check_implementable
 from seqsub.revenue import build_policy_lp, run_bicriteria, solve_policy_lp
 from seqsub.util import mask_of
 
-from auditors import correlation_gap_ratio, exact_multilinear, iter_independent_sets
+from auditors import (
+    correlation_gap_ratio,
+    exact_multilinear,
+    iter_independent_sets,
+    raw_draw,
+    seeded_uniforms,
+)
 from conftest import matrix_of, random_subset_distribution
 
 GAP = 1.0 - 1.0 / math.e
@@ -192,12 +198,12 @@ def test_criterion_8_coverage_rounding():
     for trial in range(50):
         ci = random_coverage_instance(8, rng)
         sol = solve_assignment_lp(ci)
-        clicks = np.empty(1000)
-        for t, s in enumerate(np.random.SeedSequence(trial).spawn(1000)):
-            rounded = round_assignment(ci, sol, seed=s)
-            assert sorted(rounded.order) == list(range(8))
-            assert np.all(rounded.y_tilde >= rounded.y_hat)
-            clicks[t] = rounded.clicks
+        u = seeded_uniforms(np.random.SeedSequence(trial).spawn(1000), 8)
+        orders = round_assignment(ci, sol, u)
+        assert np.all(np.sort(orders, axis=1) == np.arange(8))
+        y_tilde = hits(ci, orders)
+        assert np.all(y_tilde >= hits(ci, raw_draw(sol.x, u)))
+        clicks = y_tilde.sum(axis=1)
         stderr = clicks.std(ddof=1) / math.sqrt(len(clicks))
         assert clicks.mean() >= GAP * sol.value - 2 * stderr
     budget.done("50 instances x 1000 roundings: permutations, repair dominance, mean >= (1-1/e) LP - 2se")

@@ -373,6 +373,36 @@ def test_run_coverage(tmp_path):
     assert report["lp_value"] >= report["clicks"] - 1e-6
 
 
+#: A coverage report's LP value edited: halved below its clicks, or raised
+#: above the two types with a nonempty interest set (but not above n = 4).
+COVERAGE_TAMPERING = {
+    "halved-lp": (lambda v: v / 2, "clicks above the LP value"),
+    "lp-above-interested": (
+        lambda v: v + 0.5, "LP value above the number of types with an interest"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COVERAGE_TAMPERING))
+def test_coverage_report_check_bounds_the_lp_value(case, tmp_path, capsys):
+    """Clicks are at most the LP value, and the LP value is at most the
+    number of types with a nonempty interest set, since y_k <= 0 when P_k
+    is empty."""
+    path, out = tmp_path / "cov.json", tmp_path / "cov_report.json"
+    coverage.save_coverage(coverage.CoverageInstance(4, (0b0001, 0, 0b0110, 0)), path)
+    assert main(["run", "coverage", "--instance", str(path), "--out", str(out)]) == 0
+    check = ["report", "--report", str(out), "--instance", str(path)]
+    assert main(check) == 0
+    data = json.loads(out.read_text())
+    assert data["clicks"] == 2 and data["lp_value"] == pytest.approx(2.0, abs=1e-9)
+    edit, expected = COVERAGE_TAMPERING[case]
+    data["lp_value"] = edit(data["lp_value"])
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(check) == 2
+    assert capsys.readouterr().out.strip() == f"report INVALID: {expected}"
+
+
 @pytest.mark.parametrize("algo", ["greedy", "certify"])
 def test_report_validation_roundtrip(algo, appendix_c_path, tmp_path):
     instance = appendix_c_path

@@ -1,6 +1,7 @@
 """Assignment LP and dependent rounding for the interest-set model."""
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -15,6 +16,7 @@ from seqsub.coverage import (
     clicks,
     coverage_best_of,
     coverage_from_json,
+    hits,
     load_coverage,
     round_assignment,
     save_coverage,
@@ -22,7 +24,10 @@ from seqsub.coverage import (
 )
 from seqsub.errors import ValidationError
 from seqsub.generators import random_coverage_instance
+from seqsub.revenue import ROUND_BLOCK
 from seqsub.util import iter_bits
+
+from auditors import raw_draw, seeded_uniforms, walk_hits
 
 ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
 
@@ -83,20 +88,18 @@ def test_rounding_keeps_permutation_matrices():
     sol = solve_assignment_lp(ci)
     perm = np.eye(3)
     sol.x = perm  # already integral: rounding must return it unchanged
-    rounded = round_assignment(ci, sol, seed=0)
-    assert rounded.order == (0, 1, 2)
+    orders = round_assignment(ci, sol, seeded_uniforms([0], 3))
+    assert orders.tolist() == [[0, 1, 2]]
 
 
 def test_rounding_symmetric_two_products():
     ci = CoverageInstance(2, (0b01, 0b11))
     sol = solve_assignment_lp(ci)
     sol.x = np.full((2, 2), 0.5)
-    heads = 0
     trials = 10_000
-    for s in np.random.SeedSequence(4).spawn(trials):
-        rounded = round_assignment(ci, sol, seed=s)
-        assert sorted(rounded.order) == [0, 1]
-        heads += rounded.order[0] == 0
+    orders = round_assignment(ci, sol, seeded_uniforms(np.random.SeedSequence(4).spawn(trials), 2))
+    assert np.all(np.sort(orders, axis=1) == [0, 1])
+    heads = np.sum(orders[:, 0] == 0)
     assert abs(heads / trials - 0.5) < 0.02
 
 
@@ -105,11 +108,12 @@ def test_repair_never_loses_clicks_and_outputs_permutations():
     for trial in range(6):
         ci = random_coverage_instance(8, rng)
         sol = solve_assignment_lp(ci)
-        for s in np.random.SeedSequence(trial).spawn(300):
-            rounded = round_assignment(ci, sol, seed=s)
-            assert sorted(rounded.order) == list(range(8))
-            assert np.all(rounded.y_tilde >= rounded.y_hat)
-            assert rounded.clicks == clicks(ci, rounded.order)
+        u = seeded_uniforms(np.random.SeedSequence(trial).spawn(300), 8)
+        orders = round_assignment(ci, sol, u)
+        assert np.all(np.sort(orders, axis=1) == np.arange(8))
+        y_tilde = hits(ci, orders)
+        assert np.all(y_tilde >= hits(ci, raw_draw(sol.x, u)))
+        assert y_tilde.sum(axis=1).tolist() == [clicks(ci, order) for order in orders]
 
 
 #: sha256 of the order and y_hat of 300 successive round_assignment draws
@@ -128,8 +132,10 @@ def test_rounding_draws_are_pinned():
     rng = np.random.default_rng(5)
     draws = []
     for t in range(300):
-        rounded = round_assignment(*cases[t % 3], rng)
-        draws.append((rounded.order, rounded.y_hat.tolist()))
+        ci, sol = cases[t % 3]
+        u = rng.random((1, ci.n))
+        draws.append((tuple(round_assignment(ci, sol, u)[0].tolist()),
+                      hits(ci, raw_draw(sol.x, u))[0].astype(int).tolist()))
     assert hashlib.sha256(repr(draws).encode()).hexdigest() == PINNED_ROUNDING_DIGEST
 
 
@@ -137,9 +143,8 @@ def test_rounding_mean_clears_lp_fraction():
     rng = np.random.default_rng(23)
     ci = random_coverage_instance(8, rng)
     sol = solve_assignment_lp(ci)
-    vals = np.array(
-        [round_assignment(ci, sol, seed=s).clicks for s in np.random.SeedSequence(5).spawn(1500)]
-    )
+    u = seeded_uniforms(np.random.SeedSequence(5).spawn(1500), 8)
+    vals = hits(ci, round_assignment(ci, sol, u)).sum(axis=1)
     stderr = vals.std(ddof=1) / math.sqrt(len(vals))
     assert vals.mean() >= ONE_MINUS_INV_E * sol.value - 2 * stderr
 
@@ -151,9 +156,8 @@ def test_per_type_click_probability_bound():
     ci = random_coverage_instance(6, rng)
     sol = solve_assignment_lp(ci)
     trials = 4000
-    hits = np.zeros(6)
-    for s in np.random.SeedSequence(9).spawn(trials):
-        hits += round_assignment(ci, sol, seed=s).y_tilde
+    u = seeded_uniforms(np.random.SeedSequence(9).spawn(trials), 6)
+    hits = coverage.hits(ci, round_assignment(ci, sol, u)).sum(axis=0)
     freq = hits / trials
     for k in range(6):
         sigma = math.sqrt(max(freq[k] * (1 - freq[k]), 1e-4) / trials)
@@ -167,9 +171,17 @@ def test_best_of_single_trial_matches_single_rounding():
     ci = random_coverage_instance(5, rng)
     best = coverage_best_of(ci, trials=1, seed=8)
     sol = solve_assignment_lp(ci)
-    single = round_assignment(ci, sol, seed=8)
-    assert best.order == single.order
-    assert best.clicks == single.clicks
+    single = tuple(round_assignment(ci, sol, seeded_uniforms([8], 5))[0].tolist())
+    assert best.order == single
+    assert best.clicks == clicks(ci, single)
+
+
+def _unblocked_best_of(ci, sol, u):
+    """(order, clicks) of the first best row of u, rounded in one call."""
+    orders = round_assignment(ci, sol, u)
+    counts = hits(ci, orders).sum(axis=1)
+    t = int(counts.argmax())
+    return tuple(orders[t].tolist()), int(counts[t])
 
 
 def test_best_of_keeps_the_best_of_successive_draws():
@@ -180,16 +192,53 @@ def test_best_of_keeps_the_best_of_successive_draws():
     ci = random_coverage_instance(10, 1)
     sol = solve_assignment_lp(ci)
     assert np.any((sol.x > 0.01) & (sol.x < 0.99))
-    rng = np.random.default_rng(11)
-    draws = [round_assignment(ci, sol, rng) for _ in range(30)]
+    u = np.random.default_rng(11).random((30, 10))
     bests = []
     for k in (1, 4, 30):
-        best = max(draws[:k], key=lambda d: d.clicks)  # the first of any ties
-        bests.append(best.clicks)
+        best = _unblocked_best_of(ci, sol, u[:k])  # the first of any ties
+        bests.append(best[1])
         for seed in (11, np.random.default_rng(11)):
             got = coverage_best_of(ci, trials=k, seed=seed)
-            assert (got.order, got.clicks) == (best.order, best.clicks)
+            assert (got.order, got.clicks) == best
     assert bests[0] < bests[-1]
+
+
+def test_best_of_blocks_join_seamlessly():
+    """Around ROUND_BLOCK, the blocked best-of equals one unblocked call over
+    the same rng.random((trials, n)), and a Generator passed as the seed
+    carries on across a block."""
+    ci = random_coverage_instance(10, 1)
+    sol = solve_assignment_lp(ci)
+    u = np.random.default_rng(6).random((ROUND_BLOCK + 1, 10))
+    for k in (ROUND_BLOCK - 1, ROUND_BLOCK, ROUND_BLOCK + 1):
+        got = coverage_best_of(ci, trials=k, seed=6)
+        assert (got.order, got.clicks) == _unblocked_best_of(ci, sol, u[:k])
+    rng = np.random.default_rng(6)
+    coverage_best_of(ci, trials=ROUND_BLOCK - 1, seed=rng)
+    got = coverage_best_of(ci, trials=2, seed=rng)
+    assert (got.order, got.clicks) == _unblocked_best_of(ci, sol, u[ROUND_BLOCK - 1 :])
+
+
+def test_hits_matches_the_scalar_walk():
+    """Every permutation at n <= 6, raw draws with duplicates at n = 8 and 50,
+    and clicks past 63 products, where masks outgrow int64."""
+    for n in range(1, 7):
+        ci = random_coverage_instance(n, n)
+        perms = np.array(list(itertools.permutations(range(n))))
+        expected = [walk_hits(ci.interest_sets, p) for p in perms]
+        np.testing.assert_array_equal(hits(ci, perms), expected)
+    rng = np.random.default_rng(4)
+    for n in (8, 50):
+        ci = random_coverage_instance(n, rng)
+        draws = rng.integers(0, n, size=(200, n))
+        assert any(len(set(d)) < n for d in draws)
+        expected = [walk_hits(ci.interest_sets, d) for d in draws]
+        np.testing.assert_array_equal(hits(ci, draws), expected)
+    ci = random_coverage_instance(70, rng)
+    assert max(ci.interest_sets).bit_length() > 63
+    for _ in range(20):
+        order = rng.permutation(70)
+        assert clicks(ci, order) == walk_hits(ci.interest_sets, order).sum()
 
 
 def test_best_of_hits_optimum_on_disjoint_singletons():
