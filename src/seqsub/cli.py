@@ -129,27 +129,27 @@ def _run_cg(args) -> tuple[dict, str, int]:
     return report, summary, 0
 
 
-def _run_oracle(args) -> tuple[dict, str, int]:
+def _instance(args) -> core.Instance:
+    """The --instance file, its engagement floor T overridden by --threshold if given."""
     inst = core.load_instance(args.instance)
-    if args.threshold is not None:
-        inst = inst.with_threshold(args.threshold)
-    eng = oracle.brute_force_engagement_opt(inst)
-    report = {
-        "n": inst.n,
-        "threshold": inst.T,
-        "engagement_opt": {
-            "value": eng.best_value,
-            "permutation": core.order_to_external(eng.best_witness),
-            "enumerated": eng.enumerated_count,
-        },
+    return inst if args.threshold is None else inst.with_threshold(args.threshold)
+
+
+def _optimum(rep: oracle.OracleReport) -> dict:
+    return {
+        "value": rep.best_value,
+        "permutation": core.order_to_external(rep.best_witness),
+        "enumerated": rep.enumerated_count,
     }
+
+
+def _run_oracle(args) -> tuple[dict, str, int]:
+    inst = _instance(args)
+    eng = oracle.brute_force_engagement_opt(inst)
+    report = {"n": inst.n, "threshold": inst.T, "engagement_opt": _optimum(eng)}
     try:
         rev = oracle.brute_force_revenue_opt(inst)
-        report["revenue_opt"] = {
-            "value": rev.best_value,
-            "permutation": core.order_to_external(rev.best_witness),
-            "enumerated": rev.enumerated_count,
-        }
+        report["revenue_opt"] = _optimum(rev)
         summary = (
             f"oracle: engagement OPT {eng.best_value:.6f}, "
             f"revenue OPT {rev.best_value:.6f} at {report['revenue_opt']['permutation']}"
@@ -170,23 +170,17 @@ def _trial(t: revenue.TrialResult) -> dict:
 
 def _revenue_summary(rep: revenue.BiCriteriaReport) -> dict:
     """A revenue report's aggregate fields, which `report` recomputes; an
-    infinite ratio (the LP value or the floor is 0) reads "inf"."""
-    summary = {
-        **{k: v for k, v in vars(rep).items() if k != "trials"},
+    infinite float (a ratio whose LP value or floor is 0) reads "inf"."""
+    return {
+        **{k: "inf" if v == math.inf else v for k, v in vars(rep).items() if k != "trials"},
         "trials": len(rep.trials),
         "best": _trial(rep.best),
     }
-    for key in ("alpha_ratio", "beta_ratio", "worst_alpha", "worst_beta"):
-        if math.isinf(summary[key]):
-            summary[key] = "inf"
-    return summary
 
 
 def _run_revenue(args) -> tuple[dict, str, int]:
-    inst = core.load_instance(args.instance)
-    rep = revenue.run_bicriteria(
-        inst, args.trials, factor=args.factor, threshold=args.threshold, seed=args.seed
-    )
+    inst = _instance(args)
+    rep = revenue.run_bicriteria(inst, args.trials, factor=args.factor, seed=args.seed)
     # one entry per distinct order, shared by its trials: `dumps` writes it once
     entries = {t.order: t for t in rep.trials}
     entries = {order: _trial(t) for order, t in entries.items()}

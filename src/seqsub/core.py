@@ -218,7 +218,7 @@ class MnlModel:
 
     def value(self, mask: int) -> float:
         ws = sum(self.weights[j] for j in iter_bits(mask))
-        return ws / (ws + self.w0) if ws > 0 else 0.0
+        return ws / (ws + self.w0)
 
     def batch_value(self, members: np.ndarray) -> np.ndarray:
         ws = members.astype(float) @ self._weights

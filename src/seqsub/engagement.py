@@ -164,12 +164,13 @@ def greedy_rank(inst: Instance) -> Permutation:
     output must be a permutation.
     """
     n = inst.n
+    groups = LiftedObjective(inst)._groups
     prefix = np.zeros((1, n), dtype=bool)
     order: list[int] = []
     for pos in range(n):
         gain = np.zeros(n)
-        for f in {id(f): f for f in inst.models[pos:]}.values():
-            w = sum(inst.lam[i] for i in range(pos, n) if inst.models[i] is f)
+        for f, levels in groups:
+            w = sum(inst.lam[i] for i in levels if i >= pos)
             if w > 0.0:
                 gain += w * f.batch_gain(prefix)[0]
         gain[prefix[0]] = -np.inf

@@ -31,9 +31,9 @@ from .numerics import TOL
 
 
 def is_independent(R: np.ndarray) -> np.ndarray:
-    """Per lifted set of a boolean (..., n, n) array: every prefix capacity holds."""
+    """Per set or point of a (..., n, n) array: every prefix capacity holds within TOL."""
     n = R.shape[-1]
-    return (np.cumsum(R.sum(axis=-1), axis=-1) <= np.arange(1, n + 1)).all(axis=-1)
+    return (np.cumsum(R.sum(axis=-1), axis=-1) <= np.arange(1, n + 1) + TOL).all(axis=-1)
 
 
 def _greedy_scan(n: int, elems) -> np.ndarray:
@@ -86,8 +86,7 @@ def in_matroid_polytope(n: int, x) -> bool:
     x = np.asarray(x, dtype=float)
     if x.shape != (n, n):
         raise ValidationError("matroid: point must be an n x n matrix")
-    prefix = x.sum(axis=1).cumsum().tolist()
-    return all(p <= k + TOL for k, p in enumerate(prefix, 1))
+    return bool(is_independent(x))
 
 
 def _check_unit_box(x: np.ndarray) -> np.ndarray:

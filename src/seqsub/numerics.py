@@ -260,26 +260,13 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     Verifies flow conservation and value == cut capacity before returning.
     """
     cap: dict[tuple[Hashable, Hashable], float] = {}
-    adj: dict[Hashable, list[Hashable]] = {}
-
-    def touch(u):
-        if u not in adj:
-            adj[u] = []
-
-    touch(net.source)
-    touch(net.sink)
-    for u, v, c in net.edges:
-        if u == v:
-            continue
-        touch(u)
-        touch(v)
-        if (u, v) not in cap:
-            cap[(u, v)] = 0.0
-            adj[u].append(v)
+    adj: dict[Hashable, list[Hashable]] = {net.source: [], net.sink: []}
+    for u, v, c in net.edges:  # a self-loop carries no flow and crosses no cut
+        for e in ((u, v), (v, u)):
+            if e not in cap:
+                cap[e] = 0.0
+                adj.setdefault(e[0], []).append(e[1])
         cap[(u, v)] += c
-        if (v, u) not in cap:
-            cap[(v, u)] = 0.0
-            adj[v].append(u)
 
     flow = {e: 0.0 for e in cap}
     value = 0.0

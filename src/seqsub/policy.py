@@ -130,11 +130,9 @@ def check_implementable(pv: PolicyVector) -> ImplementabilityReport:
             )
     certs: list[LayerFlowCert] = []
     failing, cut = None, None
+    live = [{S: p for S, p in layer.items() if p > MASS_TOL} for layer in ({0: 1.0}, *pv.layers)]
     for t in range(1, pv.n + 1):
-        prev = {0: 1.0} if t == 1 else pv.layers[t - 2]
-        prev = {S: p for S, p in prev.items() if p > MASS_TOL}
-        curr = {T: p for T, p in pv.layers[t - 1].items() if p > MASS_TOL}
-        result = max_flow(_layer_network(prev, curr, pv.n))
+        result = max_flow(_layer_network(live[t - 1], live[t], pv.n))
         ok = result.value >= 1.0 - TOL
         edge_flows = {
             (S, T): f for (S, T), f in result.edge_flows.items() if S != "s" and T != "t"

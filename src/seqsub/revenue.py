@@ -230,12 +230,12 @@ def run_bicriteria(
     trials: int = 200,
     *,
     factor: float = 1.0,
-    threshold: float | None = None,
     seed,
 ) -> BiCriteriaReport:
     """Full pipeline: build, solve, scale, round `trials` times, summarize.
 
-    The marginals are multiplied by factor in (0, 1]. Every relaxation
+    The floor is inst.T (pass inst.with_threshold(T) for another). The
+    marginals are multiplied by factor in (0, 1]. Every relaxation
     constraint survives that except the engagement floor, which the scaled
     point meets at factor * T; factor 1 - 1/e emulates the feasibility repair
     of the polynomial-time path. The trials are rounded as one batch whose
@@ -246,8 +246,6 @@ def run_bicriteria(
         raise SeqsubError("revenue: need at least one rounding trial")
     if not 0.0 < factor <= 1.0:
         raise SeqsubError(f"revenue: scale factor {factor} outside (0, 1]")
-    if threshold is not None:
-        inst = inst.with_threshold(threshold)
     sol = solve_policy_lp(build_policy_lp(inst))
     marginals = sol.marginals * factor
     orders = round_to_permutation(inst, marginals, trials, seed)

@@ -179,7 +179,7 @@ def test_criterion_7_bicriteria():
         inst = random_instance(kind, n, rng, with_payments=True)
         opt = oracle.brute_force_revenue_opt(inst)
         T = 0.5 * core.engagement(inst, opt.best_witness)
-        report = run_bicriteria(inst, trials=200, threshold=T, seed=trial)
+        report = run_bicriteria(inst.with_threshold(T), trials=200, seed=trial)
         assert report.mean_revenue >= 0.25 * report.lp_value
         if T > 0:
             assert report.mean_engagement >= 0.25 * T

@@ -116,6 +116,21 @@ def test_run_greedy_reports_ratio(example_1_path, tmp_path):
     assert report["engagement_ratio"] == pytest.approx(1.1 / 2.1, abs=1e-9)
 
 
+@pytest.mark.parametrize("algo", ["greedy", "cg"])
+def test_ranking_reports_above_the_oracle_cap_carry_no_optimum(algo, tmp_path, capsys):
+    n = oracle.MAX_BRUTE_N + 1
+    path, out = str(tmp_path / "mnl.json"), tmp_path / f"{algo}.json"
+    main(["gen", "--kind", "mnl", "--n", str(n), "--seed", "1", "--out", path])
+    flags = ["--steps", "5", "--samples", "16"] if algo == "cg" else []
+    capsys.readouterr()
+    assert main(["run", algo, "--instance", path, *flags, "--out", str(out)]) == 0
+    assert "optimum" not in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["n"] == n
+    assert not [k for k in report if k.startswith("opt_") or k == "engagement_ratio"]
+    assert main(["report", "--report", str(out), "--instance", path]) == 0
+
+
 def test_run_cg_quick(appendix_c_path, tmp_path):
     out = tmp_path / "cg.json"
     code = main(
@@ -357,6 +372,37 @@ def test_run_certify_prints_failing_layer(tmp_path, worked_policy_vector, capsys
     assert [2, "9"] in report["cut"]  # the stranded layer-2 prefix {1,4}
 
 
+def test_run_certify_prints_the_unnormalized_layer(tmp_path, worked_policy_vector, capsys):
+    layers = list(worked_policy_vector.layers)
+    layers[1] = {S: p / 2 for S, p in layers[1].items()}
+    pv_path, out = tmp_path / "pv.json", tmp_path / "certify.json"
+    policy.save_policy(policy.PolicyVector(4, tuple(layers)), pv_path)
+    capsys.readouterr()
+    assert main(["certify", "--instance", str(pv_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "certify: infeasible at layer 2 (unnormalized)\n"
+    report = json.loads(out.read_text())
+    assert (report["failing_layer"], report["reason"], report["layer_flows"]) == (
+        2, "unnormalized", []
+    )
+    assert main(["report", "--report", str(out), "--instance", str(pv_path)]) == 0
+
+
+def test_certify_report_check_recomputes_the_layer_flows(tmp_path, capsys):
+    pv_path, out = tmp_path / "pv.json", tmp_path / "certify.json"
+    policy.save_policy(generators.random_policy_mixture(6, 5, 1), pv_path)
+    check = ["report", "--report", str(out), "--instance", str(pv_path)]
+    assert main(["certify", "--instance", str(pv_path), "--out", str(out)]) == 0
+    assert main(check) == 0
+    data = json.loads(out.read_text())
+    for edit in (lambda flows: flows[2].update(flow=0.75), lambda flows: flows.pop()):
+        tampered = json.loads(json.dumps(data))
+        edit(tampered["layer_flows"])
+        out.write_text(json.dumps(tampered))
+        capsys.readouterr()
+        assert main(check) == 2
+        assert capsys.readouterr().out.strip() == "report INVALID: layer flow mismatch"
+
+
 def test_run_coverage(tmp_path):
     cov = tmp_path / "cov.json"
     main(["gen", "--kind", "coverage", "--n", "6", "--seed", "4", "--out", str(cov)])
@@ -374,12 +420,14 @@ def test_run_coverage(tmp_path):
 
 
 #: A coverage report's LP value edited: halved below its clicks, or raised
-#: above the two types with a nonempty interest set (but not above n = 4).
+#: above the two types with a nonempty interest set (but not above n = 4);
+#: or its click count edited below the LP value.
 COVERAGE_TAMPERING = {
-    "halved-lp": (lambda v: v / 2, "clicks above the LP value"),
+    "halved-lp": ("lp_value", lambda v: v / 2, "clicks above the LP value"),
     "lp-above-interested": (
-        lambda v: v + 0.5, "LP value above the number of types with an interest"
+        "lp_value", lambda v: v + 0.5, "LP value above the number of types with an interest"
     ),
+    "click-count": ("clicks", lambda v: v - 1, "click count mismatch"),
 }
 
 
@@ -387,7 +435,7 @@ COVERAGE_TAMPERING = {
 def test_coverage_report_check_bounds_the_lp_value(case, tmp_path, capsys):
     """Clicks are at most the LP value, and the LP value is at most the
     number of types with a nonempty interest set, since y_k <= 0 when P_k
-    is empty."""
+    is empty; the clicks re-count."""
     path, out = tmp_path / "cov.json", tmp_path / "cov_report.json"
     coverage.save_coverage(coverage.CoverageInstance(4, (0b0001, 0, 0b0110, 0)), path)
     assert main(["run", "coverage", "--instance", str(path), "--out", str(out)]) == 0
@@ -395,8 +443,8 @@ def test_coverage_report_check_bounds_the_lp_value(case, tmp_path, capsys):
     assert main(check) == 0
     data = json.loads(out.read_text())
     assert data["clicks"] == 2 and data["lp_value"] == pytest.approx(2.0, abs=1e-9)
-    edit, expected = COVERAGE_TAMPERING[case]
-    data["lp_value"] = edit(data["lp_value"])
+    key, edit, expected = COVERAGE_TAMPERING[case]
+    data[key] = edit(data[key])
     out.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(check) == 2
@@ -429,6 +477,8 @@ OPTIMUM_TAMPERING = {
     ),
     "halved-optimum": "optimum mismatch",
     "halved-ratio": "engagement ratio mismatch",
+    "raised-revenue": "revenue mismatch",
+    "unknown-algo": "unknown report algo 'ranking'",
     "worse-optimum": "engagement above the optimum",
 }
 
@@ -436,7 +486,7 @@ OPTIMUM_TAMPERING = {
 @pytest.mark.parametrize("case", sorted(OPTIMUM_TAMPERING))
 def test_report_checks_the_reported_optimum(case, tmp_path, capsys):
     """A greedy report's optimum must re-evaluate, bound its engagement and
-    give its ratio."""
+    give its ratio; its revenue must re-evaluate and its algo be known."""
     path, out = str(tmp_path / "mnl.json"), tmp_path / "greedy.json"
     main(["gen", "--kind", "mnl", "--n", "5", "--seed", "1", "--out", path])
     assert main(["run", "greedy", "--instance", path, "--out", str(out)]) == 0
@@ -450,6 +500,10 @@ def test_report_checks_the_reported_optimum(case, tmp_path, capsys):
         data["opt_engagement"] /= 2
     elif case == "halved-ratio":
         data["engagement_ratio"] /= 2
+    elif case == "raised-revenue":
+        data["revenue"] += 0.01
+    elif case == "unknown-algo":
+        data["algo"] = "ranking"
     else:  # a self-consistent optimum that greedy beats
         worse = core.engagement(core.load_instance(path), core.order_from_external(reversed_order))
         assert worse < data["engagement"]
@@ -463,7 +517,8 @@ def test_report_checks_the_reported_optimum(case, tmp_path, capsys):
 
 def test_oracle_report_check_applies_the_floor(tmp_path, capsys):
     """An oracle report records its floor; a revenue witness below it, or a
-    reachable floor called infeasible, is rejected."""
+    reachable floor called infeasible, is rejected, and so is an optimum
+    whose value its witness does not give."""
     path, out = str(tmp_path / "mnl.json"), tmp_path / "oracle.json"
     main(["gen", "--kind", "mnl", "--n", "4", "--seed", "1", "--out", path])
     inst = core.load_instance(path)
@@ -473,6 +528,16 @@ def test_oracle_report_check_applies_the_floor(tmp_path, capsys):
     assert main(["report", "--report", str(out), "--instance", path]) == 0
     data = json.loads(out.read_text())
     assert data["threshold"] == floor
+    for key, expected in (
+        ("engagement_opt", "engagement optimum mismatch"),
+        ("revenue_opt", "revenue optimum mismatch"),
+    ):
+        tampered = json.loads(json.dumps(data))
+        tampered[key]["value"] += 0.01
+        out.write_text(json.dumps(tampered))
+        capsys.readouterr()
+        assert main(["report", "--report", str(out), "--instance", path]) == 2
+        assert capsys.readouterr().out.strip() == f"report INVALID: {expected}"
     free = oracle.brute_force_revenue_opt(inst.with_threshold(0.0))
     assert core.engagement(inst, free.best_witness) < floor - 1e-9  # the floor binds
     data["revenue_opt"].update(
@@ -574,12 +639,26 @@ def test_missing_file_is_an_error(tmp_path):
     assert main(["run", "greedy", "--instance", str(tmp_path / "nope.json")]) == 1
 
 
-def _malformed_inputs(tmp_path):
+#: Inputs past a size cap, built only for their own case: gen kind, n, pipeline.
+OVERSIZED_INPUTS = {
+    "revenue-above-the-lp-cap": ("mnl", 13, "revenue"),
+    "coverage-above-the-lp-cap": ("coverage", 51, "coverage"),
+}
+
+
+def _malformed_inputs(tmp_path, case):
+    if case in OVERSIZED_INPUTS:
+        kind, n, algo = OVERSIZED_INPUTS[case]
+        path = str(tmp_path / "oversized.json")
+        main(["gen", "--kind", kind, "--n", str(n), "--out", path])
+        return ["run", algo, "--instance", path]
     general = tmp_path / "general.json"
     interest = tmp_path / "interest.json"
+    explicit = tmp_path / "explicit.json"
     truncated = tmp_path / "truncated.json"
     main(["gen", "--kind", "mnl", "--n", "3", "--seed", "1", "--out", str(general)])
     main(["gen", "--kind", "coverage", "--n", "3", "--seed", "1", "--out", str(interest)])
+    main(["gen", "--kind", "explicit", "--n", "3", "--seed", "1", "--out", str(explicit)])
     truncated.write_text(general.read_text()[:40])
     no_permutation = tmp_path / "no_permutation.json"
     no_permutation.write_text(json.dumps({"algo": "greedy"}))
@@ -591,15 +670,36 @@ def _malformed_inputs(tmp_path):
     empty.write_text(json.dumps(
         {"n": 0, "lambda": [], "r": [], "click_model": {"type": "mnl", "weights": [], "w0": 1.0}}
     ))
+    empty_interest = tmp_path / "empty_interest.json"
+    empty_interest.write_text(json.dumps({"n": 0, "interest_sets": []}))
     out = str(tmp_path / "out.json")
-    non_finite = {}
-    for name, keys, value in (
-        ("nan-lambda", ("lambda", 0), math.nan),
-        ("infinite-K", ("K",), math.inf),
-        ("nan-payment", ("r", 0, 0), math.nan),
-        ("nan-mnl-weight", ("click_model", "weights", 0), math.nan),
+    greedy, oracle_, run_coverage = ("run", "greedy"), ("oracle",), ("run", "coverage")
+    edited = {}
+    for name, command, source, keys, value in (
+        ("nan-lambda", greedy, general, ("lambda", 0), math.nan),
+        ("infinite-K", oracle_, general, ("K",), math.inf),
+        ("nan-payment", oracle_, general, ("r", 0, 0), math.nan),
+        ("nan-mnl-weight", oracle_, general, ("click_model", "weights", 0), math.nan),
+        ("ill-typed-n", greedy, general, ("n",), "three"),
+        ("ill-typed-lambda", greedy, general, ("lambda",), 0.5),
+        ("ill-typed-mnl-weights", greedy, general, ("click_model", "weights"), 1.0),
+        ("ill-typed-interest-sets", run_coverage, interest, ("interest_sets",), 3),
+        ("short-lambda", greedy, general, ("lambda",), [0.5, 0.5]),
+        ("non-square-r", greedy, general, ("r", 0), [0.0, 0.0]),
+        ("negative-payment", greedy, general, ("r", 2, 0), -1.0),
+        ("negative-K", greedy, general, ("K",), -1.0),
+        ("negative-T", greedy, general, ("T",), -0.5),
+        ("unknown-model-type", greedy, general, ("click_model", "type"), "logit"),
+        ("mnl-weight-count", greedy, general, ("click_model", "weights"), [1.0, 2.0]),
+        ("coverage-cover-count", greedy, general, ("click_model",),
+         {"type": "coverage", "weights": [1.0, 1.0], "covers": [[0], [1]]}),
+        ("coverage-unknown-element", greedy, general, ("click_model",),
+         {"type": "coverage", "weights": [1.0], "covers": [[0], [0], [2]]}),
+        ("explicit-mask-outside", greedy, explicit, ("click_model", "table", "8"), 1.0),
+        ("per-patience-count", greedy, explicit, ("click_model", "per_patience"), []),
+        ("too-few-interest-sets", run_coverage, interest, ("interest_sets",), [[1]]),
     ):
-        data = json.loads(general.read_text())
+        data = json.loads(source.read_text())
         *head, last = keys
         node = data
         for key in head:
@@ -607,15 +707,15 @@ def _malformed_inputs(tmp_path):
         node[last] = value
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data))  # writes the NaN / Infinity literals
-        non_finite[name] = str(path)
+        edited[name] = [*command, "--instance", str(path)]
     partial = tmp_path / "partial_table.json"
-    main(["gen", "--kind", "explicit", "--n", "3", "--seed", "1", "--out", str(partial)])
-    data = json.loads(partial.read_text())
+    data = json.loads(explicit.read_text())
     tables = data["click_model"].get("per_patience") or [data["click_model"]["table"]]
     for table in tables:
         del table["6"]
     partial.write_text(json.dumps(data))
     return {
+        **edited,
         "revenue-on-interest-sets": ["run", "revenue", "--instance", str(interest)],
         "coverage-on-general": ["run", "coverage", "--instance", str(general)],
         "certify-on-general": ["certify", "--instance", str(general)],
@@ -628,20 +728,46 @@ def _malformed_inputs(tmp_path):
             "report", "--report", str(array_report), "--instance", str(general)
         ],
         "revenue-on-n-zero": ["run", "revenue", "--instance", str(empty)],
+        "interest-n-zero": ["run", "coverage", "--instance", str(empty_interest)],
+        "coverage-zero-trials": ["run", "coverage", "--instance", str(interest), "--trials", "0"],
         "gen-n-zero": ["gen", "--kind", "mnl", "--n", "0", "--out", out],
         "gen-negative-n": ["gen", "--kind", "mnl", "--n", "-2", "--out", out],
         "gen-negative-seed": ["gen", "--kind", "mnl", "--n", "3", "--seed", "-1", "--out", out],
-        "nan-lambda": ["run", "greedy", "--instance", non_finite["nan-lambda"]],
-        "infinite-K": ["oracle", "--instance", non_finite["infinite-K"]],
-        "nan-payment": ["oracle", "--instance", non_finite["nan-payment"]],
-        "nan-mnl-weight": ["oracle", "--instance", non_finite["nan-mnl-weight"]],
         "run-negative-seed-cg": ["run", "cg", "--instance", str(general), "--seed", "-1"],
         "run-negative-seed-revenue": ["run", "revenue", "--instance", str(general), "--seed", "-1"],
         "run-negative-seed-coverage": [
             "run", "coverage", "--instance", str(interest), "--seed", "-1"
         ],
         "partial-explicit-table": ["run", "greedy", "--instance", str(partial)],
-    }
+    }[case]
+
+
+#: The exact error line of each case that names one field or one cap.
+MALFORMED_ERRORS = {
+    "partial-explicit-table": "core: explicit table has no entry for mask 0x6",
+    "ill-typed-n": "core: ill-typed key 'n' (invalid literal for int() with base 10: 'three')",
+    "ill-typed-lambda": "core: ill-typed key 'lambda' ('float' object is not iterable)",
+    "ill-typed-mnl-weights": "core: ill-typed key 'weights' ('float' object is not iterable)",
+    "ill-typed-interest-sets": (
+        "coverage: ill-typed key 'interest_sets' ('int' object is not iterable)"
+    ),
+    "short-lambda": "core: lambda length must equal n",
+    "non-square-r": "core: r must be an n x n matrix (row = position)",
+    "negative-payment": "core: negative placement payment",
+    "negative-K": "core: negative per-click payment",
+    "negative-T": "core: negative engagement floor",
+    "unknown-model-type": "core: unknown click model type 'logit'",
+    "mnl-weight-count": "core: mnl needs one weight per product",
+    "coverage-cover-count": "core: coverage needs one cover set per product",
+    "coverage-unknown-element": "core: cover references unknown universe element",
+    "explicit-mask-outside": "core: table mask 0x8 outside ground set",
+    "per-patience-count": "core: per_patience needs one table per level",
+    "interest-n-zero": "coverage: n must be at least 1, got 0",
+    "too-few-interest-sets": "coverage: one interest set per user type required",
+    "coverage-above-the-lp-cap": "coverage: LP capped at n = 50",
+    "coverage-zero-trials": "coverage: need at least one trial",
+    "revenue-above-the-lp-cap": "revenue: relaxation capped at n = 12",
+}
 
 
 @pytest.mark.parametrize(
@@ -665,11 +791,11 @@ def _malformed_inputs(tmp_path):
         "run-negative-seed-cg",
         "run-negative-seed-revenue",
         "run-negative-seed-coverage",
-        "partial-explicit-table",
+        *MALFORMED_ERRORS,
     ],
 )
 def test_malformed_input_is_a_one_line_error(case, tmp_path, capsys):
-    argv = _malformed_inputs(tmp_path)[case]
+    argv = _malformed_inputs(tmp_path, case)
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -677,8 +803,8 @@ def test_malformed_input_is_a_one_line_error(case, tmp_path, capsys):
     assert len(err.splitlines()) == 1, err
     if case == "truncated-json":
         assert f"malformed JSON in {argv[-1]}: " in err, err
-    if case == "partial-explicit-table":
-        assert err == "seqsub: error: core: explicit table has no entry for mask 0x6\n", err
+    if case in MALFORMED_ERRORS:
+        assert err == f"seqsub: error: {MALFORMED_ERRORS[case]}\n", err
 
 
 def test_usage_error_exits_one():

@@ -339,6 +339,20 @@ def test_pipage_coordinate_means_match_input():
     np.testing.assert_allclose(acc / trials, x, atol=0.035)
 
 
+def test_pipage_forced_move_keeps_the_expectation():
+    """Dust tightens the first prefix capacity, so the first move has no
+    room upward and is forced downward. Every output stays independent, and
+    the outputs average to the dust-free point."""
+    x = np.array([[1.5e-9, 1.0 - 1e-9], [0.5, 0.5]])
+    trials = 2000
+    acc = np.zeros((2, 2))
+    for t in range(trials):
+        R = pipage_round(2, x, seed=t)
+        assert is_independent(R)
+        acc += R
+    np.testing.assert_allclose(acc / trials, [[0.0, 1.0], [0.5, 0.5]], atol=0.045)  # 4 sigma
+
+
 def test_sample_independent_point_degenerate():
     u = np.random.default_rng(0).random((5, 3, 3))
     assert sample_independent_point(np.ones((3, 3)), u).all()

@@ -358,6 +358,27 @@ def test_max_flow_deterministic():
     assert r1.cut_nodes == r2.cut_nodes
 
 
+def test_max_flow_ignores_self_loops_and_merges_parallel_edges():
+    """A self-loop carries no flow and crosses no cut, and an edge split into
+    two parallel halves has the whole edge's capacity: the value, the flows
+    and the cut stay the same, bit for bit."""
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        net = random_network(rng)
+        edges = list(net.edges)
+        pairs = [e[:2] for e in edges]  # split an edge that has no parallel edge yet
+        k = next(int(i) for i in rng.permutation(len(edges)) if pairs.count(pairs[i]) == 1)
+        u, v, c = edges[k]
+        edges[k] = (u, v, c / 2)
+        fresh = max(net.sink, *(e[0] for e in edges)) + 1
+        loops = [(node, node, 1.0) for node in (net.source, u, v, net.sink, fresh)]
+        split = FlowNetwork(net.source, net.sink, (*loops, *edges, (u, v, c / 2)))
+        want, got = max_flow(net), max_flow(split)
+        assert (got.value, got.cut_capacity) == (want.value, want.cut_capacity)
+        assert got.edge_flows == want.edge_flows
+        assert got.cut_nodes == want.cut_nodes
+
+
 def test_max_flow_rejects_bad_input():
     with pytest.raises(ValidationError):
         FlowNetwork("s", "s", ())

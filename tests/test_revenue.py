@@ -266,7 +266,7 @@ def test_bicriteria_with_active_floor():
         inst = random_instance("mnl", 4, rng, with_payments=True)
         opt = oracle.brute_force_revenue_opt(inst)
         T = 0.5 * core.engagement(inst, opt.best_witness)
-        report = run_bicriteria(inst, trials=100, threshold=T, seed=trial)
+        report = run_bicriteria(inst.with_threshold(T), trials=100, seed=trial)
         assert report.revenue_ok and report.engagement_ok
         assert report.mean_engagement >= 0.25 * T - 3 * report.stderr_engagement
         assert report.mean_revenue >= 0.25 * report.lp_value - 3 * report.stderr_revenue
