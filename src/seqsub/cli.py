@@ -67,23 +67,27 @@ def _render(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ranking_report(inst: core.Instance, order: core.Permutation, f_val: float) -> dict:
-    """The fields of a `run greedy` or `run cg` report for `order`, whose
-    engagement is f_val, with the exact optimum up to the oracle's size cap."""
+def _ranking_fields(inst: core.Instance, order: core.Permutation, opt_order) -> dict:
+    """The fields of a `run greedy` or `run cg` report for `order`, with the
+    optimum that `opt_order` reaches when it is given."""
     out = {
         "n": inst.n,
         "permutation": core.order_to_external(order),
-        "engagement": f_val,
+        "engagement": core.engagement(inst, order),
         "revenue": core.revenue(inst, order),
     }
-    if inst.n > oracle.MAX_BRUTE_N:
-        return out
-    opt = oracle.brute_force_engagement_opt(inst)
-    out["opt_engagement"] = opt.best_value
-    out["opt_permutation"] = core.order_to_external(opt.best_witness)
-    if opt.best_value > 0:
-        out["engagement_ratio"] = f_val / opt.best_value
+    if opt_order is not None:
+        out["opt_engagement"] = opt = core.engagement(inst, opt_order)
+        out["opt_permutation"] = core.order_to_external(opt_order)
+        if opt > 0:
+            out["engagement_ratio"] = out["engagement"] / opt
     return out
+
+
+def _opt_order(inst: core.Instance):
+    """The oracle's engagement-optimal order, or None above its size cap."""
+    capped = inst.n > oracle.MAX_BRUTE_N
+    return None if capped else oracle.brute_force_engagement_opt(inst).best_witness
 
 
 def _cmd_gen(args) -> int:
@@ -104,8 +108,7 @@ def _cmd_gen(args) -> int:
 
 def _run_greedy(args) -> tuple[dict, str, int]:
     inst = core.load_instance(args.instance)
-    order = engagement.greedy_rank(inst)
-    report = _ranking_report(inst, order, core.engagement(inst, order))
+    report = _ranking_fields(inst, engagement.greedy_rank(inst), _opt_order(inst))
     summary = f"greedy: permutation {report['permutation']} engagement {report['engagement']:.6f}"
     if "engagement_ratio" in report:
         summary += f" (ratio {report['engagement_ratio']:.4f} of optimum)"
@@ -117,7 +120,7 @@ def _run_cg(args) -> tuple[dict, str, int]:
     res = engagement.rank_cg(inst, steps=args.steps, samples=args.samples, seed=args.seed)
     report = {
         **{k: v for k, v in vars(res).items() if k != "order"},
-        **_ranking_report(inst, res.order, res.engagement),
+        **_ranking_fields(inst, res.order, _opt_order(inst)),
         "seed": args.seed,
         "steps": args.steps,
         "samples": args.samples,
@@ -135,21 +138,23 @@ def _instance(args) -> core.Instance:
     return inst if args.threshold is None else inst.with_threshold(args.threshold)
 
 
-def _optimum(rep: oracle.OracleReport) -> dict:
-    return {
-        "value": rep.best_value,
-        "permutation": core.order_to_external(rep.best_witness),
-        "enumerated": rep.enumerated_count,
-    }
+def _optimum(inst: core.Instance, order: core.Permutation, value) -> dict:
+    """An oracle report's optimum: `order` and its value(inst, order)."""
+    return {"value": value(inst, order), "permutation": core.order_to_external(order)}
 
 
 def _run_oracle(args) -> tuple[dict, str, int]:
     inst = _instance(args)
     eng = oracle.brute_force_engagement_opt(inst)
-    report = {"n": inst.n, "threshold": inst.T, "engagement_opt": _optimum(eng)}
+    report = {"n": inst.n, "threshold": inst.T}
+    report["engagement_opt"] = {
+        **_optimum(inst, eng.best_witness, core.engagement), "enumerated": eng.enumerated_count
+    }
     try:
         rev = oracle.brute_force_revenue_opt(inst)
-        report["revenue_opt"] = _optimum(rev)
+        report["revenue_opt"] = {
+            **_optimum(inst, rev.best_witness, core.revenue), "enumerated": rev.enumerated_count
+        }
         summary = (
             f"oracle: engagement OPT {eng.best_value:.6f}, "
             f"revenue OPT {rev.best_value:.6f} at {report['revenue_opt']['permutation']}"
@@ -161,35 +166,28 @@ def _run_oracle(args) -> tuple[dict, str, int]:
 
 
 def _trial(t: revenue.TrialResult) -> dict:
-    return {
-        "permutation": core.order_to_external(t.order),
-        "engagement": t.engagement,
-        "revenue": t.revenue,
-    }
+    permutation = core.order_to_external(t.order)
+    return {"permutation": permutation, "engagement": t.engagement, "revenue": t.revenue}
 
 
-def _revenue_summary(rep: revenue.BiCriteriaReport) -> dict:
-    """A revenue report's aggregate fields, which `report` recomputes; an
-    infinite float (a ratio whose LP value or floor is 0) reads "inf"."""
+def _revenue_fields(inst: core.Instance, rep: revenue.BiCriteriaReport) -> dict:
+    """A revenue report's fields: the aggregates of `rep` (an infinite float,
+    a ratio whose LP value or floor is 0, reads "inf"), n and its trials."""
+    # one entry per distinct order, shared by its trials: `dumps` writes it once
+    entries = {o: _trial(t) for o, t in {t.order: t for t in rep.trials}.items()}
     return {
         **{k: "inf" if v == math.inf else v for k, v in vars(rep).items() if k != "trials"},
         "trials": len(rep.trials),
         "best": _trial(rep.best),
+        "n": inst.n,
+        "per_seed": [entries[t.order] for t in rep.trials],
     }
 
 
 def _run_revenue(args) -> tuple[dict, str, int]:
     inst = _instance(args)
     rep = revenue.run_bicriteria(inst, args.trials, factor=args.factor, seed=args.seed)
-    # one entry per distinct order, shared by its trials: `dumps` writes it once
-    entries = {t.order: t for t in rep.trials}
-    entries = {order: _trial(t) for order, t in entries.items()}
-    report = {
-        **_revenue_summary(rep),
-        "n": inst.n,
-        "seed": args.seed,
-        "per_seed": [entries[t.order] for t in rep.trials],
-    }
+    report = {**_revenue_fields(inst, rep), "seed": args.seed}
     ok = rep.guarantees_ok()
     summary = (
         f"revenue: LP {rep.lp_value:.6f}, mean revenue {rep.mean_revenue:.6f}"
@@ -199,28 +197,31 @@ def _run_revenue(args) -> tuple[dict, str, int]:
     return report, summary, 0 if ok else 2
 
 
+def _coverage_fields(ci: coverage.CoverageInstance, order: core.Permutation) -> dict:
+    clicks = coverage.clicks(ci, order)
+    return {"n": ci.n, "permutation": core.order_to_external(order), "clicks": clicks}
+
+
 def _run_coverage(args) -> tuple[dict, str, int]:
     ci = coverage.load_coverage(args.instance)
     best = coverage.coverage_best_of(ci, trials=args.trials, seed=args.seed)
     report = {
-        "n": ci.n,
+        **_coverage_fields(ci, best.order),
         "seed": args.seed,
         "trials": args.trials,
         "lp_value": best.lp_value,
-        "permutation": core.order_to_external(best.order),
-        "clicks": best.clicks,
     }
     summary = (
-        f"coverage: LP {best.lp_value:.6f}, best clicks {best.clicks}"
+        f"coverage: LP {best.lp_value:.6f}, best clicks {report['clicks']}"
         f" at {report['permutation']}"
     )
     return report, summary, 0
 
 
-def _run_certify(args) -> tuple[dict, str, int]:
-    pv = policy.load_policy(args.instance)
+def _certify_fields(pv: policy.PolicyVector) -> tuple[dict, policy.ImplementabilityReport]:
+    """A certify report's fields, from a fresh certification of `pv`, and that certification."""
     result = policy.check_implementable(pv)
-    report = {
+    return {
         "n": pv.n,
         "feasible": result.feasible,
         "failing_layer": result.failing_layer,
@@ -230,7 +231,11 @@ def _run_certify(args) -> tuple[dict, str, int]:
             for c in result.certs
         ],
         "cut": [[layer, format(mask, "x")] for layer, mask in (result.cut_nodes or [])],
-    }
+    }, result
+
+
+def _run_certify(args) -> tuple[dict, str, int]:
+    report, result = _certify_fields(policy.load_policy(args.instance))
     if result.feasible:
         summary = "certify: feasible (all layer flows = 1)"
     elif result.reason == "unnormalized":
@@ -281,14 +286,10 @@ def _cmd_run(args) -> int:
     return code
 
 
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= TOL
-
-
 def _agrees(claimed, expected) -> bool:
-    """Finite floats agree within TOL; "inf", booleans, counts and orders exactly."""
+    """Floats agree within TOL; the rest ("inf", booleans, counts, orders, text) exactly."""
     if isinstance(expected, float):
-        return type(claimed) in (int, float) and _close(claimed, expected)
+        return type(claimed) in (int, float) and abs(claimed - expected) <= TOL
     return type(claimed) is type(expected) and claimed == expected
 
 
@@ -296,93 +297,70 @@ def _field(data, key: str, convert=float):
     return json_field(data, key, convert, "report")
 
 
+def _like(claimed, rebuilt):
+    """`claimed` cut down to the keys of each dict in `rebuilt`; a list stays whole."""
+    if isinstance(claimed, dict) and isinstance(rebuilt, dict):
+        return {k: _like(claimed[k], v) for k, v in rebuilt.items() if k in claimed}
+    return claimed
+
+
 def _cmd_report(args) -> int:
-    """Re-validate a written report: permutations must re-evaluate exactly,
-    a reported optimum must bound the reported engagement, an oracle's
-    revenue witness must lie between its floor and the engagement optimum
-    (and a floor called infeasible above that optimum), a revenue report's
-    aggregates must follow from its trials, a coverage report's clicks and
-    LP value must not exceed the LP value and the types with an interest, and
-    a certify report must match a fresh certification of its policy."""
+    """Re-validate a written report: rebuild its fields from the instance and
+    its own orders (and a revenue report's LP value, factor and floor) with
+    its command's builder, name each dotted key that disagrees, then check
+    the bounds that no builder derives."""
     rep = read_json(args.report)
-    algo = _field(rep, "algo", str)
-    failures = []
+    algo, ids = _field(rep, "algo", str), core.order_from_external
+    fields, failures = {}, []
     if algo in ("greedy", "cg"):
         inst = core.load_instance(args.instance)
-        order = _field(rep, "permutation", core.order_from_external)
-        f_val = core.engagement(inst, order)
-        if not _close(f_val, _field(rep, "engagement")):
-            failures.append("engagement mismatch")
-        if not _close(core.revenue(inst, order), _field(rep, "revenue")):
-            failures.append("revenue mismatch")
-        if "opt_engagement" in rep:
-            opt_order = _field(rep, "opt_permutation", core.order_from_external)
-            opt_val = core.engagement(inst, opt_order)
-            if not _close(opt_val, _field(rep, "opt_engagement")):
-                failures.append("optimum mismatch")
-            if f_val > opt_val + TOL:
-                failures.append("engagement above the optimum")
-            if opt_val > 0 and not _close(f_val / opt_val, _field(rep, "engagement_ratio")):
-                failures.append("engagement ratio mismatch")
+        capped = inst.n > oracle.MAX_BRUTE_N  # as in _opt_order: no optimum above the cap
+        opt_order = None if capped else _field(rep, "opt_permutation", ids)
+        fields = _ranking_fields(inst, _field(rep, "permutation", ids), opt_order)
+        if fields["engagement"] > fields.get("opt_engagement", math.inf) + TOL:
+            failures.append("engagement above the optimum")
     elif algo == "oracle":
         inst = core.load_instance(args.instance)
-        eng = _field(rep, "engagement_opt", dict)
-        order = _field(eng, "permutation", core.order_from_external)
-        opt_val = core.engagement(inst, order)
-        if not _close(opt_val, _field(eng, "value")):
-            failures.append("engagement optimum mismatch")
-        floor = _field(rep, "threshold")
-        rev = _field(rep, "revenue_opt", dict)
+        eng, rev = _field(rep, "engagement_opt", dict), _field(rep, "revenue_opt", dict)
+        opt = _optimum(inst, _field(eng, "permutation", ids), core.engagement)
+        fields, floor = {"n": inst.n, "engagement_opt": opt}, _field(rep, "threshold")
         if "permutation" in rev:
-            order = _field(rev, "permutation", core.order_from_external)
-            if not _close(core.revenue(inst, order), _field(rev, "value")):
-                failures.append("revenue optimum mismatch")
-            if not floor - TOL <= core.engagement(inst, order) <= opt_val + TOL:
+            rev_order = _field(rev, "permutation", ids)
+            fields["revenue_opt"] = _optimum(inst, rev_order, core.revenue)
+            if not floor - TOL <= core.engagement(inst, rev_order) <= opt["value"] + TOL:
                 failures.append("revenue optimum outside the engagement floor")
-        elif floor - TOL <= opt_val:
+        elif floor - TOL <= opt["value"]:
             failures.append("engagement optimum reaches the floor called infeasible")
     elif algo == "revenue":
         inst = core.load_instance(args.instance)
-        claimed_trials = _field(rep, "per_seed", list)
-        orders = [_field(t, "permutation", core.order_from_external) for t in claimed_trials]
-        trials = revenue.evaluate_trials(inst, orders)
-        for i, (claimed, t) in enumerate(zip(claimed_trials, trials)):
-            if not _close(t.engagement, _field(claimed, "engagement")) or not _close(
-                t.revenue, _field(claimed, "revenue")
-            ):
-                failures.append(f"trial {i} mismatch")
-        if not trials:
-            failures.append("no trials")
-        else:
+        per_seed = _field(rep, "per_seed", list)
+        trials = revenue.evaluate_trials(inst, [_field(t, "permutation", ids) for t in per_seed])
+        if trials:
             summary = revenue.summarize(
                 trials, _field(rep, "lp_value"), _field(rep, "factor"), _field(rep, "threshold")
             )
-            claimed = dict(_flatten({k: v for k, v in rep.items() if k != "per_seed"}))
-            for key, value in _flatten(_revenue_summary(summary)):
-                if not _agrees(claimed.get(key), value):
-                    failures.append(f"{key} mismatch")
+            fields = _revenue_fields(inst, summary)
+            for i, (c, t) in enumerate(zip(per_seed, fields.pop("per_seed"))):
+                if not (_agrees(c.get("engagement"), t["engagement"])
+                        and _agrees(c.get("revenue"), t["revenue"])):
+                    failures.append(f"trial {i} mismatch")
+        else:
+            failures.append("no trials")
     elif algo == "coverage":
         ci = coverage.load_coverage(args.instance)
-        order = _field(rep, "permutation", core.order_from_external)
-        claimed_clicks, lp_value = _field(rep, "clicks"), _field(rep, "lp_value")
-        if coverage.clicks(ci, order) != claimed_clicks:
-            failures.append("click count mismatch")
-        if claimed_clicks > lp_value + SUM_TOL:
+        fields = _coverage_fields(ci, _field(rep, "permutation", ids))
+        lp_value = _field(rep, "lp_value")
+        if fields["clicks"] > lp_value + SUM_TOL:
             failures.append("clicks above the LP value")
         if lp_value > sum(map(bool, ci.interest_sets)) + SUM_TOL:  # y_k = 0 if P_k is empty
             failures.append("LP value above the number of types with an interest")
     elif algo == "certify":
-        res = policy.check_implementable(policy.load_policy(args.instance))
-        claimed = [_field(rep, k, lambda v: v) for k in ("feasible", "failing_layer", "reason")]
-        if claimed != [res.feasible, res.failing_layer, res.reason]:
-            failures.append("certificate mismatch")
-        flows = [_field(c, "flow") for c in _field(rep, "layer_flows", list)]
-        if len(flows) != len(res.certs) or not all(
-            _close(c.flow_value, f) for c, f in zip(res.certs, flows)
-        ):
-            failures.append("layer flow mismatch")
+        fields = _certify_fields(policy.load_policy(args.instance))[0]
     else:
         failures.append(f"unknown report algo {algo!r}")
+    rebuilt, claimed = dict(_flatten(fields)), dict(_flatten(_like(rep, fields)))
+    ok = {k for k in rebuilt.keys() & claimed.keys() if _agrees(claimed[k], rebuilt[k])}
+    failures[:0] = [f"{k} mismatch" for k in {**rebuilt, **claimed} if k not in ok]
     if failures:
         print("report INVALID: " + "; ".join(failures))
         return 2

@@ -424,4 +424,8 @@ def order_to_external(order: Sequence[int]) -> list[int]:
 
 
 def order_from_external(order: Sequence[int]) -> Permutation:
-    return tuple(int(p) - 1 for p in order)
+    """1-based integer product ids (not floats, bools or strings) -> 0-based permutation."""
+    for p in order:
+        if type(p) is not int:
+            raise ValidationError(f"core: product id {p!r} is not an integer")
+    return tuple([p - 1 for p in order])

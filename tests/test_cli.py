@@ -1,13 +1,17 @@
 """End-to-end CLI behavior: gen, run, certify, oracle, report, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auditors import highs_value
-from seqsub import cli, core, coverage, generators, oracle, policy, revenue
+from seqsub import cli, core, coverage, generators, oracle, policy, revenue, util
 from seqsub.cli import main
 
 
@@ -394,13 +398,18 @@ def test_certify_report_check_recomputes_the_layer_flows(tmp_path, capsys):
     assert main(["certify", "--instance", str(pv_path), "--out", str(out)]) == 0
     assert main(check) == 0
     data = json.loads(out.read_text())
-    for edit in (lambda flows: flows[2].update(flow=0.75), lambda flows: flows.pop()):
+    for edit, expected in (
+        (lambda flows: flows[2].update(flow=0.75), "layer_flows.2.flow mismatch"),
+        (lambda flows: flows.pop(), "; ".join(
+            f"layer_flows.5.{key} mismatch" for key in ("feasible", "flow", "layer")
+        )),
+    ):
         tampered = json.loads(json.dumps(data))
         edit(tampered["layer_flows"])
         out.write_text(json.dumps(tampered))
         capsys.readouterr()
         assert main(check) == 2
-        assert capsys.readouterr().out.strip() == "report INVALID: layer flow mismatch"
+        assert capsys.readouterr().out.strip() == f"report INVALID: {expected}"
 
 
 def test_run_coverage(tmp_path):
@@ -427,7 +436,7 @@ COVERAGE_TAMPERING = {
     "lp-above-interested": (
         "lp_value", lambda v: v + 0.5, "LP value above the number of types with an interest"
     ),
-    "click-count": ("clicks", lambda v: v - 1, "click count mismatch"),
+    "click-count": ("clicks", lambda v: v - 1, "clicks mismatch"),
 }
 
 
@@ -473,10 +482,10 @@ def test_report_validation_roundtrip(algo, appendix_c_path, tmp_path):
 
 OPTIMUM_TAMPERING = {
     "halved-and-reversed": (
-        "optimum mismatch; engagement above the optimum; engagement ratio mismatch"
+        "engagement_ratio mismatch; opt_engagement mismatch; engagement above the optimum"
     ),
-    "halved-optimum": "optimum mismatch",
-    "halved-ratio": "engagement ratio mismatch",
+    "halved-optimum": "opt_engagement mismatch",
+    "halved-ratio": "engagement_ratio mismatch",
     "raised-revenue": "revenue mismatch",
     "unknown-algo": "unknown report algo 'ranking'",
     "worse-optimum": "engagement above the optimum",
@@ -515,6 +524,21 @@ def test_report_checks_the_reported_optimum(case, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == f"report INVALID: {OPTIMUM_TAMPERING[case]}"
 
 
+def test_ranking_report_below_the_cap_must_name_its_optimum(tmp_path, capsys):
+    """Up to the oracle's size cap a ranking report's optimum is rebuilt from
+    its opt_permutation, so a report stripped of its optimum is malformed."""
+    path, out = str(tmp_path / "mnl.json"), tmp_path / "greedy.json"
+    main(["gen", "--kind", "mnl", "--n", "5", "--seed", "1", "--out", path])
+    assert main(["run", "greedy", "--instance", path, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    for key in ("opt_permutation", "opt_engagement", "engagement_ratio"):
+        del data[key]
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["report", "--report", str(out), "--instance", path]) == 1
+    assert capsys.readouterr().err == "seqsub: error: report: missing key 'opt_permutation'\n"
+
+
 def test_oracle_report_check_applies_the_floor(tmp_path, capsys):
     """An oracle report records its floor; a revenue witness below it, or a
     reachable floor called infeasible, is rejected, and so is an optimum
@@ -529,8 +553,8 @@ def test_oracle_report_check_applies_the_floor(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["threshold"] == floor
     for key, expected in (
-        ("engagement_opt", "engagement optimum mismatch"),
-        ("revenue_opt", "revenue optimum mismatch"),
+        ("engagement_opt", "engagement_opt.value mismatch"),
+        ("revenue_opt", "revenue_opt.value mismatch"),
     ):
         tampered = json.loads(json.dumps(data))
         tampered[key]["value"] += 0.01
@@ -629,6 +653,158 @@ def test_revenue_report_check_recomputes_the_aggregates(case, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == f"report INVALID: {expected}"
 
 
+#: The seeded report of each kind: the input it reads, and its command
+#: before --instance and --out.
+SEEDED_REPORTS = {
+    "greedy": ("mnl", ["run", "greedy"]),
+    "cg": ("mnl", ["run", "cg", "--seed", "3", "--steps", "5", "--samples", "16"]),
+    "oracle": ("mnl", ["oracle"]),
+    "oracle-infeasible": ("mnl", ["oracle", "--threshold", "0.99"]),
+    "revenue": ("mnl", ["run", "revenue", "--trials", "50", "--factor", "0.632", "--seed", "7"]),
+    "coverage": ("coverage", ["run", "coverage", "--trials", "40", "--seed", "2"]),
+    "certify": ("policy", ["certify"]),
+    "certify-infeasible": ("worked", ["certify"]),
+}
+
+#: The fields of each kind, beside algo and instance, that no builder
+#: rebuilds: `report` reads them in a bound or not at all.
+INFORMATIONAL = {
+    "greedy": set(),
+    "cg": {"seed", "steps", "samples", "lifted_value", "fractional_estimate",
+           "fractional_stderr", "rounded_size"},
+    "oracle": {"threshold", "engagement_opt.enumerated", "revenue_opt.enumerated"},
+    "oracle-infeasible": {"threshold", "engagement_opt.enumerated", "revenue_opt.infeasible"},
+    "revenue": {"seed"},
+    "coverage": {"seed", "trials", "lp_value"},
+    "certify": set(),
+    "certify-infeasible": set(),
+}
+#: Informational fields that a bound reads: moving one may fail a bound line.
+BOUNDED = {"threshold", "lp_value"}
+#: The orders a report is rebuilt from: an id moved off a permutation is
+#: malformed input (exit 1). A revenue report's aggregates are rebuilt from
+#: its LP value, factor and floor too, so moving one of those names others.
+ORDERS = {"permutation", "opt_permutation", "engagement_opt.permutation",
+          "revenue_opt.permutation"}
+REVENUE_CLAIMS = {"lp_value", "factor", "threshold"}
+
+
+@pytest.fixture(scope="module")
+def seeded_reports(tmp_path_factory, worked_policy_vector):
+    """kind -> (report path, input path) for every kind of SEEDED_REPORTS."""
+    root = tmp_path_factory.mktemp("seeded")
+    inputs = {"mnl": str(root / "mnl.json"), "coverage": str(root / "cov.json"),
+              "policy": str(root / "policy.json"), "worked": str(root / "worked.json")}
+    main(["gen", "--kind", "mnl", "--n", "5", "--seed", "1", "--out", inputs["mnl"]])
+    main(["gen", "--kind", "coverage", "--n", "6", "--seed", "4", "--out", inputs["coverage"]])
+    policy.save_policy(generators.random_policy_mixture(6, 5, 1), inputs["policy"])
+    policy.save_policy(worked_policy_vector, inputs["worked"])
+    out = {}
+    for kind, (source, command) in SEEDED_REPORTS.items():
+        path = str(root / f"{kind}.json")
+        assert main([*command, "--instance", inputs[source], "--out", path]) == 0
+        out[kind] = (path, inputs[source])
+    return out
+
+
+def _rebuilt(kind, data, source):
+    """The fields that `kind`'s builder rebuilds from the report `data`."""
+    order = core.order_from_external
+    if kind in ("greedy", "cg"):
+        inst = core.load_instance(source)
+        return cli._ranking_fields(
+            inst, order(data["permutation"]), order(data["opt_permutation"])
+        )
+    if kind.startswith("oracle"):
+        inst = core.load_instance(source)
+        fields = {"n": inst.n, "engagement_opt": cli._optimum(
+            inst, order(data["engagement_opt"]["permutation"]), core.engagement
+        )}
+        if "permutation" in data["revenue_opt"]:
+            fields["revenue_opt"] = cli._optimum(
+                inst, order(data["revenue_opt"]["permutation"]), core.revenue
+            )
+        return fields
+    if kind == "revenue":
+        inst = core.load_instance(source)
+        trials = revenue.evaluate_trials(inst, [order(t["permutation"]) for t in data["per_seed"]])
+        summary = revenue.summarize(trials, data["lp_value"], data["factor"], data["threshold"])
+        return cli._revenue_fields(inst, summary)
+    if kind == "coverage":
+        return cli._coverage_fields(coverage.load_coverage(source), order(data["permutation"]))
+    return cli._certify_fields(policy.load_policy(source))[0]
+
+
+def _keys(report) -> set:
+    return {k for k, _ in cli._flatten(report) if not k.startswith("per_seed.")}
+
+
+@pytest.mark.parametrize("kind", sorted(SEEDED_REPORTS))
+def test_every_report_field_is_rebuilt_or_declared(kind, seeded_reports):
+    """The keys a command writes are the keys its builder rebuilds, plus the
+    declared informational ones: a new field fails here until it is either."""
+    path, source = seeded_reports[kind]
+    data = util.read_json(path)
+    rebuilt = _keys(_rebuilt(kind, data, source))
+    informational = {"algo", "instance"} | INFORMATIONAL[kind]
+    assert not rebuilt & informational
+    assert _keys(data) == rebuilt | informational
+    assert main(["report", "--report", path, "--instance", source]) == 0
+
+
+def _scalars(node, key=""):
+    """(dotted key as `report` names it, container, index) of every scalar
+    leaf of a report, outside per_seed; a list of scalars has one key."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    flat = isinstance(node, list) and not any(isinstance(v, (dict, list)) for v in node)
+    for k, v in items:
+        path = key if flat else f"{key}.{k}" if key else k
+        if path == "per_seed":
+            continue
+        if isinstance(v, (dict, list)):
+            yield from _scalars(v, path)
+        else:
+            yield path, node, k
+
+
+def _moved(v):
+    """An int moved by 1, a float by a relative 1e-3 plus 1e-6, a bool flipped;
+    None for a string or null, which are not moved."""
+    if isinstance(v, bool):
+        return [not v]
+    if isinstance(v, int):
+        return [v - 1, v + 1]
+    if isinstance(v, float):
+        step = abs(v) * 1e-3 + 1e-6
+        return [v - step, v + step]
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_moving_one_report_field_names_it(seeded_reports, data, tmp_path_factory):
+    """Moving one rebuilt scalar of a true report exits 2 with its key named
+    first; moving an informational one keeps exit 0, or fails only a bound."""
+    kind = data.draw(st.sampled_from(sorted(SEEDED_REPORTS)))
+    path, source = seeded_reports[kind]
+    report = util.read_json(path)
+    claims = ORDERS | (REVENUE_CLAIMS if kind == "revenue" else set())
+    leaves = [(k, node, i) for k, node, i in _scalars(report)
+              if _moved(node[i]) is not None and k not in claims]
+    key, node, index = data.draw(st.sampled_from(leaves))
+    node[index] = data.draw(st.sampled_from(_moved(node[index])))
+    tampered = tmp_path_factory.mktemp("moved") / "report.json"
+    tampered.write_text(json.dumps(report))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["report", "--report", str(tampered), "--instance", source])
+    line = out.getvalue().strip()
+    if key in INFORMATIONAL[kind]:
+        assert code == 0 or (key in BOUNDED and "mismatch" not in line), line
+    else:
+        assert code == 2 and line.startswith(f"report INVALID: {key} mismatch"), line
+
+
 def test_gen_and_run_coverage_at_n_1(tmp_path):
     cov = str(tmp_path / "cov1.json")
     assert main(["gen", "--kind", "coverage", "--n", "1", "--out", cov]) == 0
@@ -664,6 +840,8 @@ def _malformed_inputs(tmp_path, case):
     no_permutation.write_text(json.dumps({"algo": "greedy"}))
     array_report = tmp_path / "array_report.json"
     array_report.write_text(json.dumps([{"algo": "greedy"}]))
+    greedy_report = tmp_path / "greedy_report.json"
+    main(["run", "greedy", "--instance", str(general), "--out", str(greedy_report)])
     empty_policy = tmp_path / "empty_policy.json"
     empty_policy.write_text("[]")
     empty = tmp_path / "empty.json"
@@ -673,7 +851,10 @@ def _malformed_inputs(tmp_path, case):
     empty_interest = tmp_path / "empty_interest.json"
     empty_interest.write_text(json.dumps({"n": 0, "interest_sets": []}))
     out = str(tmp_path / "out.json")
-    greedy, oracle_, run_coverage = ("run", "greedy"), ("oracle",), ("run", "coverage")
+    # each command ends with the flag that names the edited file
+    greedy, run_coverage = ("run", "greedy", "--instance"), ("run", "coverage", "--instance")
+    oracle_ = ("oracle", "--instance")
+    report = ("report", "--instance", str(general), "--report")
     edited = {}
     for name, command, source, keys, value in (
         ("nan-lambda", greedy, general, ("lambda", 0), math.nan),
@@ -698,6 +879,9 @@ def _malformed_inputs(tmp_path, case):
         ("explicit-mask-outside", greedy, explicit, ("click_model", "table", "8"), 1.0),
         ("per-patience-count", greedy, explicit, ("click_model", "per_patience"), []),
         ("too-few-interest-sets", run_coverage, interest, ("interest_sets",), [[1]]),
+        ("float-product-id", report, greedy_report, ("permutation", 0), 2.001),
+        ("bool-product-id", report, greedy_report, ("permutation", 0), True),
+        ("string-product-id", report, greedy_report, ("permutation", 0), "2"),
     ):
         data = json.loads(source.read_text())
         *head, last = keys
@@ -707,7 +891,7 @@ def _malformed_inputs(tmp_path, case):
         node[last] = value
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data))  # writes the NaN / Infinity literals
-        edited[name] = [*command, "--instance", str(path)]
+        edited[name] = [*command, str(path)]
     partial = tmp_path / "partial_table.json"
     data = json.loads(explicit.read_text())
     tables = data["click_model"].get("per_patience") or [data["click_model"]["table"]]
@@ -767,6 +951,9 @@ MALFORMED_ERRORS = {
     "coverage-above-the-lp-cap": "coverage: LP capped at n = 50",
     "coverage-zero-trials": "coverage: need at least one trial",
     "revenue-above-the-lp-cap": "revenue: relaxation capped at n = 12",
+    "float-product-id": "core: product id 2.001 is not an integer",
+    "bool-product-id": "core: product id True is not an integer",
+    "string-product-id": "core: product id '2' is not an integer",
 }
 
 
