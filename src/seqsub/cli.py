@@ -166,8 +166,11 @@ def _run_oracle(args) -> tuple[dict, str, int]:
 
 
 def _trial(t: revenue.TrialResult) -> dict:
-    permutation = core.order_to_external(t.order)
-    return {"permutation": permutation, "engagement": t.engagement, "revenue": t.revenue}
+    return {
+        "permutation": core.order_to_external(t.order),
+        "engagement": t.engagement,
+        "revenue": t.revenue,
+    }
 
 
 def _revenue_fields(inst: core.Instance, rep: revenue.BiCriteriaReport) -> dict:
@@ -246,15 +249,27 @@ def _run_certify(args) -> tuple[dict, str, int]:
     return report, summary, 0
 
 
-#: Each pipeline by its spelling: its runner and the flags it reads beside
-#: --instance, --out and --format. Any other flag is a usage error.
+#: Each pipeline by its spelling: its runner; the flags it reads beside
+#: --instance, --out and --format (any other flag is a usage error); and the
+#: dotted keys of its report, beside algo and instance, that no builder
+#: rebuilds (revenue's per_seed is compared trial by trial). `report` reads
+#: those in a bound or not at all, and names any other key that the builder
+#: does not rebuild as a mismatch.
 _COMMANDS = {
-    ("run", "greedy"): (_run_greedy, ()),
-    ("run", "cg"): (_run_cg, ("--seed", "--steps", "--samples")),
-    ("run", "revenue"): (_run_revenue, ("--seed", "--trials", "--factor", "--threshold")),
-    ("run", "coverage"): (_run_coverage, ("--seed", "--trials")),
-    ("oracle",): (_run_oracle, ("--threshold",)),
-    ("certify",): (_run_certify, ()),
+    ("run", "greedy"): (_run_greedy, (), ()),
+    ("run", "cg"): (_run_cg, ("--seed", "--steps", "--samples"), (
+        "seed", "steps", "samples",
+        "lifted_value", "fractional_estimate", "fractional_stderr", "rounded_size",
+    )),
+    ("run", "revenue"): (
+        _run_revenue, ("--seed", "--trials", "--factor", "--threshold"), ("seed", "per_seed")
+    ),
+    ("run", "coverage"): (_run_coverage, ("--seed", "--trials"), ("seed", "trials", "lp_value")),
+    ("oracle",): (_run_oracle, ("--threshold",), (
+        "threshold", "engagement_opt.enumerated", "revenue_opt.enumerated",
+        "revenue_opt.infeasible",
+    )),
+    ("certify",): (_run_certify, (), ()),
 }
 
 _FLAGS = {
@@ -297,35 +312,33 @@ def _field(data, key: str, convert=float):
     return json_field(data, key, convert, "report")
 
 
-def _like(claimed, rebuilt):
-    """`claimed` cut down to the keys of each dict in `rebuilt`; a list stays whole."""
-    if isinstance(claimed, dict) and isinstance(rebuilt, dict):
-        return {k: _like(claimed[k], v) for k, v in rebuilt.items() if k in claimed}
-    return claimed
-
-
 def _cmd_report(args) -> int:
     """Re-validate a written report: rebuild its fields from the instance and
     its own orders (and a revenue report's LP value, factor and floor) with
-    its command's builder, name each dotted key that disagrees, then check
-    the bounds that no builder derives."""
+    its command's builder, name each dotted key that disagrees or that is
+    neither rebuilt nor informational, then check the bounds that no builder
+    derives."""
     rep = read_json(args.report)
-    algo, ids = _field(rep, "algo", str), core.order_from_external
-    fields, failures = {}, []
+    algo = _field(rep, "algo", str)
+    fields = {}
+    failures = []
     if algo in ("greedy", "cg"):
         inst = core.load_instance(args.instance)
-        capped = inst.n > oracle.MAX_BRUTE_N  # as in _opt_order: no optimum above the cap
-        opt_order = None if capped else _field(rep, "opt_permutation", ids)
-        fields = _ranking_fields(inst, _field(rep, "permutation", ids), opt_order)
+        order = _field(rep, "permutation", core.order_from_external)
+        named = "opt_permutation" in rep or inst.n <= oracle.MAX_BRUTE_N  # see _opt_order
+        opt_order = _field(rep, "opt_permutation", core.order_from_external) if named else None
+        fields = _ranking_fields(inst, order, opt_order)
         if fields["engagement"] > fields.get("opt_engagement", math.inf) + TOL:
             failures.append("engagement above the optimum")
     elif algo == "oracle":
         inst = core.load_instance(args.instance)
-        eng, rev = _field(rep, "engagement_opt", dict), _field(rep, "revenue_opt", dict)
-        opt = _optimum(inst, _field(eng, "permutation", ids), core.engagement)
-        fields, floor = {"n": inst.n, "engagement_opt": opt}, _field(rep, "threshold")
+        eng = _field(rep, "engagement_opt", dict)
+        opt = _optimum(inst, _field(eng, "permutation", core.order_from_external), core.engagement)
+        fields = {"n": inst.n, "engagement_opt": opt}
+        floor = _field(rep, "threshold")
+        rev = _field(rep, "revenue_opt", dict)
         if "permutation" in rev:
-            rev_order = _field(rev, "permutation", ids)
+            rev_order = _field(rev, "permutation", core.order_from_external)
             fields["revenue_opt"] = _optimum(inst, rev_order, core.revenue)
             if not floor - TOL <= core.engagement(inst, rev_order) <= opt["value"] + TOL:
                 failures.append("revenue optimum outside the engagement floor")
@@ -334,7 +347,8 @@ def _cmd_report(args) -> int:
     elif algo == "revenue":
         inst = core.load_instance(args.instance)
         per_seed = _field(rep, "per_seed", list)
-        trials = revenue.evaluate_trials(inst, [_field(t, "permutation", ids) for t in per_seed])
+        orders = [_field(t, "permutation", core.order_from_external) for t in per_seed]
+        trials = revenue.evaluate_trials(inst, orders)
         if trials:
             summary = revenue.summarize(
                 trials, _field(rep, "lp_value"), _field(rep, "factor"), _field(rep, "threshold")
@@ -348,7 +362,7 @@ def _cmd_report(args) -> int:
             failures.append("no trials")
     elif algo == "coverage":
         ci = coverage.load_coverage(args.instance)
-        fields = _coverage_fields(ci, _field(rep, "permutation", ids))
+        fields = _coverage_fields(ci, _field(rep, "permutation", core.order_from_external))
         lp_value = _field(rep, "lp_value")
         if fields["clicks"] > lp_value + SUM_TOL:
             failures.append("clicks above the LP value")
@@ -358,9 +372,13 @@ def _cmd_report(args) -> int:
         fields = _certify_fields(policy.load_policy(args.instance))[0]
     else:
         failures.append(f"unknown report algo {algo!r}")
-    rebuilt, claimed = dict(_flatten(fields)), dict(_flatten(_like(rep, fields)))
-    ok = {k for k in rebuilt.keys() & claimed.keys() if _agrees(claimed[k], rebuilt[k])}
-    failures[:0] = [f"{k} mismatch" for k in {**rebuilt, **claimed} if k not in ok]
+    if fields:  # with nothing rebuilt (no trials, an unknown algo) nothing is compared
+        info = {"algo", "instance"}.union(*(c[2] for s, c in _COMMANDS.items() if s[-1] == algo))
+        rebuilt = dict(_flatten(fields))
+        kept = {k: rep[k] for k in rep.keys() - info}  # per_seed is not flattened
+        claimed = {k: v for k, v in _flatten(kept) if k not in info}
+        ok = {k for k in rebuilt.keys() & claimed.keys() if _agrees(claimed[k], rebuilt[k])}
+        failures[:0] = [f"{k} mismatch" for k in {**rebuilt, **claimed} if k not in ok]
     if failures:
         print("report INVALID: " + "; ".join(failures))
         return 2
@@ -382,7 +400,7 @@ def _parser() -> _Parser:
     gen.set_defaults(func=_cmd_gen)
 
     run = sub.add_parser("run", help="run a pipeline").add_subparsers(dest="algo", required=True)
-    for (*prefix, algo), (runner, flags) in _COMMANDS.items():
+    for (*prefix, algo), (runner, flags, _) in _COMMANDS.items():
         p = (run if prefix else sub).add_parser(algo, help=f"run {algo} and write a report")
         for flag in ("--instance", *flags, "--out", "--format"):
             p.add_argument(flag, **_FLAGS[flag])

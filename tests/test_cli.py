@@ -132,7 +132,22 @@ def test_ranking_reports_above_the_oracle_cap_carry_no_optimum(algo, tmp_path, c
     report = json.loads(out.read_text())
     assert report["n"] == n
     assert not [k for k in report if k.startswith("opt_") or k == "engagement_ratio"]
-    assert main(["report", "--report", str(out), "--instance", path]) == 0
+    check = ["report", "--report", str(out), "--instance", path]
+    assert main(check) == 0
+    # an optimum forged above the cap is rebuilt from the order it names
+    # (which the reported permutation beats), and without an order its keys
+    # are ones that no builder writes there
+    forged = {**report, "opt_engagement": 99.0, "engagement_ratio": 0.5}
+    for extra, expected in (
+        ({"opt_permutation": list(range(1, n + 1))}, "; engagement above the optimum"),
+        ({}, ""),
+    ):
+        out.write_text(json.dumps({**forged, **extra}))
+        capsys.readouterr()
+        assert main(check) == 2
+        assert capsys.readouterr().out.strip() == (
+            f"report INVALID: engagement_ratio mismatch; opt_engagement mismatch{expected}"
+        )
 
 
 def test_run_cg_quick(appendix_c_path, tmp_path):
@@ -666,19 +681,16 @@ SEEDED_REPORTS = {
     "certify-infeasible": ("worked", ["certify"]),
 }
 
-#: The fields of each kind, beside algo and instance, that no builder
-#: rebuilds: `report` reads them in a bound or not at all.
-INFORMATIONAL = {
-    "greedy": set(),
-    "cg": {"seed", "steps", "samples", "lifted_value", "fractional_estimate",
-           "fractional_stderr", "rounded_size"},
-    "oracle": {"threshold", "engagement_opt.enumerated", "revenue_opt.enumerated"},
-    "oracle-infeasible": {"threshold", "engagement_opt.enumerated", "revenue_opt.infeasible"},
-    "revenue": {"seed"},
-    "coverage": {"seed", "trials", "lp_value"},
-    "certify": set(),
-    "certify-infeasible": set(),
-}
+
+
+def _informational(kind) -> set:
+    """The keys of a `kind` report, beside algo and instance, that its command
+    declares informational: no builder rebuilds them."""
+    algo = kind.split("-")[0]
+    return next(set(keys) for spelling, (_, _, keys) in cli._COMMANDS.items()
+                if spelling[-1] == algo)
+
+
 #: Informational fields that a bound reads: moving one may fail a bound line.
 BOUNDED = {"threshold", "lp_value"}
 #: The orders a report is rebuilt from: an id moved off a permutation is
@@ -741,15 +753,42 @@ def _keys(report) -> set:
 
 @pytest.mark.parametrize("kind", sorted(SEEDED_REPORTS))
 def test_every_report_field_is_rebuilt_or_declared(kind, seeded_reports):
-    """The keys a command writes are the keys its builder rebuilds, plus the
+    """The keys a command writes are the keys its builder rebuilds, plus
     declared informational ones: a new field fails here until it is either."""
     path, source = seeded_reports[kind]
     data = util.read_json(path)
     rebuilt = _keys(_rebuilt(kind, data, source))
-    informational = {"algo", "instance"} | INFORMATIONAL[kind]
+    informational = {"algo", "instance"} | _informational(kind)
     assert not rebuilt & informational
-    assert _keys(data) == rebuilt | informational
+    assert rebuilt <= _keys(data) <= rebuilt | informational
     assert main(["report", "--report", path, "--instance", source]) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(SEEDED_REPORTS))
+def test_a_key_that_is_neither_rebuilt_nor_declared_is_a_mismatch(
+    kind, seeded_reports, tmp_path, capsys
+):
+    """An added key, top-level or inside a rebuilt dict, and an appended
+    layer flow are named in key order after the rebuilt keys that disagree."""
+    path, source = seeded_reports[kind]
+    data = util.read_json(path)
+    nested = next(k for k, v in sorted(data.items()) if isinstance(v, dict) or k == "n")
+    expected = ["alpha mismatch"]
+    data["alpha"] = 1
+    if isinstance(data[nested], dict):
+        data[nested]["extra"] = 0.5
+        expected.append(f"{nested}.extra mismatch")
+    if "layer_flows" in data:
+        i = len(data["layer_flows"])
+        data["layer_flows"].append(data["layer_flows"][-1])
+        expected += [f"layer_flows.{i}.{k} mismatch" for k in ("feasible", "flow", "layer")]
+    data["n"] += 1
+    out = tmp_path / "report.json"
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["report", "--report", str(out), "--instance", source]) == 2
+    line = capsys.readouterr().out.strip()
+    assert line == "report INVALID: " + "; ".join(["n mismatch", *expected]), line
 
 
 def _scalars(node, key=""):
@@ -799,7 +838,7 @@ def test_moving_one_report_field_names_it(seeded_reports, data, tmp_path_factory
     with contextlib.redirect_stdout(out):
         code = main(["report", "--report", str(tampered), "--instance", source])
     line = out.getvalue().strip()
-    if key in INFORMATIONAL[kind]:
+    if key in _informational(kind):
         assert code == 0 or (key in BOUNDED and "mismatch" not in line), line
     else:
         assert code == 2 and line.startswith(f"report INVALID: {key} mismatch"), line
