@@ -2,9 +2,9 @@
 
 Modules:
 
-- core: instances, click models, exact engagement/revenue evaluation
-- oracle: exact optima by a dynamic program over prefix sets, and
-  exhaustive submodularity verification
+- core: instances, click models and their checks, exact engagement/revenue
+  evaluation
+- oracle: exact optima by a dynamic program over prefix sets
 - matroid: the prefix laminar matroid, continuous greedy, pipage rounding,
   independent sampling, contention resolution
 - engagement: greedy ranking and the lift-optimize-extract pipeline

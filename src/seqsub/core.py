@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import TooLargeError, ValidationError
 from .numerics import TOL
-from .util import iter_bits, json_field, mask_of, read_json, write_json
+from .util import iter_bits, json_field, mask_of, read_json, unique_masks, write_json
 
 #: Explicit tables enumerate all subsets; hard cap on the ground size.
 MAX_EXPLICIT_N = 20
@@ -72,11 +72,12 @@ def _frozen_array(values) -> np.ndarray:
 class ExplicitModel:
     """Click function given as a subset -> value table over all 2^n subsets.
 
-    The table must list every subset; values must be nonnegative and monotone
-    along subset inclusion. All three are checked once, at construction.
-    Values above 1 are allowed: tables may encode expected rewards rather
-    than probabilities. Submodularity is not checked here; use
-    oracle.verify_monotone_submodular.
+    The table must list every subset, and its values must be nonnegative,
+    monotone and submodular: each product's gain f(S + y) - f(S) never grows
+    when another product x joins S. All four are checked once, at
+    construction, within TOL; a violation names its mask and products. This
+    is the package's one check of a click table. Values above 1 are allowed:
+    tables may encode expected rewards rather than probabilities.
     """
 
     n: int
@@ -101,18 +102,34 @@ class ExplicitModel:
         if len(tbl) < size:
             missing = next(m for m in range(size) if m not in tbl)
             raise ValidationError(f"core: explicit table has no entry for mask {missing:#x}")
-        dense = np.array([tbl[m] for m in range(size)])
+        n, dense = self.n, np.array([tbl[m] for m in range(size)])
         bad = dense < -TOL
-        for j in range(self.n):  # [:, 1]: the masks with product j; [:, 0]: the same without j
+        gains = np.empty((n, size >> 1))  # row j: f(S + j) - f(S) over S without j, bit j dropped
+        for j in range(n):  # [:, 1]: the masks with product j; [:, 0]: the same without j
             d = dense.reshape(-1, 2, 1 << j)
             bad.reshape(-1, 2, 1 << j)[:, 1] |= d[:, 1] < d[:, 0] - TOL
+            np.subtract(d[:, 1], d[:, 0], out=gains[j].reshape(-1, 1 << j))
         if bad.any():
             m = int(bad.argmax())
             if tbl[m] < -TOL:
                 raise ValidationError(f"core: negative table value {tbl[m]} at mask {m:#x}")
             j = next(j for j in iter_bits(m) if tbl[m] < tbl[m & ~(1 << j)] - TOL)
             raise ValidationError(f"core: table not monotone at mask {m:#x} minus product {j}")
-        pow2 = 1 << np.arange(self.n, dtype=np.int64)
+        firsts = []  # per x, the least violating (S, x, y), keyed as (S * n + x) * n + y
+        for x in range(n - 1):  # rows y > x keep bit x in place: [..., 1] is S + x, [..., 0] S
+            g = gains[x + 1:].reshape(n - x - 1, -1, 2, 1 << x)
+            worse = g[:, :, 1] > g[:, :, 0] + TOL  # y gains more at S + x than at S
+            if worse.any():
+                k, hi, lo = np.nonzero(worse)
+                y, c = k + x + 1, hi << x + 1 | lo  # c: S with bit y dropped
+                S = c >> y << y + 1 | c & (1 << y) - 1
+                firsts.append(int(((S * n + x) * n + y).min()))
+        if firsts:
+            m, xy = divmod(min(firsts), n * n)
+            raise ValidationError(
+                f"core: table not submodular at mask {m:#x} plus products {xy // n} and {xy % n}"
+            )
+        pow2 = 1 << np.arange(n, dtype=np.int64)
         flip = np.append(0, pow2)
         for name, arr in (("_dense", dense), ("_pow2", pow2), ("_flip", flip)):
             arr.setflags(write=False)
@@ -330,7 +347,8 @@ def _table_to_json(table: Mapping[int, float]) -> dict:
 
 
 def _table_from_json(data: Mapping[str, float], n: int) -> ExplicitModel:
-    return ExplicitModel(n, {int(k, 16): float(v) for k, v in data.items()})
+    pairs = ((int(k, 16), float(v)) for k, v in data.items())
+    return ExplicitModel(n, unique_masks(pairs, "core: explicit table"))
 
 
 def _floats(values) -> tuple[float, ...]:
@@ -424,7 +442,8 @@ def order_to_external(order: Sequence[int]) -> list[int]:
 
 
 def order_from_external(order: Sequence[int]) -> Permutation:
-    """1-based integer product ids (not floats, bools or strings) -> 0-based permutation."""
+    """1-based integer product ids (not floats, bools or strings) -> 0-based ids, in order:
+    the one id rule of every file that names products."""
     for p in order:
         if type(p) is not int:
             raise ValidationError(f"core: product id {p!r} is not an integer")

@@ -29,7 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CoverageModel, Instance, Permutation, validate_permutation
+from .core import (
+    CoverageModel, Instance, Permutation, order_from_external, validate_permutation,
+)
 from .errors import TooLargeError, ValidationError
 from .numerics import SUM_TOL, LpProblem, simplex_solve
 from .revenue import ROUND_BLOCK
@@ -176,7 +178,7 @@ def coverage_to_json(ci: CoverageInstance) -> dict:
 def coverage_from_json(data) -> CoverageInstance:
     n = json_field(data, "n", int, "coverage")
     sets = json_field(
-        data, "interest_sets", lambda raw: [[int(j) - 1 for j in s] for s in raw], "coverage"
+        data, "interest_sets", lambda raw: [order_from_external(s) for s in raw], "coverage"
     )
     if any(not 0 <= j < n for s in sets for j in s):
         raise ValidationError("coverage: interest set references unknown product")

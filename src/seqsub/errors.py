@@ -40,4 +40,4 @@ class NumericalInstabilityError(SeqsubError):
 
 
 class GenerationError(SeqsubError):
-    """Random instance generation failed its own verification or got an unknown kind."""
+    """Random instance generation was asked for an unknown kind."""

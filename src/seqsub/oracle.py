@@ -1,11 +1,11 @@
-"""Exact ground truth for small instances.
+"""Exact optima for small instances.
 
-Everything here is exact: optimal permutations by a dynamic program over the
-2^n prefix sets, and monotonicity/submodularity verification over all
-subsets. Size cutoffs are hard errors, never silent truncation. These are
-the independent auditors the rest of the library is tested against, so
-nothing in this module may call the approximation pipelines or the batch
-kernels; click models are queried one mask at a time through `value()`.
+Optimal permutations, for engagement and for revenue under the floor, by a
+dynamic program over the 2^n prefix sets. The size cutoff is a hard error,
+never silent truncation. These optima are the independent auditors the rest
+of the library is tested against, so nothing in this module may call the
+approximation pipelines or the batch kernels; click models are queried one
+mask at a time through `value()`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import InfeasibleError, TooLargeError
 _TOL = 1e-9
 
 MAX_BRUTE_N = 14
-MAX_VERIFY_N = 12
 
 
 @dataclass
@@ -97,41 +96,3 @@ def brute_force_revenue_opt(inst: Instance) -> OracleReport:
     if rep.best_witness is None:
         raise InfeasibleError(f"oracle: no permutation reaches engagement floor {inst.T}")
     return rep
-
-
-@dataclass
-class SubmodularityCheck:
-    ok: bool
-    kind: str | None = None  # "monotone" | "submodular"
-    mask: int | None = None
-    x: int | None = None
-    y: int | None = None
-
-
-def verify_monotone_submodular(fn, n: int) -> SubmodularityCheck:
-    """Exhaustively check monotonicity and submodularity over all 2^n subsets.
-
-    `fn` is a click model or a callable taking a bitmask. Submodularity uses
-    the standard pairwise characterization, equivalent to the full marginal
-    one: f(S+x) + f(S+y) >= f(S+x+y) + f(S) for all S and x < y outside S.
-    Monotonicity violations are reported first, each scan in ascending mask
-    order.
-    """
-    if n > MAX_VERIFY_N:
-        raise TooLargeError(f"oracle: n={n} exceeds verification cap {MAX_VERIFY_N}")
-    value = fn.value if hasattr(fn, "value") else fn
-    vals = [value(m) for m in range(1 << n)]
-    for m in range(1 << n):
-        for j in range(n):
-            if not m & (1 << j) and vals[m | (1 << j)] < vals[m] - _TOL:
-                return SubmodularityCheck(False, "monotone", m, j)
-    for m in range(1 << n):
-        out = [j for j in range(n) if not m & (1 << j)]
-        for a in range(len(out)):
-            x = out[a]
-            for y in out[a + 1 :]:
-                lhs = vals[m | (1 << x)] + vals[m | (1 << y)]
-                rhs = vals[m | (1 << x) | (1 << y)] + vals[m]
-                if lhs < rhs - _TOL:
-                    return SubmodularityCheck(False, "submodular", m, x, y)
-    return SubmodularityCheck(True)

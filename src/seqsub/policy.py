@@ -27,7 +27,7 @@ import numpy as np
 from .core import Permutation, validate_permutation
 from .errors import CertMismatchError, TooLargeError, ValidationError
 from .numerics import MASS_TOL, SUM_TOL, TOL, FlowNetwork, max_flow
-from .util import json_field, read_json, write_json
+from .util import json_field, read_json, unique_masks, write_json
 
 MAX_CERTIFY_N = 12
 
@@ -200,7 +200,9 @@ def policy_from_json(data) -> PolicyVector:
         mask = json_field(e, "set", lambda s: int(s, 16), "policy")
         return mask, json_field(e, "p", float, "policy")
 
-    return PolicyVector(len(data), tuple(dict(map(entry, layer)) for layer in data))
+    return PolicyVector(len(data), tuple(
+        unique_masks(map(entry, layer), f"policy: layer {k + 1}") for k, layer in enumerate(data)
+    ))
 
 
 def save_policy(pv: PolicyVector, path) -> None:

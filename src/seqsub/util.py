@@ -20,6 +20,17 @@ def mask_of(items: Iterable[int]) -> int:
     return m
 
 
+def unique_masks(pairs: Iterable[tuple[int, float]], where: str) -> dict[int, float]:
+    """{mask: value} from (mask, value) pairs; a ValidationError if two pairs
+    name one mask, as the hex keys "1" and "01" both name mask 1."""
+    out = {}
+    for m, v in pairs:
+        if m in out:
+            raise ValidationError(f"{where} names mask {m:#x} twice")
+        out[m] = v
+    return out
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield set bit positions of `mask` in ascending order."""
     while mask:

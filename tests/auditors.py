@@ -1,4 +1,6 @@
-"""Exhaustive auditors that only the tests call: exact multilinear
+"""Exhaustive auditors that only the tests call: monotonicity and
+submodularity of a set function by a scan over all subsets (the reference
+for `core.ExplicitModel`'s vectorised check), exact multilinear
 extensions, correlation-gap ratios, enumeration of the prefix matroid's
 independent sets and bases, the matroid greedy scans (max-weight base and
 contention resolution) one element at a time, a policy vector's marginals,
@@ -10,6 +12,7 @@ boolean (n, n) arrays, as in the package."""
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -20,11 +23,14 @@ from seqsub.core import Instance, Permutation
 from seqsub.errors import TooLargeError, ValidationError
 from seqsub.matroid import is_independent
 from seqsub.numerics import LpProblem
-from seqsub.oracle import MAX_VERIFY_N, OracleReport
+from seqsub.oracle import OracleReport
 from seqsub.policy import PolicyVector
 from seqsub.util import iter_bits
 
 MAX_MULTILINEAR_SUPPORT = 20
+MAX_VERIFY_N = 12
+
+_TOL = 1e-9  # the auditors' own, independent of numerics.TOL
 
 
 def _prefix_compositions(n: int, total: int | None) -> Iterator[tuple[int, ...]]:
@@ -97,6 +103,44 @@ def crs_by_scan(n: int, x, A: np.ndarray, priority: np.ndarray) -> np.ndarray:
         live = [(int(i), int(j)) for i, j in np.argwhere(A[b] & (x > 0.0))]
         kept[b] = scan_independent(n, sorted(live, key=lambda e: (priority[b][e], e)))
     return kept
+
+
+@dataclass
+class SubmodularityCheck:
+    ok: bool
+    kind: str | None = None  # "monotone" | "submodular"
+    mask: int | None = None
+    x: int | None = None
+    y: int | None = None
+
+
+def verify_monotone_submodular(fn, n: int) -> SubmodularityCheck:
+    """Exhaustively check monotonicity and submodularity over all 2^n subsets.
+
+    `fn` is a click model or a callable taking a bitmask. Submodularity uses
+    the standard pairwise characterization, equivalent to the full marginal
+    one: f(S+x) + f(S+y) >= f(S+x+y) + f(S) for all S and x < y outside S.
+    Monotonicity violations are reported first, each scan in ascending mask
+    order.
+    """
+    if n > MAX_VERIFY_N:
+        raise TooLargeError(f"oracle: n={n} exceeds verification cap {MAX_VERIFY_N}")
+    value = fn.value if hasattr(fn, "value") else fn
+    vals = [value(m) for m in range(1 << n)]
+    for m in range(1 << n):
+        for j in range(n):
+            if not m & (1 << j) and vals[m | (1 << j)] < vals[m] - _TOL:
+                return SubmodularityCheck(False, "monotone", m, j)
+    for m in range(1 << n):
+        out = [j for j in range(n) if not m & (1 << j)]
+        for a in range(len(out)):
+            x = out[a]
+            for y in out[a + 1 :]:
+                lhs = vals[m | (1 << x)] + vals[m | (1 << y)]
+                rhs = vals[m | (1 << x) | (1 << y)] + vals[m]
+                if lhs < rhs - _TOL:
+                    return SubmodularityCheck(False, "submodular", m, x, y)
+    return SubmodularityCheck(True)
 
 
 def exact_multilinear(g: Callable[[frozenset], float], x: Mapping) -> float:

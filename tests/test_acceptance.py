@@ -26,6 +26,7 @@ from auditors import (
     iter_independent_sets,
     raw_draw,
     seeded_uniforms,
+    verify_monotone_submodular,
 )
 from conftest import matrix_of, random_subset_distribution
 
@@ -129,7 +130,7 @@ def test_criterion_5_structural_claims():
         def fn(mask):
             return obj.value(matrix_of(((b // 3, b % 3) for b in iter_bits(mask)), 3) > 0)
 
-        assert oracle.verify_monotone_submodular(fn, 9).ok
+        assert verify_monotone_submodular(fn, 9).ok
 
     # exhaustive lift equality and extraction dominance at n <= 4
     for trial in range(6):
@@ -159,7 +160,7 @@ def test_criterion_6_correlation_gap():
         kind = ("coverage", "mnl", "explicit")[trial % 3]
         inst = random_instance(kind, 8, rng)
         model = inst.models[0]
-        assert oracle.verify_monotone_submodular(model, 8).ok
+        assert verify_monotone_submodular(model, 8).ok
         f = lambda S: model.value(mask_of(S))
         dist = random_subset_distribution(8, rng)
         ratio = correlation_gap_ratio(f, dist)

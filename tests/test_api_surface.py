@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import seqsub
-from seqsub import core, coverage, oracle, policy, revenue
+from seqsub import core, coverage, generators, oracle, policy, revenue
 
 SRC = Path(seqsub.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # Public names that only tests call, each with the reason it stays in src.
 TEST_ONLY_ALLOWED = {
     "policy.sample_policy": "the README promises that certificates double as samplers",
-    "coverage.as_instance": "audits coverage against the oracle; ROADMAP item 4 adds a CLI caller",
+    "coverage.as_instance": "audits coverage against the oracle; ROADMAP item 23 deletes it",
 }
 
 
@@ -113,9 +113,8 @@ def test_every_seed_is_required():
 # The README's "Size limits" table: each stage's row and the constant it names.
 README_CAPS = {
     "exact optima (prefix-set DP)": oracle.MAX_BRUTE_N,
-    "monotonicity/submodularity check": oracle.MAX_VERIFY_N,
     "explicit click tables": core.MAX_EXPLICIT_N,
-    "`gen --kind explicit` (verified)": oracle.MAX_VERIFY_N,
+    "`gen --kind explicit` (tabulated)": generators.MAX_TABULATE_N,
     "revenue relaxation (explicit LP)": revenue.MAX_LP_N,
     "policy certification": policy.MAX_CERTIFY_N,
     "assignment LP (interest sets)": coverage.MAX_LP3_N,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auditors import highs_value
+from auditors import highs_value, verify_monotone_submodular
 from seqsub import cli, core, coverage, generators, oracle, policy, revenue, util
 from seqsub.cli import main
 
@@ -41,7 +41,7 @@ def test_gen_explicit_is_submodular(tmp_path):
     out = tmp_path / "explicit.json"
     assert main(["gen", "--kind", "explicit", "--n", "4", "--seed", "2", "--out", str(out)]) == 0
     inst = core.load_instance(out)
-    assert oracle.verify_monotone_submodular(inst.models[0], 4).ok
+    assert verify_monotone_submodular(inst.models[0], 4).ok
 
 
 def test_gen_coverage_sets_nonempty(tmp_path):
@@ -68,15 +68,15 @@ def test_gen_file_bytes_are_pinned(kind, tmp_path):
 
 
 def test_gen_explicit_at_the_verification_cap(tmp_path):
-    """`gen --kind explicit` reaches n = oracle.MAX_VERIFY_N, where the
-    generator checks the whole 2^12-entry table before writing it."""
-    n = oracle.MAX_VERIFY_N
+    """`gen --kind explicit` reaches n = generators.MAX_TABULATE_N, where the
+    model checks the whole 2^12-entry table before it is written."""
+    n = generators.MAX_TABULATE_N
     out = tmp_path / "explicit.json"
     args = ["gen", "--kind", "explicit", "--n", str(n), "--seed", "1", "--out", str(out)]
     assert main(args) == 0
     inst = core.load_instance(out)
     assert inst.n == n and len(inst.models[0].table) == 1 << n
-    assert oracle.verify_monotone_submodular(inst.models[0], n).ok
+    assert verify_monotone_submodular(inst.models[0], n).ok
 
 
 def test_run_oracle_reports_best_revenue(appendix_c_path, tmp_path, capsys):
@@ -883,6 +883,10 @@ def _malformed_inputs(tmp_path, case):
     main(["run", "greedy", "--instance", str(general), "--out", str(greedy_report)])
     empty_policy = tmp_path / "empty_policy.json"
     empty_policy.write_text("[]")
+    policy_mask_twice = tmp_path / "policy_mask_twice.json"
+    policy_mask_twice.write_text(json.dumps(
+        [[{"set": "1", "p": 0.5}, {"set": "01", "p": 0.5}], [{"set": "3", "p": 1.0}]]
+    ))
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps(
         {"n": 0, "lambda": [], "r": [], "click_model": {"type": "mnl", "weights": [], "w0": 1.0}}
@@ -916,8 +920,12 @@ def _malformed_inputs(tmp_path, case):
         ("coverage-unknown-element", greedy, general, ("click_model",),
          {"type": "coverage", "weights": [1.0], "covers": [[0], [0], [2]]}),
         ("explicit-mask-outside", greedy, explicit, ("click_model", "table", "8"), 1.0),
+        ("explicit-mask-twice", greedy, explicit, ("click_model", "table", "01"), 0.9),
         ("per-patience-count", greedy, explicit, ("click_model", "per_patience"), []),
         ("too-few-interest-sets", run_coverage, interest, ("interest_sets",), [[1]]),
+        ("float-interest-id", run_coverage, interest, ("interest_sets", 0, 0), 2.9),
+        ("bool-interest-id", run_coverage, interest, ("interest_sets", 0, 0), True),
+        ("string-interest-id", run_coverage, interest, ("interest_sets", 0, 0), "3"),
         ("float-product-id", report, greedy_report, ("permutation", 0), 2.001),
         ("bool-product-id", report, greedy_report, ("permutation", 0), True),
         ("string-product-id", report, greedy_report, ("permutation", 0), "2"),
@@ -943,6 +951,7 @@ def _malformed_inputs(tmp_path, case):
         "coverage-on-general": ["run", "coverage", "--instance", str(general)],
         "certify-on-general": ["certify", "--instance", str(general)],
         "empty-policy": ["certify", "--instance", str(empty_policy)],
+        "policy-mask-twice": ["certify", "--instance", str(policy_mask_twice)],
         "truncated-json": ["run", "greedy", "--instance", str(truncated)],
         "report-without-permutation": [
             "report", "--report", str(no_permutation), "--instance", str(general)
@@ -984,6 +993,8 @@ MALFORMED_ERRORS = {
     "coverage-cover-count": "core: coverage needs one cover set per product",
     "coverage-unknown-element": "core: cover references unknown universe element",
     "explicit-mask-outside": "core: table mask 0x8 outside ground set",
+    "explicit-mask-twice": "core: explicit table names mask 0x1 twice",
+    "policy-mask-twice": "policy: layer 1 names mask 0x1 twice",
     "per-patience-count": "core: per_patience needs one table per level",
     "interest-n-zero": "coverage: n must be at least 1, got 0",
     "too-few-interest-sets": "coverage: one interest set per user type required",
@@ -993,6 +1004,9 @@ MALFORMED_ERRORS = {
     "float-product-id": "core: product id 2.001 is not an integer",
     "bool-product-id": "core: product id True is not an integer",
     "string-product-id": "core: product id '2' is not an integer",
+    "float-interest-id": "core: product id 2.9 is not an integer",
+    "bool-interest-id": "core: product id True is not an integer",
+    "string-interest-id": "core: product id '3' is not an integer",
 }
 
 
@@ -1031,6 +1045,22 @@ def test_malformed_input_is_a_one_line_error(case, tmp_path, capsys):
         assert f"malformed JSON in {argv[-1]}: " in err, err
     if case in MALFORMED_ERRORS:
         assert err == f"seqsub: error: {MALFORMED_ERRORS[case]}\n", err
+
+
+@pytest.mark.parametrize("command", ["run greedy", "run cg", "run revenue", "oracle"])
+def test_non_submodular_table_is_a_one_line_error(command, tmp_path, capsys):
+    """f(S) = |S|^2 / 16 is monotone but not submodular, so no guarantee holds
+    on it: every command that loads it stops with the model's one line."""
+    table = {format(m, "x"): m.bit_count() ** 2 / 16 for m in range(16)}
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({
+        "n": 4, "lambda": [0.25] * 4, "r": [[0.0] * 4] * 4,
+        "click_model": {"type": "explicit", "table": table},
+    }))
+    capsys.readouterr()
+    assert main([*command.split(), "--instance", str(path)]) == 1
+    want = "seqsub: error: core: table not submodular at mask 0x0 plus products 0 and 1\n"
+    assert capsys.readouterr().err == want
 
 
 def test_usage_error_exits_one():

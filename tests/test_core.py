@@ -1,17 +1,21 @@
 """Click models, objective evaluation, validation, and the JSON format."""
 
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from seqsub import core, oracle
+from seqsub import core
 from seqsub.core import CoverageModel, ExplicitModel, Instance, MnlModel
 from seqsub.errors import TooLargeError, ValidationError
-from seqsub.generators import random_instance
+from seqsub.generators import random_explicit_model, random_instance
 from seqsub.numerics import TOL
 from seqsub.util import mask_of
+
+from auditors import verify_monotone_submodular
 
 
 def naive_engagement(inst, order):
@@ -103,13 +107,19 @@ def test_batch_gain_matches_value_definition(name, model):
 
 def _first_table_violation(n, table):
     """Reference: the per-entry scan in ascending mask order, sign before
-    monotonicity, products in ascending order."""
+    monotonicity, products in ascending order; then the first S, x < y
+    outside S, in ascending order, where y gains more at S + x than at S."""
     for m in range(1 << n):
         if table[m] < -TOL:
             return f"core: negative table value {table[m]} at mask {m:#x}"
         for j in range(n):
             if m >> j & 1 and table[m] < table[m & ~(1 << j)] - TOL:
                 return f"core: table not monotone at mask {m:#x} minus product {j}"
+    for m in range(1 << n):
+        for x, y in itertools.combinations([j for j in range(n) if not m >> j & 1], 2):
+            mx, my = m | 1 << x, m | 1 << y
+            if table[mx | my] - table[mx] > table[my] - table[m] + TOL:
+                return f"core: table not submodular at mask {m:#x} plus products {x} and {y}"
     return None
 
 
@@ -130,6 +140,36 @@ def test_explicit_table_errors_name_the_smallest_violating_mask():
             ExplicitModel(n, table)
         assert str(err.value) == want
     assert failures > 200
+
+
+def test_table_check_agrees_with_the_auditor():
+    """ExplicitModel and the exhaustive scan accept and reject the same
+    tables, and reject them for the same kind of violation: generated tables
+    at n <= 7, each with one or two entries scaled by 0.8-1.2. Every triple
+    the model names breaks f(S + x) + f(S + y) >= f(S + x + y) + f(S)."""
+    rng = np.random.default_rng(36)
+    kinds = []
+    for _ in range(1000):
+        n = int(rng.integers(1, 8))
+        table = dict(random_explicit_model(n, rng).table)
+        for m in rng.integers(0, 1 << n, size=int(rng.integers(1, 3))):
+            table[int(m)] *= float(rng.uniform(0.8, 1.2))
+        check = verify_monotone_submodular(table.__getitem__, n)
+        try:
+            ExplicitModel(n, table)
+        except ValidationError as err:
+            named = re.fullmatch(
+                r"core: table not (\w+) at mask 0x(\w+) (?:plus products (\d) and (\d)|.*)",
+                str(err),
+            )
+            assert named and not check.ok and named[1] == check.kind, (str(err), check)
+            if check.kind == "submodular":
+                m, x, y = int(named[2], 16), 1 << int(named[3]), 1 << int(named[4])
+                assert table[m | x] + table[m | y] < table[m | x | y] + table[m], str(err)
+        else:
+            assert check.ok, check
+        kinds.append(check.kind)
+    assert kinds.count("submodular") > 200 and kinds.count(None) > 200
 
 
 def test_explicit_table_size_cap():
@@ -251,7 +291,7 @@ def test_random_models_are_monotone_submodular(kind):
     rng = np.random.default_rng(31)
     for trial in range(5):
         inst = random_instance(kind, 7, rng)
-        check = oracle.verify_monotone_submodular(inst.models[0], 7)
+        check = verify_monotone_submodular(inst.models[0], 7)
         assert check.ok, check
 
 

@@ -24,7 +24,7 @@ from seqsub.generators import random_explicit_model, random_instance
 from seqsub.matroid import continuous_greedy, is_independent
 from seqsub.util import iter_bits, mask_of
 
-from auditors import greedy_by_value, iter_independent_sets
+from auditors import greedy_by_value, iter_independent_sets, verify_monotone_submodular
 from conftest import matrix_of
 
 ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
@@ -403,7 +403,7 @@ def test_lifted_objective_is_monotone_submodular_small():
             R = matrix_of(((b // 3, b % 3) for b in iter_bits(mask)), 3) > 0
             return obj.value(R)
 
-        check = oracle.verify_monotone_submodular(as_mask_function, 9)
+        check = verify_monotone_submodular(as_mask_function, 9)
         assert check.ok, check
 
 
@@ -425,7 +425,7 @@ def test_rank_cg_puts_dominant_product_first():
         table[m] = 0.8 if m & 0b0100 else 0.1 * min(bin(m).count("1"), 2)
     model = core.ExplicitModel(4, table)
     inst = Instance(4, (0.25,) * 4, (model,) * 4, tuple((0.0,) * 4 for _ in range(4)))
-    assert oracle.verify_monotone_submodular(model, 4).ok
+    assert verify_monotone_submodular(model, 4).ok
     res = rank_cg(inst, steps=25, samples=120, seed=2)
     assert res.order[0] == 2
     opt = oracle.brute_force_engagement_opt(inst).best_value

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from seqsub import generators, oracle
-from seqsub.errors import GenerationError, TooLargeError
+from seqsub import generators
+from seqsub.errors import TooLargeError, ValidationError
 from seqsub.generators import (
     random_coverage_instance,
     random_explicit_model,
@@ -14,6 +14,7 @@ from seqsub.generators import (
     random_policy_mixture,
 )
 
+from auditors import verify_monotone_submodular
 from conftest import random_subset_distribution
 
 
@@ -22,7 +23,7 @@ def test_random_explicit_models_verify(n):
     rng = np.random.default_rng(n)
     for _ in range(3):
         model = random_explicit_model(n, rng)
-        assert oracle.verify_monotone_submodular(model, n).ok
+        assert verify_monotone_submodular(model, n).ok
 
 
 def test_explicit_size_is_rejected_before_tabulation(monkeypatch):
@@ -31,17 +32,22 @@ def test_explicit_size_is_rejected_before_tabulation(monkeypatch):
 
     monkeypatch.setattr(generators, "_budget_additive_table", no_tables)
     with pytest.raises(TooLargeError):
-        random_explicit_model(oracle.MAX_VERIFY_N + 1, 0)
+        random_explicit_model(generators.MAX_TABULATE_N + 1, 0)
     with pytest.raises(TooLargeError):
         random_instance("explicit", 25, 0)
 
 
 def test_failed_verification_names_the_check(monkeypatch):
-    """A generated table is verified once; a failure is a construction bug,
-    reported with the failed check and mask instead of being re-drawn."""
-    failed = oracle.SubmodularityCheck(False, "submodular", 0x5, 0, 1)
-    monkeypatch.setattr(generators, "verify_monotone_submodular", lambda model, n: failed)
-    with pytest.raises(GenerationError, match="fails the submodular check at mask 0x5$"):
+    """A generated table is checked once, by ExplicitModel; a failure is a
+    construction bug, reported with the model's error instead of being
+    re-drawn. Here one family is the supermodular AND of all three products."""
+    monkeypatch.setattr(
+        generators,
+        "_concave_cardinality_table",
+        lambda n, rng: {m: 1000.0 * (m == (1 << n) - 1) for m in range(1 << n)},
+    )
+    want = "^core: table not submodular at mask 0x1 plus products 1 and 2$"
+    with pytest.raises(ValidationError, match=want):
         random_explicit_model(3, 0)
 
 

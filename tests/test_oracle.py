@@ -17,7 +17,13 @@ from seqsub.errors import InfeasibleError, TooLargeError, ValidationError
 from seqsub.generators import random_explicit_model, random_instance
 from seqsub.util import mask_of
 
-from auditors import correlation_gap_ratio, exact_multilinear, max_independent_value
+from auditors import (
+    MAX_VERIFY_N,
+    correlation_gap_ratio,
+    exact_multilinear,
+    max_independent_value,
+    verify_monotone_submodular,
+)
 from conftest import matrix_of, random_subset_distribution
 
 INV_E_GAP = 1.0 - 1.0 / math.e
@@ -213,34 +219,34 @@ def test_oracle_evaluates_each_prefix_mask_once(search, kind):
 
 
 def test_verify_worked_table_passes(appendix_c):
-    assert oracle.verify_monotone_submodular(appendix_c.models[0], 4).ok
+    assert verify_monotone_submodular(appendix_c.models[0], 4).ok
 
 
 def test_verify_mnl_passes():
     rng = np.random.default_rng(3)
     model = MnlModel(6, tuple(rng.uniform(0, 2, size=6)), 0.7)
-    assert oracle.verify_monotone_submodular(model, 6).ok
+    assert verify_monotone_submodular(model, 6).ok
 
 
 def test_verify_reaches_its_cap():
     """At n = MAX_VERIFY_N every one of the 4,096 subsets is scanned: an mnl
     model passes, and raising its full-set value is caught as a submodularity
     violation at a set two products short of full."""
-    n = oracle.MAX_VERIFY_N
+    n = MAX_VERIFY_N
     rng = np.random.default_rng(12)
     model = MnlModel(n, tuple(rng.uniform(0, 2, size=n)), 0.7)
-    assert oracle.verify_monotone_submodular(model, n).ok
+    assert verify_monotone_submodular(model, n).ok
     full = (1 << n) - 1
     vals = [model.value(m) for m in range(1 << n)]
     vals[full] += 0.5
-    check = oracle.verify_monotone_submodular(vals.__getitem__, n)
+    check = verify_monotone_submodular(vals.__getitem__, n)
     assert not check.ok and check.kind == "submodular"
     assert check.mask | 1 << check.x | 1 << check.y == full
 
 
 def test_verify_catches_monotonicity_violation():
     fn = {0: 0.0, 1: 0.5, 2: 0.2, 3: 0.4}.__getitem__
-    check = oracle.verify_monotone_submodular(fn, 2)
+    check = verify_monotone_submodular(fn, 2)
     assert not check.ok
     assert check.kind == "monotone"
     assert check.mask == 1 and check.x == 1  # f({0}) = 0.5 > 0.4 = f({0,1})
@@ -248,7 +254,7 @@ def test_verify_catches_monotonicity_violation():
 
 def test_verify_catches_submodularity_violation():
     fn = {0: 0.0, 1: 0.0, 2: 0.0, 3: 1.0}.__getitem__  # pure AND: supermodular
-    check = oracle.verify_monotone_submodular(fn, 2)
+    check = verify_monotone_submodular(fn, 2)
     assert not check.ok
     assert check.kind == "submodular"
     assert check.mask == 0
